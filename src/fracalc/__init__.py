@@ -7,7 +7,6 @@ indicator/factor ratios that spans the spectrum from the average (order 0)
 to the marginal (order 1) value of an economic indicator.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .caputo import (
     FracOrder,
     Polynomial,
@@ -47,7 +46,6 @@ from .specfun import gamma, log_gamma
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "__version__",
     # special functions
     "gamma",

@@ -1,0 +1,57 @@
+"""Hot numerical kernels (numpy)."""
+
+import numpy as np
+
+# Candidate pairs are tested in blocks of at most this many, so the memory
+# used beyond the result stays bounded (about 80 MB) even when a flat factor
+# makes every pair a candidate.
+_BLOCK_ELEMENTS = 1_000_000
+
+# Slack added to each sorted point's x_tol window, in units of the spacing of
+# the largest magnitude involved.  fl(xs[k] + x_tol) and the exact test's
+# fl(xs[m] - xs[k]) each round by at most about one such spacing, so this
+# window always contains every match; the exact test then removes the extra.
+_WINDOW_ULPS = 4.0
+
+
+def l1_weighted_sum(values, exponent):
+    """Sum of ((N-k)^e - (N-1-k)^e) * (v[k+1] - v[k]) over k = 0..N-1."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    n = v.shape[0] - 1
+    # One power per grid point: weight k is powers[k] - powers[k+1].
+    powers = np.arange(n, -1, -1, dtype=np.float64) ** exponent
+    return float((powers[:-1] - powers[1:]) @ np.diff(v))
+
+
+def multivalued_pairs(x, y, x_tol, y_tol):
+    """Index pairs (i, j), i < j, with |x_i - x_j| <= x_tol and |y_i - y_j| > y_tol.
+
+    Returns two int64 arrays ``(i, j)`` in row-major order (i ascending, then
+    j).  x is sorted once; for sorted x, fl(xs[m] - xs[k]) grows with m, so
+    each point's matches with larger x form one contiguous run, found with
+    ``searchsorted`` on a slightly widened window.  Cost is O(N log N) plus
+    the number of candidates in those windows.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    slack = _WINDOW_ULPS * np.spacing(np.maximum(np.abs(xs), x_tol))
+    hi = np.searchsorted(xs, (xs + x_tol) + slack, side="right")
+    # Sorted point k is paired with the points after it in its window; the
+    # candidates of all points are numbered 0..total-1 through `starts`.
+    counts = np.maximum(hi - np.arange(1, xs.shape[0] + 1), 0)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    total = int(starts[-1])
+    out_i, out_j = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for c0 in range(0, total, _BLOCK_ELEMENTS):
+        c = np.arange(c0, min(c0 + _BLOCK_ELEMENTS, total))
+        k = np.searchsorted(starts, c, side="right") - 1
+        a, b = order[k], order[k + 1 + (c - starts[k])]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        keep = (np.abs(x[i] - x[j]) <= x_tol) & (np.abs(y[i] - y[j]) > y_tol)
+        out_i.append(i[keep])
+        out_j.append(j[keep])
+    i, j = np.concatenate(out_i), np.concatenate(out_j)
+    rows = np.lexsort((j, i))
+    return i[rows].astype(np.int64, copy=False), j[rows].astype(np.int64, copy=False)

@@ -256,14 +256,16 @@ def detect_multivalued(
     Returns every pair of sample times (t1, t2), t1 < t2, where the factor
     nearly repeats (|x(t1) - x(t2)| <= x_tol) yet the indicator differs
     (|y(t1) - y(t2)| > y_tol).  An empty list means no witness at these
-    tolerances, not a proof of single-valuedness.
+    tolerances, not a proof of single-valuedness.  Both tolerances must be
+    finite and > 0.  Cost is O(N log N) plus the number of candidate pairs,
+    those whose factor values lie within about x_tol of each other.
     """
-    if x_tol <= 0.0 or y_tol <= 0.0:
-        raise DomainError("tolerances must be > 0")
+    x_tol, y_tol = float(x_tol), float(y_tol)
+    if not (math.isfinite(x_tol) and x_tol > 0.0 and math.isfinite(y_tol) and y_tol > 0.0):
+        raise DomainError(f"tolerances must be finite and > 0, got x_tol={x_tol!r}, y_tol={y_tol!r}")
     if x.n_steps != y.n_steps or not math.isclose(x.h, y.h, rel_tol=1e-12):
         raise GridMismatch(
             f"series grids differ: (h={x.h!r}, N={x.n_steps}) vs (h={y.h!r}, N={y.n_steps})"
         )
-    h = x.h
-    idx = multivalued_pairs(x.values, y.values, float(x_tol), float(y_tol))
-    return [(i * h, j * h) for i, j in idx]
+    i, j = multivalued_pairs(x.values, y.values, x_tol, y_tol)
+    return list(zip((i * x.h).tolist(), (j * x.h).tolist()))

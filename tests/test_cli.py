@@ -198,6 +198,13 @@ class TestErrorMapping:
         assert code == 1
         assert "DenominatorNearZero" in err
 
+    @pytest.mark.parametrize("flag", ["--x-tol", "--y-tol"])
+    def test_nan_tolerance_fails(self, capsys, flag):
+        code, out, err = run_cli(capsys, "demo", "fig1", "--N", "200", flag, "nan")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: DomainError") and "Traceback" not in err
+
     def test_bad_alpha_range_fails(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--demo", "fig1", "--alpha", "1:0:0.5")
         assert code == 1

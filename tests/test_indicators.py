@@ -239,7 +239,10 @@ class TestDetectMultivalued:
         with pytest.raises(GridMismatch):
             detect_multivalued(sample(fig1.x, 200.0, 100), sample(fig1.y, 200.0, 50), 1.0, 1.0)
 
-    @pytest.mark.parametrize("x_tol,y_tol", [(0.0, 1.0), (1.0, -1.0)])
+    @pytest.mark.parametrize(
+        "x_tol,y_tol",
+        [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)],
+    )
     def test_non_positive_tolerances_rejected(self, fig1, x_tol, y_tol):
         xs = sample(fig1.x, 200.0, 10)
         ys = sample(fig1.y, 200.0, 10)

@@ -1,107 +1,102 @@
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracalc._kernels import BACKEND, _kernels_py
+from fracalc import _kernels
 
-try:
-    from fracalc._kernels import _kernels_cy
-except ImportError:
-    _kernels_cy = None
 
-needs_compiled = pytest.mark.skipif(_kernels_cy is None, reason="compiled kernels not built")
+def brute_pairs(x, y, x_tol, y_tol):
+    """O(N^2) reference: every i < j, tested with the kernel's exact condition."""
+    n = len(x)
+    return [
+        (i, j)
+        for i in range(n - 1)
+        for j in range(i + 1, n)
+        if abs(x[i] - x[j]) <= x_tol and abs(y[i] - y[j]) > y_tol
+    ]
+
+
+def scan_pairs(x, y, x_tol, y_tol):
+    i, j = _kernels.multivalued_pairs(np.asarray(x, float), np.asarray(y, float), x_tol, y_tol)
+    assert i.dtype == j.dtype == np.int64
+    return list(zip(i.tolist(), j.tolist()))
 
 
 class TestL1WeightedSum:
     def test_hand_computed_case(self):
         # f = t^2 on {0, 1, 2}: diffs (1, 3); weights (sqrt(2)-1, 1) at e=0.5.
         want = (math.sqrt(2.0) - 1.0) * 1.0 + 1.0 * 3.0
-        got = _kernels_py.l1_weighted_sum(np.array([0.0, 1.0, 4.0]), 0.5)
+        got = _kernels.l1_weighted_sum(np.array([0.0, 1.0, 4.0]), 0.5)
         assert math.isclose(got, want, rel_tol=1e-14)
 
     def test_constant_input_is_zero(self):
-        assert _kernels_py.l1_weighted_sum(np.full(50, 3.7), 0.25) == 0.0
-
-    @needs_compiled
-    def test_backends_agree(self):
-        rng = np.random.default_rng(99)
-        for n in (8, 100, 1000):
-            v = rng.normal(size=n + 1)
-            for e in (0.1, 0.5, 0.9):
-                a = _kernels_py.l1_weighted_sum(v, e)
-                b = _kernels_cy.l1_weighted_sum(v, e)
-                assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
-
-    @needs_compiled
-    def test_compiled_accepts_readonly_arrays(self):
-        v = np.arange(10.0)
-        v.flags.writeable = False
-        assert math.isfinite(_kernels_cy.l1_weighted_sum(v, 0.5))
+        assert _kernels.l1_weighted_sum(np.full(50, 3.7), 0.25) == 0.0
 
 
 class TestMultivaluedPairs:
     def test_hand_computed_case(self):
         x = np.array([0.0, 1.0, 0.0])
         y = np.array([0.0, 5.0, 9.0])
-        assert _kernels_py.multivalued_pairs(x, y, 0.1, 1.0) == [(0, 2)]
+        assert scan_pairs(x, y, 0.1, 1.0) == [(0, 2)]
 
     def test_no_matches(self):
         x = np.arange(10.0)
         y = x**2
-        assert _kernels_py.multivalued_pairs(x, y, 1e-9, 1e-9) == []
+        assert scan_pairs(x, y, 1e-9, 1e-9) == []
 
     def test_block_boundaries(self, monkeypatch):
         # Force tiny blocks so the chunked path is exercised.
-        monkeypatch.setattr(_kernels_py, "_BLOCK_ELEMENTS", 7)
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", 7)
         rng = np.random.default_rng(4)
         x = rng.integers(0, 4, 40).astype(float)
         y = rng.normal(size=40)
-        got = _kernels_py.multivalued_pairs(x, y, 0.5, 0.1)
-        brute = [
-            (i, j)
-            for i in range(39)
-            for j in range(i + 1, 40)
-            if abs(x[i] - x[j]) <= 0.5 and abs(y[i] - y[j]) > 0.1
-        ]
-        assert got == brute
+        assert scan_pairs(x, y, 0.5, 0.1) == brute_pairs(x, y, 0.5, 0.1)
 
-    @needs_compiled
-    def test_backends_agree(self):
-        rng = np.random.default_rng(12)
-        x = rng.integers(0, 6, 300).astype(float) + rng.normal(scale=1e-3, size=300)
-        y = rng.normal(size=300)
-        a = _kernels_py.multivalued_pairs(x, y, 0.01, 0.5)
-        b = _kernels_cy.multivalued_pairs(x, y, 0.01, 0.5)
-        assert a == b
-        assert len(a) > 0
+    @pytest.mark.parametrize(
+        "a,x_tol,b",
+        [
+            (-1.0, 1.0, 1e-17),
+            (0.5803661089568823, 19.13754117251856, 19.717907281475444),
+            (-1.956533897050904e16, 2.5252439080338216e16, 5687100109829177.0),
+            (-1.0676621989697095e-300, 7.695129704688543e-301, -2.981492285008551e-301),
+        ],
+    )
+    def test_match_beyond_rounded_window(self, a, x_tol, b):
+        # fl(b - a) <= x_tol although b > fl(a + x_tol), so a window ending
+        # at fl(a + x_tol) would miss the pair.
+        assert b > a + x_tol and abs(b - a) <= x_tol
+        assert scan_pairs([a, b], [0.0, 1.0], x_tol, 0.5) == [(0, 1)]
 
-
-class TestBackendSelection:
-    def test_active_backend_is_reported(self):
-        assert BACKEND in ("compiled", "python")
-
-    def test_env_var_forces_python_backend(self, child_env):
-        # A stub compiled module gives the selection something to refuse, so
-        # the test can fail where the real extension was never built.
-        code = (
-            "import sys, types\n"
-            "stub = types.ModuleType('fracalc._kernels._kernels_cy')\n"
-            "stub.l1_weighted_sum = stub.multivalued_pairs = None\n"
-            "sys.modules[stub.__name__] = stub\n"
-            "import fracalc._kernels as k\n"
-            "print(k.BACKEND)\n"
-        )
-
-        def child_backend(env):
-            out = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, env=env
-            )
-            assert out.returncode == 0, out.stderr
-            return out.stdout.strip()
-
-        child_env.pop("FRACALC_PURE_PYTHON", None)
-        assert child_backend(child_env) == "compiled"
-        assert child_backend({**child_env, "FRACALC_PURE_PYTHON": "1"}) == "python"
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 150),
+        grid=st.integers(1, 8),
+        scale=st.sampled_from([1.0, 0.1, 1e-300, 3.0e7]),
+        offset=st.sampled_from([0.0, -2.0, 1e16, -1e16]),
+        jitter=st.sampled_from([0.0, 1e-17, 1e-15, 1e-9]),
+        tol_cells=st.sampled_from([0.5, 1.0, 2.0]),
+        y_tol=st.sampled_from([0.1, 0.5, 1.0]),
+        block=st.sampled_from([1, 3, 1_000_000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force(self, n, grid, scale, offset, jitter, tol_cells, y_tol, block, seed):
+        # x on a small integer grid gives ties and gaps exactly equal to
+        # x_tol (tol_cells = 1, 2).  Jitter puts gaps within rounding of
+        # x_tol: around x = 0 it is finer than the spacing of x_tol, where
+        # fl(x_j - x_i) <= x_tol although x_j > fl(x_i + x_tol).  The offsets
+        # and scales move the grid to where both of those round.
+        rng = np.random.default_rng(seed)
+        x = offset + scale * rng.integers(0, grid, n).astype(float)
+        x += scale * jitter * rng.normal(size=n)
+        y = rng.integers(0, 4, n).astype(float)
+        x_tol = tol_cells * scale
+        old = _kernels._BLOCK_ELEMENTS
+        _kernels._BLOCK_ELEMENTS = block
+        try:
+            got = scan_pairs(x, y, x_tol, y_tol)
+        finally:
+            _kernels._BLOCK_ELEMENTS = old
+        assert got == brute_pairs(x.tolist(), y.tolist(), x_tol, y_tol)
