@@ -12,7 +12,6 @@ from .caputo import (
     Polynomial,
     SampledSeries,
     as_order,
-    caputo_integer,
     caputo_l1,
     caputo_l1_extended,
     caputo_poly,
@@ -64,7 +63,6 @@ __all__ = [
     "caputo_poly",
     "caputo_l1",
     "caputo_l1_extended",
-    "caputo_integer",
     "caputo_series",
     # indicators
     "average_indicator",

@@ -38,7 +38,6 @@ __all__ = [
     "caputo_poly",
     "caputo_l1",
     "caputo_l1_extended",
-    "caputo_integer",
     "caputo_series",
 ]
 
@@ -133,17 +132,15 @@ class Polynomial:
 class SampledSeries:
     """Uniform samples values[k] = f(k*h), k = 0..N, anchored at t = 0.
 
-    The derivative's memory window starts at t = 0, so series starting
-    elsewhere are rejected rather than shifted.
+    The derivative's memory window starts at the first sample, which is
+    t = 0 by definition; :func:`fracalc.ingest_csv` rejects files whose
+    time stamps start elsewhere rather than shifting them.
     """
 
     h: float
     values: np.ndarray
-    t0: float = 0.0
 
     def __post_init__(self):
-        if float(self.t0) != 0.0:
-            raise DomainError(f"series must start at t = 0, got t0={self.t0!r}")
         h = float(self.h)
         if not (math.isfinite(h) and h > 0.0):
             raise DomainError(f"step must be finite and > 0, got h={self.h!r}")
@@ -157,7 +154,6 @@ class SampledSeries:
         v.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "t0", 0.0)
 
     @property
     def n_steps(self) -> int:
@@ -216,10 +212,13 @@ def caputo_poly(p: Polynomial, alpha: float | FracOrder, T: float) -> float:
     a = order.alpha
     n = order.n
     total = 0.0
-    for k, c in enumerate(p.coeffs):
-        if k < n or c == 0.0:
-            continue
-        total += c * _gamma_ratio(float(k), a) * T ** (k - a)
+    try:
+        for k, c in enumerate(p.coeffs):
+            if k < n or c == 0.0:
+                continue
+            total += c * _gamma_ratio(float(k), a) * T ** (k - a)
+    except OverflowError:
+        raise DomainError(f"order-{a!r} derivative overflows at T={T!r}") from None
     return total
 
 
@@ -242,7 +241,6 @@ def caputo_l1(series: SampledSeries, alpha: float | FracOrder) -> float:
     if a == 0.0:
         return float(v[-1])
     if a == 1.0:
-        # Needs only the guaranteed three samples, unlike caputo_integer.
         return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * series.h))
     s = l1_weighted_sum(v, 1.0 - a)
     return s * series.h ** (-a) / gamma(2.0 - a)
@@ -273,25 +271,6 @@ def caputo_l1_extended(series: SampledSeries, alpha: float | FracOrder) -> float
     if series.n_steps < 4:
         raise InsufficientData(f"need N >= 4 samples, got N={series.n_steps}")
     return caputo_l1(_difference_derivative(series), a - 1.0)
-
-
-def caputo_integer(series: SampledSeries, n: int) -> float:
-    """Classical derivative of order n in {0, 1, 2} at t_end.
-
-    Orders 1 and 2 use one-sided finite differences of second-order accuracy
-    (exact on polynomials up to the matching degree + 1).
-    """
-    if n not in (0, 1, 2):
-        raise DomainError(f"integer orders supported: 0, 1, 2; got {n!r}")
-    if series.n_steps < n + 2:
-        raise InsufficientData(f"order {n} needs N >= {n + 2}, got N={series.n_steps}")
-    v = series.values
-    h = series.h
-    if n == 0:
-        return float(v[-1])
-    if n == 1:
-        return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h))
-    return float((2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h))
 
 
 def caputo_series(series: SampledSeries, alpha: float | FracOrder) -> float:

@@ -170,6 +170,23 @@ def _csv_doc(header: str, rows: list[str]) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
+def _emit_results(config: RunConfig, header: str, line, rows: list[dict]) -> None:
+    """Write result rows as one JSON document or as CSV lines ``line(row)``.
+
+    Every result reaches the data stream here, so this is where a non-finite
+    value, which is not a number in CSV and invalid in RFC 8259 JSON, is
+    refused.  A degenerate row carries no value.
+    """
+    for r in rows:
+        if r["value"] is not None and not math.isfinite(r["value"]):
+            raise DomainError(f"result at alpha={r['alpha']!r} is not finite: {r['value']!r}")
+    if config.format == "json":
+        text = _json_doc(config.command, _base_params(config), {"results": rows})
+    else:
+        text = _csv_doc(header, [line(r) for r in rows])
+    _emit(text, config.output)
+
+
 def _base_params(config: RunConfig) -> dict:
     return {
         "engine": config.engine,
@@ -234,11 +251,7 @@ def _run_deriv(config: RunConfig) -> int:
         raise DomainError("need --coeffs or --input")
 
     rows = [{"alpha": a, "value": v, "degenerate": False} for a, v in zip(config.alphas, values)]
-    if config.format == "json":
-        text = _json_doc("deriv", _base_params(config), {"results": rows})
-    else:
-        text = _csv_doc("alpha,value", [f"{_fmt(a)},{_fmt(v)}" for a, v in zip(config.alphas, values)])
-    _emit(text, config.output)
+    _emit_results(config, "alpha,value", lambda r: f"{_fmt(r['alpha'])},{_fmt(r['value'])}", rows)
     return 0
 
 
@@ -250,14 +263,9 @@ def _run_indicator(config: RunConfig) -> int:
         {"kind": "marginal", "alpha": 1.0, "value": marginal_indicator(pair, T), "degenerate": False},
         {"kind": "t_indicator", "alpha": a, "value": t_indicator(pair, a, T), "degenerate": False},
     ]
-    if config.format == "json":
-        text = _json_doc("indicator", _base_params(config), {"results": rows})
-    else:
-        text = _csv_doc(
-            "kind,alpha,value",
-            [f"{r['kind']},{_fmt(r['alpha'])},{_fmt(r['value'])}" for r in rows],
-        )
-    _emit(text, config.output)
+    _emit_results(
+        config, "kind,alpha,value", lambda r: f"{r['kind']},{_fmt(r['alpha'])},{_fmt(r['value'])}", rows
+    )
     return 0
 
 
@@ -269,15 +277,12 @@ def _run_sweep(config: RunConfig) -> int:
     rows = [
         {"alpha": e.alpha, "value": e.value, "degenerate": e.degenerate} for e in result
     ]
-    if config.format == "json":
-        text = _json_doc("sweep", _base_params(config), {"results": rows})
-    else:
-        lines = [
-            f"{_fmt(e.alpha)}," if e.degenerate else f"{_fmt(e.alpha)},{_fmt(e.value)}"
-            for e in result
-        ]
-        text = _csv_doc("alpha,value", lines)
-    _emit(text, config.output)
+    _emit_results(
+        config,
+        "alpha,value",
+        lambda r: f"{_fmt(r['alpha'])}," if r["degenerate"] else f"{_fmt(r['alpha'])},{_fmt(r['value'])}",
+        rows,
+    )
     return 0
 
 
@@ -287,8 +292,9 @@ def _run_demo(config: RunConfig) -> int:
     ys = sample(d.y, d.t_end, config.n)
     x_tol = config.x_tol if config.x_tol is not None else _grid_tol(xs, 1.0)
     y_tol = config.y_tol if config.y_tol is not None else _grid_tol(ys, 10.0)
-    witnesses = detect_multivalued(xs, ys, x_tol, y_tol)
+    t1, t2 = detect_multivalued(xs, ys, x_tol, y_tol)
 
+    # No finiteness check here: SampledSeries rejects non-finite samples.
     ts = xs.times()
     if config.format == "json":
         rows = [
@@ -298,10 +304,10 @@ def _run_demo(config: RunConfig) -> int:
         body = {
             "results": rows,
             "multivalued": {
-                "count": len(witnesses),
+                "count": t1.size,
                 "x_tol": x_tol,
                 "y_tol": y_tol,
-                "witnesses": [{"t1": t1, "t2": t2} for t1, t2 in witnesses[:10]],
+                "witnesses": [{"t1": a, "t2": b} for a, b in zip(t1[:10].tolist(), t2[:10].tolist())],
             },
         }
         text = _json_doc("demo", _base_params(config), body)
@@ -313,15 +319,15 @@ def _run_demo(config: RunConfig) -> int:
     _emit(text, config.output)
 
     report = [
-        f"multivalued dependence ({config.demo}): {len(witnesses)} witness pair(s) "
+        f"multivalued dependence ({config.demo}): {t1.size} witness pair(s) "
         f"at x_tol={_fmt(x_tol)}, y_tol={_fmt(y_tol)}"
     ]
-    if witnesses:
-        t1, t2 = witnesses[0]
+    if t1.size:
+        a, b = float(t1[0]), float(t2[0])
         report.append(
-            f"  e.g. t1={_fmt(t1)}, t2={_fmt(t2)}: "
-            f"X {_fmt(float(d.x(t1)))} ~= {_fmt(float(d.x(t2)))} "
-            f"but Y {_fmt(float(d.y(t1)))} vs {_fmt(float(d.y(t2)))}"
+            f"  e.g. t1={_fmt(a)}, t2={_fmt(b)}: "
+            f"X {_fmt(float(d.x(a)))} ~= {_fmt(float(d.x(b)))} "
+            f"but Y {_fmt(float(d.y(a)))} vs {_fmt(float(d.y(b)))}"
         )
     _report("\n".join(report) + "\n", data_went_to_file=config.output is not None)
     return 0

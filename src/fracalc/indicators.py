@@ -250,15 +250,17 @@ def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> SweepRes
 
 def detect_multivalued(
     x: SampledSeries, y: SampledSeries, x_tol: float, y_tol: float
-) -> list[tuple[float, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Witnesses that y is not a single-valued function of x.
 
-    Returns every pair of sample times (t1, t2), t1 < t2, where the factor
-    nearly repeats (|x(t1) - x(t2)| <= x_tol) yet the indicator differs
-    (|y(t1) - y(t2)| > y_tol).  An empty list means no witness at these
-    tolerances, not a proof of single-valuedness.  Both tolerances must be
-    finite and > 0.  Cost is O(N log N) plus the number of candidate pairs,
-    those whose factor values lie within about x_tol of each other.
+    Returns two float64 arrays ``(t1, t2)`` holding every pair of sample
+    times t1[m] < t2[m] where the factor nearly repeats
+    (|x(t1) - x(t2)| <= x_tol) yet the indicator differs
+    (|y(t1) - y(t2)| > y_tol), ordered by t1, then t2.  Empty arrays mean no
+    witness at these tolerances, not a proof of single-valuedness.  Both
+    tolerances must be finite and > 0.  Cost is O(N log N) plus the number
+    of candidate pairs, those whose factor values lie within about x_tol of
+    each other; the result holds 16 bytes per witness.
     """
     x_tol, y_tol = float(x_tol), float(y_tol)
     if not (math.isfinite(x_tol) and x_tol > 0.0 and math.isfinite(y_tol) and y_tol > 0.0):
@@ -268,4 +270,4 @@ def detect_multivalued(
             f"series grids differ: (h={x.h!r}, N={x.n_steps}) vs (h={y.h!r}, N={y.n_steps})"
         )
     i, j = multivalued_pairs(x.values, y.values, x_tol, y_tol)
-    return list(zip((i * x.h).tolist(), (j * x.h).tolist()))
+    return i * x.h, j * x.h

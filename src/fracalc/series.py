@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import codecs
 import enum
+import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,12 @@ _CSV_HEADER = ("t", "x", "y")
 
 # Consecutive time deltas may deviate from the mean step by this much.
 _GRID_RTOL = 1e-9
+
+# ASCII bytes that str.splitlines treats as line breaks besides \n and \r.
+_SPLITLINES_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+# Bytes read per step of the scan that picks the np.loadtxt path.
+_SCAN_CHUNK = 1 << 20
 
 
 class DemoId(enum.Enum):
@@ -105,19 +114,116 @@ def _parse_float(cell: str, line: int) -> float:
 def ingest_csv(path) -> IndicatorPair:
     """Read a `t,x,y` CSV into a sampled pair, validating the uniform grid.
 
-    The grid must start at t = 0 and increase in equal steps (deltas within
-    1e-9 relative of their mean); anything else is rejected rather than
-    resampled.
+    The file is UTF-8 text; a leading byte-order mark is skipped.  Blank
+    lines are ignored.  The first other line is the header `t,x,y` (any case,
+    blanks around names); every later one holds three comma-separated numbers
+    in any spelling Python's ``float`` accepts.  The grid must start at t = 0
+    and increase in equal steps (deltas within 1e-9 relative of their mean);
+    anything else is rejected rather than resampled.  A malformed line or an
+    invalid byte raises :class:`ParseError` naming its 1-based line.
+
+    ASCII files cost one scan of the bytes and one ``np.loadtxt`` call,
+    whose float parsing dominates; memory is about three float64 columns
+    (24 bytes per row) plus the contiguous copies of x and y.  Other files,
+    and files ``np.loadtxt`` refuses, go through a line-by-line parser that
+    is about twice as slow and holds the whole text and a Python float per
+    cell.  Both give the same arrays and the same errors.
     """
-    with open(path, encoding="utf-8", newline="") as f:
-        lines = f.read().splitlines()
-    rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
-    if not rows:
+    with open(path, "rb") as f:
+        t, x, y = _read_columns(f)
+    if t.size < 3:
+        raise InsufficientData(f"need at least 3 data rows, got {t.size}")
+    n = t.size - 1
+    t0 = float(t[0])
+    h = (float(t[-1]) - t0) / n
+    if h <= 0.0:
+        raise NonUniformGrid("time stamps must be strictly increasing")
+    if abs(t0) > _GRID_RTOL * h:
+        raise DomainError(f"series must start at t = 0, got t0={t0!r}")
+    deltas = np.diff(t)
+    if np.max(np.abs(deltas - h)) > _GRID_RTOL * h:
+        raise NonUniformGrid(f"time deltas deviate from uniform step {h!r} beyond tolerance")
+    return IndicatorPair(y=SampledSeries(h, y), x=SampledSeries(h, x))
+
+
+def _read_columns(f):
+    """The t, x and y columns of a binary CSV file, as float64 arrays."""
+    if f.seekable():
+        fast = _loadtxt_safe(f)
+        f.seek(0)
+        if fast:
+            text = io.TextIOWrapper(f, encoding="utf-8-sig", newline="")
+            try:
+                table = _loadtxt_table(text)
+            finally:
+                text.detach()
+            if table is not None:
+                return table.T
+            f.seek(0)
+    return _parse_lines(f.read())
+
+
+def _loadtxt_safe(f) -> bool:
+    """True when np.loadtxt splits the file into the lines str.splitlines does.
+
+    That holds for ASCII text without the further line breaks of
+    ``_SPLITLINES_ONLY``.  np.loadtxt would strip those from field edges as
+    blanks: a form feed after the 1 of ``0,1,2`` would read as one row,
+    not as the two lines ``0,1`` and ``,2``.
+    """
+    chunk = f.read(_SCAN_CHUNK).removeprefix(codecs.BOM_UTF8)
+    while chunk:
+        if not chunk.isascii() or any(b in chunk for b in _SPLITLINES_ONLY):
+            return False
+        chunk = f.read(_SCAN_CHUNK)
+    return True
+
+
+def _loadtxt_table(text):
+    """Check the header, then parse the rows after it in one np.loadtxt call.
+
+    Returns an (rows, 3) float64 array, or None where np.loadtxt refuses the
+    rows, finds another column count or warns (an empty body warns); the
+    line parser then decides.
+    """
+    line_no = 0
+    for line in iter(text.readline, ""):
+        line_no += 1
+        if line.strip():
+            break
+    else:
         raise ParseError("empty file", line=1)
-    header_line, header = rows[0]
+    _check_header(line.rstrip("\r\n"), line_no)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(text, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    return table if table.shape[1] == 3 else None
+
+
+def _check_header(header: str, line: int) -> None:
     fields = tuple(cell.strip().lower() for cell in header.split(","))
     if fields != _CSV_HEADER:
-        raise ParseError(f"expected header 't,x,y', got {header!r}", line=header_line)
+        raise ParseError(f"expected header 't,x,y', got {header!r}", line=line)
+
+
+def _parse_lines(data: bytes):
+    """Line-by-line parse of a whole CSV file; the reference for every error."""
+    data = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode.  It lies on their last line,
+        # or on a new one if they end with a break; the "_" stands for it.
+        line = len((data[: exc.start].decode("utf-8") + "_").splitlines())
+        bad = data[exc.start : exc.end]
+        raise ParseError(f"not UTF-8 text ({exc.reason}: {bad!r})", line=line) from None
+    rows = [(i + 1, line) for i, line in enumerate(text.splitlines()) if line.strip()]
+    if not rows:
+        raise ParseError("empty file", line=1)
+    _check_header(rows[0][1], rows[0][0])
     t, x, y = [], [], []
     for line_no, line in rows[1:]:
         cells = line.split(",")
@@ -126,18 +232,7 @@ def ingest_csv(path) -> IndicatorPair:
         t.append(_parse_float(cells[0].strip(), line_no))
         x.append(_parse_float(cells[1].strip(), line_no))
         y.append(_parse_float(cells[2].strip(), line_no))
-    if len(t) < 3:
-        raise InsufficientData(f"need at least 3 data rows, got {len(t)}")
-    n = len(t) - 1
-    h = (t[-1] - t[0]) / n
-    if h <= 0.0:
-        raise NonUniformGrid("time stamps must be strictly increasing")
-    if abs(t[0]) > _GRID_RTOL * h:
-        raise DomainError(f"series must start at t = 0, got t0={t[0]!r}")
-    deltas = np.diff(t)
-    if np.max(np.abs(deltas - h)) > _GRID_RTOL * h:
-        raise NonUniformGrid(f"time deltas deviate from uniform step {h!r} beyond tolerance")
-    return IndicatorPair(y=SampledSeries(h, np.asarray(y)), x=SampledSeries(h, np.asarray(x)))
+    return np.array(t, dtype=np.float64), np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
 
 
 def export_csv(pair: IndicatorPair, target) -> None:

@@ -205,6 +205,53 @@ class TestErrorMapping:
         assert out == ""
         assert err.startswith("error: DomainError") and "Traceback" not in err
 
+    def test_invalid_utf8_names_line(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"t,x,y\n0,1,2\n1,\xff2,4\n2,3,6\n")
+        code, out, err = run_cli(capsys, "indicator", "--input", str(path), "--alpha", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ParseError: line 3: not UTF-8") and "Traceback" not in err
+
+    def test_byte_order_mark_accepted(self, capsys, tmp_path):
+        body = b"t,x,y\r\n0,1,2\r\n1,2,5\r\n2,3,10\r\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        _, want, _ = run_cli(capsys, "indicator", "--input", str(plain), "--alpha", "0.5")
+        code, out, err = run_cli(capsys, "indicator", "--input", str(marked), "--alpha", "0.5")
+        assert code == 0 and err == ""
+        assert out == want.replace("plain.csv", "marked.csv") and out.startswith("kind,alpha,value\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflow_in_closed_form_fails(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "deriv", "--coeffs", "0,0,1", "--alpha", "0.5", "--T", "1e300", "--format", fmt
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: DomainError") and "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "command,source",
+        [("deriv", "--coeffs=0,0,1e300"), ("indicator", "--input"), ("sweep", "--input")],
+    )
+    def test_non_finite_result_fails(self, capsys, tmp_path, fmt, command, source):
+        # Y/X = 2e300 / 2e-300 overflows; the tiny factor still passes the
+        # scale-relative degeneracy guard.
+        path = tmp_path / "huge.csv"
+        path.write_text("t,x,y\n0,0,0\n1,1e-300,1e300\n2,2e-300,2e300\n")
+        argv = [command, source, "--alpha", "0.5", "--format", fmt]
+        if source == "--input":
+            argv.insert(2, str(path))
+        else:
+            argv += ["--T", "1e10"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: DomainError") and "not finite" in err
+
     def test_bad_alpha_range_fails(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--demo", "fig1", "--alpha", "1:0:0.5")
         assert code == 1
