@@ -13,14 +13,39 @@ _BLOCK_ELEMENTS = 1_000_000
 # window always contains every match; the exact test then removes the extra.
 _WINDOW_ULPS = 4.0
 
+# Grid steps per block of the L1 sum: the block's differences, counts and
+# weights (a few hundred KB) stay in cache across all exponents.
+_L1_BLOCK = 16_384
 
-def l1_weighted_sum(values, exponent):
-    """Sum of ((N-k)^e - (N-1-k)^e) * (v[k+1] - v[k]) over k = 0..N-1."""
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    n = v.shape[0] - 1
-    # One power per grid point: weight k is powers[k] - powers[k+1].
-    powers = np.arange(n, -1, -1, dtype=np.float64) ** exponent
-    return float((powers[:-1] - powers[1:]) @ np.diff(v))
+
+def l1_weighted_sum(rows, exponents):
+    """L1 sums of every row at every exponent, in one blocked pass.
+
+    ``rows`` holds series of equal length N + 1 (a 2-D array or a sequence
+    of 1-D arrays).  Entry [i, j] of the returned (len(exponents), len(rows))
+    array is
+
+        sum_k ((N-k)^e_i - (N-1-k)^e_i) * (rows[j][k+1] - rows[j][k]),  k = 0..N-1.
+
+    The grid is walked in blocks of ``_L1_BLOCK`` steps; per block the rows
+    are differenced once, and per exponent the block's counts m = N-k are
+    raised once and their weights applied to all rows by one small matvec.
+    The matvec is ``np.einsum``, not BLAS: it runs on one thread and sums in
+    the same order whichever BLAS numpy links.  Extra memory is
+    O(rows * block), never O(N).  Each exponent's arithmetic is the same
+    whichever other exponents share the call, so its result is too.
+    """
+    rows = [np.asarray(r, dtype=np.float64) for r in rows]
+    n = rows[0].shape[0] - 1
+    out = np.zeros((len(exponents), len(rows)))
+    for start in range(0, n, _L1_BLOCK):
+        stop = min(start + _L1_BLOCK, n)
+        d = np.stack([np.diff(r[start : stop + 1]) for r in rows])
+        m = np.arange(n - start, n - stop - 1, -1, dtype=np.float64)
+        for i, e in enumerate(exponents):
+            p = m**e
+            out[i] += np.einsum("ij,j->i", d, p[:-1] - p[1:])
+    return out
 
 
 def multivalued_pairs(x, y, x_tol, y_tol):

@@ -167,8 +167,10 @@ class SampledSeries:
         return np.arange(self.values.shape[0]) * self.h
 
     def truncated(self, t: float) -> SampledSeries:
-        """Restrict to [0, t]; t must land on the grid (within 1e-9 relative)."""
+        """Restrict to [0, t]; t must be finite and land on the grid (within 1e-9 relative)."""
         t = float(t)
+        if not math.isfinite(t):
+            raise DomainError(f"truncation time must be finite, got t={t!r}")
         k = int(round(t / self.h))
         if abs(k * self.h - t) > _GRID_SNAP_RTOL * max(abs(t), self.h):
             raise DomainError(f"t={t!r} does not lie on the sampling grid (h={self.h!r})")
@@ -231,19 +233,16 @@ def caputo_l1(series: SampledSeries, alpha: float | FracOrder) -> float:
                                           * (values[k+1] - values[k])
 
     Endpoints follow the integer conventions: alpha = 0 returns f(T) and
-    alpha = 1 a second-order one-sided estimate of f'(T).
+    alpha = 1 a second-order one-sided estimate of f'(T).  Neither is the
+    limit of the scheme: as alpha -> 0+ the sum tends to f(T) - f(0), and as
+    alpha -> 1- only the last weight survives, giving the first-order
+    backward difference (f(T) - f(T-h))/h.  So a sweep over orders jumps by
+    f(0) at alpha = 0 and by O(h) at alpha = 1.
     """
     order = as_order(alpha)
-    a = order.alpha
-    if a > 1.0:
-        raise DomainError(f"L1 scheme requires 0 <= alpha <= 1, got {a!r}")
-    v = series.values
-    if a == 0.0:
-        return float(v[-1])
-    if a == 1.0:
-        return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * series.h))
-    s = l1_weighted_sum(v, 1.0 - a)
-    return s * series.h ** (-a) / gamma(2.0 - a)
+    if order.alpha > 1.0:
+        raise DomainError(f"L1 scheme requires 0 <= alpha <= 1, got {order.alpha!r}")
+    return caputo_series_orders([series], [order])[0][0]
 
 
 def _difference_derivative(series: SampledSeries) -> SampledSeries:
@@ -265,12 +264,9 @@ def caputo_l1_extended(series: SampledSeries, alpha: float | FracOrder) -> float
     derivative series.
     """
     order = as_order(alpha)
-    a = order.alpha
-    if not 1.0 < a < 2.0:
-        raise DomainError(f"extended scheme requires 1 < alpha < 2, got {a!r}")
-    if series.n_steps < 4:
-        raise InsufficientData(f"need N >= 4 samples, got N={series.n_steps}")
-    return caputo_l1(_difference_derivative(series), a - 1.0)
+    if not 1.0 < order.alpha < 2.0:
+        raise DomainError(f"extended scheme requires 1 < alpha < 2, got {order.alpha!r}")
+    return caputo_series_orders([series], [order])[0][0]
 
 
 def caputo_series(series: SampledSeries, alpha: float | FracOrder) -> float:
@@ -279,9 +275,44 @@ def caputo_series(series: SampledSeries, alpha: float | FracOrder) -> float:
     Covers 0 <= alpha < 2; larger orders are rejected because repeated
     differencing of sampled data amplifies noise beyond usefulness.
     """
-    order = as_order(alpha)
-    if order.alpha <= 1.0:
-        return caputo_l1(series, order)
-    if order.alpha < 2.0:
-        return caputo_l1_extended(series, order)
-    raise DomainError(f"numerical engine covers 0 <= alpha < 2, got {order.alpha!r}")
+    return caputo_series_orders([series], [as_order(alpha)])[0][0]
+
+
+def caputo_series_orders(series, orders) -> list[list[float]]:
+    """Numerical Caputo derivatives of series on one grid, at several orders.
+
+    Entry [i][j] is :func:`caputo_series` of ``series[j]`` at the
+    :class:`FracOrder` ``orders[i]``.  The orders in (0, 1) share one blocked
+    kernel pass over the samples, and those in (1, 2) one pass over the
+    finite-difference derivatives, so the cost is O(len(orders) * N) and,
+    beyond those derivatives, the extra memory does not grow with N.
+    """
+    n_steps = series[0].n_steps
+    out: list[list[float]] = [[] for _ in orders]
+    l1, extended = [], []
+    for i, o in enumerate(orders):
+        a = o.alpha
+        if a >= 2.0:
+            raise DomainError(f"numerical engine covers 0 <= alpha < 2, got {a!r}")
+        if a == 0.0:
+            out[i] = [float(s.values[-1]) for s in series]
+        elif a == 1.0:
+            out[i] = [float((3.0 * s.values[-1] - 4.0 * s.values[-2] + s.values[-3]) / (2.0 * s.h))
+                      for s in series]
+        elif a < 1.0:
+            l1.append((i, a))
+        elif n_steps < 4:
+            raise InsufficientData(f"need N >= 4 samples, got N={n_steps}")
+        else:
+            # The L1 scheme of order alpha - 1 on the derivative series.
+            extended.append((i, a - 1.0))
+    passes = [(l1, series)]
+    if extended:
+        passes.append((extended, [_difference_derivative(s) for s in series]))
+    for picked, rows in passes:
+        if not picked:
+            continue
+        sums = l1_weighted_sum([r.values for r in rows], [1.0 - a for _, a in picked])
+        for (i, a), row_sums in zip(picked, sums.tolist()):
+            out[i] = [v * r.h ** (-a) / gamma(2.0 - a) for v, r in zip(row_sums, rows)]
+    return out

@@ -27,6 +27,7 @@ from .caputo import (
     as_order,
     caputo_poly,
     caputo_series,
+    caputo_series_orders,
 )
 from .errors import DenominatorNearZero, DomainError, EmptySweep, GridMismatch
 from .specfun import gamma
@@ -107,73 +108,74 @@ class SweepResult:
         return len(self.entries)
 
 
-def _resolve(pair, T, allow_zero_time=False):
-    """Return (y, x, T); sampled components get truncated to [0, T]."""
-    if pair.kind == "polynomial":
-        if T is None:
-            raise DomainError("polynomial pairs need an explicit evaluation time T")
-        T = float(T)
-        if not math.isfinite(T) or T < 0.0 or (T == 0.0 and not allow_zero_time):
-            raise DomainError(f"evaluation time out of range: T={T!r}")
-        return pair.y, pair.x, T
-    if T is None:
-        return pair.y, pair.x, pair.y.t_end
-    y = pair.y.truncated(float(T))
-    x = pair.x.truncated(float(T))
-    return y, x, y.t_end
+def _scale_base(x, n: int, T: float) -> float:
+    """max|x^(n)| on [0, T]: the order-independent part of the guard scale.
 
-
-def _probe_max(p: Polynomial, T: float) -> float:
-    ts = np.linspace(0.0, T, _PROBE_POINTS)
-    return float(np.max(np.abs(p(ts))))
-
-
-def _caputo_scale(x, order: FracOrder, T: float) -> float:
-    """Magnitude the order-alpha derivative of x could plausibly attain.
-
-    Bounds |D^alpha x| by max|x^(n)| * T^(n-alpha) / Gamma(n-alpha+1); for
-    integer orders this is just max|x^(n)|.  Used to make the near-zero
-    denominator test scale-free.
+    Polynomials are probed on a fixed grid; sampled series use the n-th
+    divided difference (the samples themselves for n = 0).
     """
-    n, a = order.n, order.alpha
     if isinstance(x, Polynomial):
         q = x
         for _ in range(n):
             q = q.derivative()
-        m = _probe_max(q, T)
-    else:
-        d = x.values
-        for _ in range(n):
-            d = np.diff(d) / x.h
-        m = float(np.max(np.abs(d))) if d.size else 0.0
-    if order.is_integer:
-        return m
-    return m * T ** (n - a) / gamma(n - a + 1.0)
+        return float(np.max(np.abs(q(np.linspace(0.0, T, _PROBE_POINTS)))))
+    d = x.values
+    for _ in range(n):
+        d = np.diff(d) / x.h
+    return float(np.max(np.abs(d))) if d.size else 0.0
 
 
-def _guard_denominator(den: float, scale: float, what: str) -> None:
-    if abs(den) <= _REL_THRESHOLD * scale:
-        raise DenominatorNearZero(f"{what} is {den!r}, below threshold for scale {scale!r}")
+def _evaluate(pair: IndicatorPair, orders: list[FracOrder], T):
+    """Per order, the [numerator, denominator] of the indicator and the guard scale.
 
-
-def _ratio(pair: IndicatorPair, order: FracOrder, T) -> float:
-    y, x, T = _resolve(pair, T, allow_zero_time=order.alpha == 0.0)
+    The one evaluation path of every indicator.  Sampled pairs are truncated
+    to [0, T] once and differentiated at all orders in one kernel pass;
+    polynomial pairs use the closed form per order (order 0 is plain
+    evaluation, which also admits T = 0).  The guard scale bounds
+    |D^alpha x| by max|x^(n)| * T^(n-alpha) / Gamma(n-alpha+1), max|x^(n)|
+    for integer orders; max|x^(n)| is computed once per distinct n.
+    """
+    y, x = pair.y, pair.x
     if pair.kind == "polynomial":
-        if order.alpha == 0.0:
-            num, den = float(y(T)), float(x(T))
-        else:
-            num = caputo_poly(y, order, T)
-            den = caputo_poly(x, order, T)
+        if T is None:
+            raise DomainError("polynomial pairs need an explicit evaluation time T")
+        T = float(T)
+        zero_ok = all(o.alpha == 0.0 for o in orders)
+        if not math.isfinite(T) or T < 0.0 or (T == 0.0 and not zero_ok):
+            raise DomainError(f"evaluation time out of range: T={T!r}")
+        values = [
+            [float(y(T)), float(x(T))] if o.alpha == 0.0 else [caputo_poly(y, o, T), caputo_poly(x, o, T)]
+            for o in orders
+        ]
     else:
-        num = caputo_series(y, order)
-        den = caputo_series(x, order)
-    _guard_denominator(den, _caputo_scale(x, order, T), "factor derivative")
+        if T is not None:
+            y, x = y.truncated(float(T)), x.truncated(float(T))
+        T = y.t_end
+        values = caputo_series_orders([y, x], orders)
+    bases: dict[int, float] = {}
+    scales = []
+    for o in orders:
+        n, a = o.n, o.alpha
+        if n not in bases:
+            bases[n] = _scale_base(x, n, T)
+        scales.append(bases[n] if o.is_integer else bases[n] * T ** (n - a) / gamma(n - a + 1.0))
+    return values, scales
+
+
+def _degenerate(den: float, scale: float) -> bool:
+    return abs(den) <= _REL_THRESHOLD * scale
+
+
+def _at_order(pair: IndicatorPair, order: FracOrder, T) -> float:
+    ((num, den),), (scale,) = _evaluate(pair, [order], T)
+    if _degenerate(den, scale):
+        raise DenominatorNearZero(f"factor derivative is {den!r}, below threshold for scale {scale!r}")
     return num / den
 
 
 def average_indicator(pair: IndicatorPair, T: float | None = None) -> float:
     """Y(T)/X(T), the ratio of indicator to factor at time T."""
-    return _ratio(pair, FracOrder(0.0), T)
+    return _at_order(pair, FracOrder(0.0), T)
 
 
 def marginal_indicator(pair: IndicatorPair, T: float | None = None) -> float:
@@ -182,7 +184,7 @@ def marginal_indicator(pair: IndicatorPair, T: float | None = None) -> float:
     Polynomial pairs differentiate exactly; sampled pairs use one-sided
     second-order finite differences at the window end.
     """
-    return _ratio(pair, FracOrder(1.0), T)
+    return _at_order(pair, FracOrder(1.0), T)
 
 
 def t_indicator(pair: IndicatorPair, alpha: float | FracOrder, T: float | None = None) -> float:
@@ -190,9 +192,16 @@ def t_indicator(pair: IndicatorPair, alpha: float | FracOrder, T: float | None =
 
     Degenerates to :func:`average_indicator` at alpha = 0 and to
     :func:`marginal_indicator` at alpha = 1 (bit-identically: the same
-    evaluation paths are taken).
+    evaluation paths are taken).  Neither endpoint is the limit of the
+    orders next to it.  As alpha -> 0+, D^alpha f(T) tends to f(T) - f(0),
+    so the ratio tends to (Y(T) - Y(0)) / (X(T) - X(0)): for the fig1 pair
+    at T = 200, where X(200) = X(0), order 1e-9 gives about -1.0e10, a
+    correct value the guard does not flag.  As alpha -> 1-, the numeric L1
+    scheme tends to the first-order backward difference, while order 1
+    uses the second-order three-point difference: an O(h) jump (4.9975
+    against 5.0 for fig1 sampled with N = 2000).
     """
-    return _ratio(pair, as_order(alpha), T)
+    return _at_order(pair, as_order(alpha), T)
 
 
 def t_indicator_time(
@@ -233,19 +242,12 @@ def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> SweepRes
         raise EmptySweep("no order values given")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise DomainError("orders must be strictly increasing")
-    if pair.kind == "polynomial":
-        if T is None:
-            raise DomainError("polynomial pairs need an explicit evaluation time T")
-        t_end = float(T)
-    else:
-        t_end = float(T) if T is not None else pair.t_end
-    entries = []
-    for a in alphas:
-        try:
-            entries.append(SweepEntry(a, t_indicator(pair, a, T), False))
-        except DenominatorNearZero:
-            entries.append(SweepEntry(a, None, True))
-    return SweepResult(tuple(entries), t_end)
+    values, scales = _evaluate(pair, [FracOrder(a) for a in alphas], T)
+    entries = tuple(
+        SweepEntry(a, None, True) if _degenerate(den, scale) else SweepEntry(a, num / den, False)
+        for a, (num, den), scale in zip(alphas, values, scales)
+    )
+    return SweepResult(entries, float(T) if T is not None else pair.t_end)
 
 
 def detect_multivalued(

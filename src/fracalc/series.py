@@ -93,7 +93,11 @@ def demo_process(which: DemoId | str) -> DemoProcess:
 
 
 def sample(p: Polynomial, t_end: float, n: int) -> SampledSeries:
-    """Sample a polynomial uniformly: values[k] = p(k * t_end / n), k = 0..n."""
+    """Sample a polynomial uniformly: values[k] = p(k * t_end / n), k = 0..n.
+
+    When the n + 1 samples cannot be allocated the result is a DomainError
+    naming n.
+    """
     t_end = float(t_end)
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"t_end must be finite and > 0, got {t_end!r}")
@@ -101,7 +105,12 @@ def sample(p: Polynomial, t_end: float, n: int) -> SampledSeries:
     if n < 2:
         raise DomainError(f"need n >= 2 sampling steps, got {n}")
     h = t_end / n
-    return SampledSeries(h, p(np.arange(n + 1) * h))
+    try:
+        values = p(np.arange(n + 1) * h)
+    except (MemoryError, ValueError):
+        # numpy raises ValueError for sizes beyond its index range.
+        raise DomainError(f"N={n} samples do not fit in memory") from None
+    return SampledSeries(h, values)
 
 
 def _parse_float(cell: str, line: int) -> float:

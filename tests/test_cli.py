@@ -252,6 +252,27 @@ class TestErrorMapping:
         assert out == ""
         assert err.startswith("error: DomainError") and "not finite" in err
 
+    @pytest.mark.parametrize("T", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["deriv", "indicator"])
+    def test_non_finite_time_on_input_fails(self, capsys, tmp_path, command, T):
+        path = tmp_path / "pair.csv"
+        path.write_text("t,x,y\n0,1,2\n1,2,5\n2,3,10\n3,4,17\n")
+        code, out, err = run_cli(capsys, command, "--input", str(path), "--alpha", "0.5", "--T", T)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: DomainError: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [10**15, 10**30])
+    def test_unallocatable_resolution_fails(self, capsys, n):
+        # 8 bytes per sample is beyond any 47-bit address space, so numpy
+        # refuses the allocation without touching memory.
+        code, out, err = run_cli(
+            capsys, "sweep", "--demo", "fig1", "--engine", "numeric", "--N", str(n), "--alpha", "0.5"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: DomainError: N={n} samples do not fit in memory\n"
+
     def test_bad_alpha_range_fails(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--demo", "fig1", "--alpha", "1:0:0.5")
         assert code == 1

@@ -218,6 +218,69 @@ class TestAlphaSweep:
         assert all(e.value is not None for e in (result.entries[0], result.entries[2]))
 
 
+class TestOneEvaluationPath:
+    """alpha_sweep and t_indicator agree bit for bit, degenerate orders too."""
+
+    @staticmethod
+    def assert_sweep_matches_single_orders(pair, alphas, T):
+        result = alpha_sweep(pair, alphas, T)
+        for entry in result:
+            if entry.degenerate:
+                assert entry.value is None
+                with pytest.raises(DenominatorNearZero):
+                    t_indicator(pair, entry.alpha, T)
+            else:
+                assert entry.value == t_indicator(pair, entry.alpha, T)
+        return [e.degenerate for e in result]
+
+    def test_polynomial_pair(self):
+        # D^0.5 x vanishes at T=1 for x = t^2 - (4/3) t (see TestAlphaSweep),
+        # and every order above 2 annihilates the quadratic.
+        x = Polynomial((0.0, -4.0 / 3.0, 1.0))
+        y = Polynomial((0.0, 1.0, 1.0))
+        alphas = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5]
+        flags = self.assert_sweep_matches_single_orders(IndicatorPair(y=y, x=x), alphas, 1.0)
+        assert flags == [a in (0.5, 2.5) for a in alphas]
+
+    @pytest.mark.parametrize("T", [None, 150.0])
+    def test_sampled_pair_with_constant_factor(self, fig1, T):
+        # L1 and the difference formulas annihilate constants exactly, so
+        # every order > 0 is degenerate; order 0 is x(T) = 5.
+        y = sample(fig1.y, 200.0, 2000)
+        x = sample(Polynomial((5.0,)), 200.0, 2000)
+        alphas = [0.0, 0.3, 0.7, 1.0, 1.4]
+        flags = self.assert_sweep_matches_single_orders(IndicatorPair(y=y, x=x), alphas, T)
+        assert flags == [False, True, True, True, True]
+
+    def test_sampled_pair_over_several_blocks(self, fig1):
+        pair = IndicatorPair(y=sample(fig1.y, 300.0, 40_000), x=sample(fig1.x, 300.0, 40_000))
+        alphas = [k / 10 for k in range(20)]
+        assert not any(self.assert_sweep_matches_single_orders(pair, alphas, None))
+
+
+class TestOrderLimits:
+    """The orders next to 0 and 1 do not tend to the order-0 and order-1 values."""
+
+    def test_near_zero_order_tends_to_difference_ratio(self, fig1):
+        # D^a f(T) -> f(T) - f(0) as a -> 0+, and X(200) = X(0) for fig1:
+        # the ratio is huge, correct, and not flagged by the guard.
+        got = t_indicator(fig1.pair(), 1e-9, 200.0)
+        want = ref_caputo_poly(fig1.y.coeffs, 1e-9, 200.0) / ref_caputo_poly(fig1.x.coeffs, 1e-9, 200.0)
+        assert rel_err(got, want) <= 1e-5
+        assert abs(got + 1.0e10) <= 1e7
+        assert average_indicator(fig1.pair(), 200.0) == 1200.0 / 70.0
+
+    def test_near_one_order_tends_to_backward_difference(self, fig1):
+        # Numeric L1 tends to the first-order backward difference as a -> 1-,
+        # while order 1 is the second-order three-point difference.
+        pair = fig1.sampled_pair(2000)
+        y, x = pair.y.values, pair.x.values
+        backward = (y[-1] - y[-2]) / (x[-1] - x[-2])
+        assert abs(backward - 4.9975) <= 1e-4
+        assert rel_err(t_indicator(pair, 1.0 - 1e-9), backward) <= 1e-7
+        assert rel_err(t_indicator(pair, 1.0), 5.0) <= 1e-12
+
+
 class TestDetectMultivalued:
     def test_fig1_endpoints_witnessed(self, fig1):
         xs = sample(fig1.x, 200.0, 200)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracalc import _kernels
+from fracalc import FracOrder, SampledSeries, _kernels
+from fracalc.caputo import caputo_series_orders
+from fracalc.specfun import gamma
 
 
 def brute_pairs(x, y, x_tol, y_tol):
@@ -25,15 +27,71 @@ def scan_pairs(x, y, x_tol, y_tol):
     return list(zip(i.tolist(), j.tolist()))
 
 
+def full_length_l1(v, a, h):
+    """Order-a L1 estimate with full-length weights: the unblocked reference."""
+    n = v.shape[0] - 1
+    p = np.arange(n, -1, -1, dtype=np.float64) ** (1.0 - a)
+    return float((p[:-1] - p[1:]) @ np.diff(v)) * h ** (-a) / gamma(2.0 - a)
+
+
+def central_derivative(v, h):
+    """The finite-difference derivative series the scheme for 1 < a < 2 uses."""
+    d = np.empty_like(v)
+    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return d
+
+
 class TestL1WeightedSum:
     def test_hand_computed_case(self):
         # f = t^2 on {0, 1, 2}: diffs (1, 3); weights (sqrt(2)-1, 1) at e=0.5.
         want = (math.sqrt(2.0) - 1.0) * 1.0 + 1.0 * 3.0
-        got = _kernels.l1_weighted_sum(np.array([0.0, 1.0, 4.0]), 0.5)
-        assert math.isclose(got, want, rel_tol=1e-14)
+        got = _kernels.l1_weighted_sum([np.array([0.0, 1.0, 4.0])], [0.5])
+        assert got.shape == (1, 1)
+        assert math.isclose(got[0, 0], want, rel_tol=1e-14)
 
     def test_constant_input_is_zero(self):
-        assert _kernels.l1_weighted_sum(np.full(50, 3.7), 0.25) == 0.0
+        got = _kernels.l1_weighted_sum([np.full(50, 3.7), np.full(50, -2.0)], [0.25, 0.75])
+        assert got.shape == (2, 2) and (got == 0.0).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(7, 80),
+        cut=st.integers(0, 3),
+        block=st.sampled_from(["1", "2", "7", "N-1", "N", "N+1"]),
+        orders=st.lists(
+            st.floats(0.01, 1.99).filter(lambda a: a != 1.0), min_size=1, max_size=4, unique=True
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_equals_full_length(self, n, cut, block, orders, seed):
+        # Increasing, convex samples: every L1 term is positive, for the
+        # samples and for their derivative series alike, so neither sum
+        # cancels and each lies within (N-1) ulps of the exact sum.
+        rng = np.random.default_rng(seed)
+        h = 0.125
+        pair = [
+            SampledSeries(h, np.cumsum(np.cumsum(rng.uniform(0.5, 2.0, n + 1))))
+            for _ in range(2)
+        ]
+        if cut:
+            pair = [s.truncated((n - cut) * h) for s in pair]
+        steps = pair[0].n_steps
+        size = {"1": 1, "2": 2, "7": 7, "N-1": steps - 1, "N": steps, "N+1": steps + 1}[block]
+        old = _kernels._L1_BLOCK
+        _kernels._L1_BLOCK = size
+        try:
+            got = caputo_series_orders(pair, [FracOrder(a) for a in orders])
+        finally:
+            _kernels._L1_BLOCK = old
+        for a, row in zip(orders, got):
+            for s, value in zip(pair, row):
+                if a < 1.0:
+                    want = full_length_l1(s.values, a, h)
+                else:
+                    want = full_length_l1(central_derivative(s.values, h), a - 1.0, h)
+                assert abs(value - want) <= 2 * steps * 2.0**-52 * abs(want)
 
 
 class TestMultivaluedPairs:
