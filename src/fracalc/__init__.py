@@ -26,7 +26,6 @@ from .errors import (
     InsufficientData,
     NonUniformGrid,
     ParseError,
-    PoleError,
 )
 from .indicators import (
     IndicatorPair,
@@ -40,15 +39,11 @@ from .indicators import (
     t_indicator_time,
 )
 from .series import DemoId, DemoProcess, demo_process, export_csv, ingest_csv, sample
-from .specfun import gamma, log_gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # special functions
-    "gamma",
-    "log_gamma",
     # domain types
     "FracOrder",
     "Polynomial",
@@ -79,7 +74,6 @@ __all__ = [
     # errors
     "FracalcError",
     "DomainError",
-    "PoleError",
     "InsufficientData",
     "DenominatorNearZero",
     "GridMismatch",

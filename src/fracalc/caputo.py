@@ -12,7 +12,8 @@ Two engines are provided:
 
 * :func:`caputo_poly` -- exact closed form for polynomials via the power rule
   ``D^alpha t^k = Gamma(k+1)/Gamma(k+1-alpha) * T^(k-alpha)`` for k >= n,
-  with ``D^alpha t^k = 0`` for k <= n-1.
+  with ``D^alpha t^k = 0`` for k <= n-1, evaluated for all orders of a call
+  at once.
 * :func:`caputo_l1` / :func:`caputo_l1_extended` -- product-integration
   quadrature for uniformly sampled series.  The L1 scheme replaces f by its
   piecewise-linear interpolant inside the weakly singular integral, giving
@@ -28,7 +29,6 @@ import numpy as np
 
 from ._kernels import l1_weighted_sum
 from .errors import DomainError, InsufficientData
-from .specfun import gamma, log_gamma
 
 __all__ = [
     "FracOrder",
@@ -183,11 +183,13 @@ class SampledSeries:
         return SampledSeries(self.h, self.values[: k + 1])
 
 
-def _gamma_ratio(k: float, alpha: float) -> float:
-    """Gamma(k+1) / Gamma(k+1-alpha), overflow-safe for large k."""
-    if k + 1.0 <= _GAMMA_DIRECT_LIMIT:
-        return gamma(k + 1.0) / gamma(k + 1.0 - alpha)
-    return math.exp(log_gamma(k + 1.0) - log_gamma(k + 1.0 - alpha))
+def _as_orders(alphas) -> np.ndarray:
+    """The orders as a float64 array, each checked like :class:`FracOrder`."""
+    a = np.array(alphas, dtype=np.float64, ndmin=1)
+    bad = ~(np.isfinite(a) & (a >= 0.0))
+    if bad.any():
+        raise DomainError(f"order must be finite and >= 0, got {a[bad][0].item()!r}")
+    return a
 
 
 def _check_time(T: float) -> float:
@@ -197,6 +199,64 @@ def _check_time(T: float) -> float:
     return T
 
 
+def _derivative(p: Polynomial, n: int) -> Polynomial:
+    """The n-th classical derivative; zero once n exceeds the degree."""
+    for _ in range(min(n, len(p.coeffs))):
+        p = p.derivative()
+    return p
+
+
+def _map(f, values: np.ndarray) -> np.ndarray:
+    """f of each value, as a float64 array."""
+    return np.fromiter(map(f, values.tolist()), np.float64, values.size)
+
+
+def _power_rule(polys, alphas: np.ndarray, T: float) -> np.ndarray:
+    """Caputo derivatives at T of each polynomial at every order of ``alphas``.
+
+    Row i is ``polys[i]``.  Non-integer orders take the power rule, one
+    array expression per non-zero monomial t^k over the orders below k
+    (t^k is annihilated by the others); Gamma(k+1)/Gamma(k+1-alpha) goes
+    through log-gamma once k + 1 exceeds 170.  Exact integer orders take
+    the classical derivative, order 0 being p(T), so T = 0 is valid when
+    every order is 0.  The orders must come from :func:`_as_orders`.
+
+    Raises:
+        DomainError: a power T^(k-alpha) or a gamma ratio overflows, naming
+            the first such order of ``alphas``.
+    """
+    out = np.zeros((len(polys), alphas.size))
+    integer = alphas == np.floor(alphas)
+    for m in set(alphas[integer].tolist()):
+        at = alphas == m
+        for row, p in zip(out, polys):
+            row[at] = _derivative(p, int(m))(T)
+    frac = np.flatnonzero(~integer)
+    first_overflow = alphas.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, p in zip(out, polys):
+            for k, c in enumerate(p.coeffs):
+                if c == 0.0:
+                    continue
+                at = frac[alphas[frac] < k]
+                if not at.size:
+                    continue
+                a = alphas[at]
+                if k + 1.0 <= _GAMMA_DIRECT_LIMIT:
+                    ratio = math.gamma(k + 1.0) / _map(math.gamma, k + 1.0 - a)
+                else:
+                    ratio = np.exp(math.lgamma(k + 1.0) - _map(math.lgamma, k + 1.0 - a))
+                power = T ** (k - a)
+                over = np.isinf(ratio) | np.isinf(power)
+                if over.any():
+                    first_overflow = min(first_overflow, int(at[over.argmax()]))
+                row[at] += c * ratio * power
+    if first_overflow < alphas.size:
+        a = alphas[first_overflow].item()
+        raise DomainError(f"order-{a!r} derivative overflows at T={T!r}")
+    return out
+
+
 def caputo_poly(p: Polynomial, alpha: float | FracOrder, T: float) -> float:
     """Caputo derivative of a polynomial at time T, in closed form.
 
@@ -204,24 +264,8 @@ def caputo_poly(p: Polynomial, alpha: float | FracOrder, T: float) -> float:
     <= n-1 vanish); exact integer orders return the classical derivative,
     with order 0 meaning p(T).
     """
-    order = as_order(alpha)
-    T = _check_time(T)
-    if order.is_integer:
-        q = p
-        for _ in range(order.n):
-            q = q.derivative()
-        return float(q(T))
-    a = order.alpha
-    n = order.n
-    total = 0.0
-    try:
-        for k, c in enumerate(p.coeffs):
-            if k < n or c == 0.0:
-                continue
-            total += c * _gamma_ratio(float(k), a) * T ** (k - a)
-    except OverflowError:
-        raise DomainError(f"order-{a!r} derivative overflows at T={T!r}") from None
-    return total
+    alphas = np.array([as_order(alpha).alpha])
+    return float(_power_rule([p], alphas, _check_time(T))[0, 0])
 
 
 def caputo_l1(series: SampledSeries, alpha: float | FracOrder) -> float:
@@ -242,7 +286,7 @@ def caputo_l1(series: SampledSeries, alpha: float | FracOrder) -> float:
     order = as_order(alpha)
     if order.alpha > 1.0:
         raise DomainError(f"L1 scheme requires 0 <= alpha <= 1, got {order.alpha!r}")
-    return caputo_series_orders([series], [order])[0][0]
+    return caputo_series_orders([series], [order.alpha])[0][0]
 
 
 def _difference_derivative(series: SampledSeries) -> SampledSeries:
@@ -266,7 +310,7 @@ def caputo_l1_extended(series: SampledSeries, alpha: float | FracOrder) -> float
     order = as_order(alpha)
     if not 1.0 < order.alpha < 2.0:
         raise DomainError(f"extended scheme requires 1 < alpha < 2, got {order.alpha!r}")
-    return caputo_series_orders([series], [order])[0][0]
+    return caputo_series_orders([series], [order.alpha])[0][0]
 
 
 def caputo_series(series: SampledSeries, alpha: float | FracOrder) -> float:
@@ -275,23 +319,22 @@ def caputo_series(series: SampledSeries, alpha: float | FracOrder) -> float:
     Covers 0 <= alpha < 2; larger orders are rejected because repeated
     differencing of sampled data amplifies noise beyond usefulness.
     """
-    return caputo_series_orders([series], [as_order(alpha)])[0][0]
+    return caputo_series_orders([series], [as_order(alpha).alpha])[0][0]
 
 
-def caputo_series_orders(series, orders) -> list[list[float]]:
+def caputo_series_orders(series, alphas) -> list[list[float]]:
     """Numerical Caputo derivatives of series on one grid, at several orders.
 
-    Entry [i][j] is :func:`caputo_series` of ``series[j]`` at the
-    :class:`FracOrder` ``orders[i]``.  The orders in (0, 1) share one blocked
+    Entry [i][j] is :func:`caputo_series` of ``series[j]`` at the valid
+    order ``alphas[i]`` (a float).  The orders in (0, 1) share one blocked
     kernel pass over the samples, and those in (1, 2) one pass over the
-    finite-difference derivatives, so the cost is O(len(orders) * N) and,
+    finite-difference derivatives, so the cost is O(len(alphas) * N) and,
     beyond those derivatives, the extra memory does not grow with N.
     """
     n_steps = series[0].n_steps
-    out: list[list[float]] = [[] for _ in orders]
+    out: list[list[float]] = [[] for _ in alphas]
     l1, extended = [], []
-    for i, o in enumerate(orders):
-        a = o.alpha
+    for i, a in enumerate(alphas):
         if a >= 2.0:
             raise DomainError(f"numerical engine covers 0 <= alpha < 2, got {a!r}")
         if a == 0.0:
@@ -314,5 +357,5 @@ def caputo_series_orders(series, orders) -> list[list[float]]:
             continue
         sums = l1_weighted_sum([r.values for r in rows], [1.0 - a for _, a in picked])
         for (i, a), row_sums in zip(picked, sums.tolist()):
-            out[i] = [v * r.h ** (-a) / gamma(2.0 - a) for v, r in zip(row_sums, rows)]
+            out[i] = [v * r.h ** (-a) / math.gamma(2.0 - a) for v, r in zip(row_sums, rows)]
     return out

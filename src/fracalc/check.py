@@ -8,7 +8,6 @@ library.  Randomized checks use fixed seeds so the outcome is reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from .indicators import (
     t_indicator_time,
 )
 from .series import DemoId, demo_process, sample
-from .specfun import gamma
 
 __all__ = ["CheckResult", "run_checks"]
 
@@ -135,22 +133,6 @@ def _check_intermediate_value_oracle() -> CheckResult:
     )
 
 
-def _check_gamma_quality() -> CheckResult:
-    half_err = _rel(gamma(0.5), math.sqrt(math.pi))
-    fact_err = max(_rel(gamma(float(k)), float(math.factorial(k - 1))) for k in range(1, 21))
-    rng = np.random.default_rng(1729)
-    rec_err = 0.0
-    for z in rng.uniform(0.1, 20.0, 1000):
-        z = float(z)
-        rec_err = max(rec_err, abs(gamma(z + 1.0) - z * gamma(z)) / abs(gamma(z + 1.0)))
-    ok = half_err <= 1e-10 and fact_err <= 1e-12 and rec_err <= 1e-10
-    return CheckResult(
-        "gamma_quality",
-        ok,
-        f"sqrt(pi) rel {half_err:.1e}; factorial rel {fact_err:.1e}; recurrence rel {rec_err:.1e}",
-    )
-
-
 def _check_convergence_order() -> CheckResult:
     p = Polynomial((0.0, 0.0, 0.0, 1.0))
     exact = caputo_poly(p, 0.5, 1.0)
@@ -173,6 +155,5 @@ def run_checks() -> list[CheckResult]:
         _check_marginal_degeneration(),
         _check_time_factor_identity(),
         _check_intermediate_value_oracle(),
-        _check_gamma_quality(),
         _check_convergence_order(),
     ]

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caputo import Polynomial, SampledSeries, caputo_poly, caputo_series
+from .caputo import (
+    Polynomial,
+    SampledSeries,
+    _as_orders,
+    _check_time,
+    _power_rule,
+    caputo_series,
+)
 from .check import run_checks
 from .errors import DomainError, FracalcError
 from .indicators import (
@@ -32,6 +39,9 @@ from .series import demo_process, ingest_csv, sample
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
 _DEFAULT_N = 2000
+
+# Options whose value is a float, so may be "-inf" or "-nan".
+_FLOAT_OPTIONS = ("--T", "--x-tol", "--y-tol")
 
 
 @dataclass(frozen=True)
@@ -235,7 +245,7 @@ def _run_deriv(config: RunConfig) -> int:
         if config.T is None:
             raise DomainError("polynomial input needs an explicit --T")
         if engine == "analytic":
-            values = [caputo_poly(p, a, config.T) for a in config.alphas]
+            values = _power_rule([p], _as_orders(config.alphas), _check_time(config.T))[0].tolist()
         else:
             s = sample(p, config.T, config.n)
             values = [caputo_series(s, a) for a in config.alphas]
@@ -361,9 +371,33 @@ def run(config: RunConfig) -> int:
     return _HANDLERS[config.command](config)
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join a float option and a value such as "-inf" into "--T=-inf".
+
+    argparse reads a token that starts with "-" and is not a plain negative
+    number as an option name, so ``--T -inf`` would be a usage error while
+    ``--T=-inf`` reaches the range checks.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and tok.startswith("-") and _is_float(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return run(config_from_args(args))
     except (FracalcError, OSError) as exc:

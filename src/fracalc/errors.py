@@ -9,10 +9,6 @@ class DomainError(FracalcError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class PoleError(DomainError):
-    """The gamma function was evaluated at (or too close to) a pole."""
-
-
 class InsufficientData(FracalcError, ValueError):
     """A sampled series is too short for the requested operation."""
 

@@ -24,13 +24,16 @@ from .caputo import (
     FracOrder,
     Polynomial,
     SampledSeries,
+    _as_orders,
+    _derivative,
+    _map,
+    _power_rule,
     as_order,
     caputo_poly,
     caputo_series,
     caputo_series_orders,
 )
 from .errors import DenominatorNearZero, DomainError, EmptySweep, GridMismatch
-from .specfun import gamma
 
 __all__ = [
     "IndicatorPair",
@@ -115,9 +118,7 @@ def _scale_base(x, n: int, T: float) -> float:
     divided difference (the samples themselves for n = 0).
     """
     if isinstance(x, Polynomial):
-        q = x
-        for _ in range(n):
-            q = q.derivative()
+        q = _derivative(x, n)
         return float(np.max(np.abs(q(np.linspace(0.0, T, _PROBE_POINTS)))))
     d = x.values
     for _ in range(n):
@@ -125,49 +126,47 @@ def _scale_base(x, n: int, T: float) -> float:
     return float(np.max(np.abs(d))) if d.size else 0.0
 
 
-def _evaluate(pair: IndicatorPair, orders: list[FracOrder], T):
-    """Per order, the [numerator, denominator] of the indicator and the guard scale.
+def _evaluate(pair: IndicatorPair, alphas: np.ndarray, T):
+    """Per order, the numerator and denominator of the indicator and the guard scale.
 
-    The one evaluation path of every indicator.  Sampled pairs are truncated
-    to [0, T] once and differentiated at all orders in one kernel pass;
-    polynomial pairs use the closed form per order (order 0 is plain
-    evaluation, which also admits T = 0).  The guard scale bounds
-    |D^alpha x| by max|x^(n)| * T^(n-alpha) / Gamma(n-alpha+1), max|x^(n)|
-    for integer orders; max|x^(n)| is computed once per distinct n.
+    The one evaluation path of every indicator; ``alphas`` comes from
+    ``_as_orders`` and each result is an array over it.  Sampled pairs are
+    truncated to [0, T] once and differentiated at all orders in one kernel
+    pass; polynomial pairs take the closed form for all orders at once
+    (order 0 is plain evaluation, which also admits T = 0).  The guard
+    scale bounds |D^alpha x| by max|x^(n)| * T^(n-alpha) / Gamma(n-alpha+1),
+    max|x^(n)| for integer orders; max|x^(n)| is computed once per
+    distinct n.
     """
     y, x = pair.y, pair.x
     if pair.kind == "polynomial":
         if T is None:
             raise DomainError("polynomial pairs need an explicit evaluation time T")
         T = float(T)
-        zero_ok = all(o.alpha == 0.0 for o in orders)
+        zero_ok = not alphas.any()
         if not math.isfinite(T) or T < 0.0 or (T == 0.0 and not zero_ok):
             raise DomainError(f"evaluation time out of range: T={T!r}")
-        values = [
-            [float(y(T)), float(x(T))] if o.alpha == 0.0 else [caputo_poly(y, o, T), caputo_poly(x, o, T)]
-            for o in orders
-        ]
+        num, den = _power_rule([y, x], alphas, T)
     else:
         if T is not None:
             y, x = y.truncated(float(T)), x.truncated(float(T))
         T = y.t_end
-        values = caputo_series_orders([y, x], orders)
-    bases: dict[int, float] = {}
-    scales = []
-    for o in orders:
-        n, a = o.n, o.alpha
-        if n not in bases:
-            bases[n] = _scale_base(x, n, T)
-        scales.append(bases[n] if o.is_integer else bases[n] * T ** (n - a) / gamma(n - a + 1.0))
-    return values, scales
+        num, den = np.array(caputo_series_orders([y, x], alphas.tolist())).T
+    floor = np.floor(alphas)
+    n = np.where(alphas == floor, alphas, floor + 1.0)
+    bases = {m: _scale_base(x, int(m), T) for m in set(n.tolist())}
+    # Integer orders get Gamma(1) = T^0 = 1, so their scale is the base itself.
+    e = n - alphas
+    scales = _map(bases.__getitem__, n) * T ** e / _map(math.gamma, e + 1.0)
+    return num, den, scales
 
 
-def _degenerate(den: float, scale: float) -> bool:
+def _degenerate(den, scale):
     return abs(den) <= _REL_THRESHOLD * scale
 
 
-def _at_order(pair: IndicatorPair, order: FracOrder, T) -> float:
-    ((num, den),), (scale,) = _evaluate(pair, [order], T)
+def _at_order(pair: IndicatorPair, alpha: float, T) -> float:
+    (num,), (den,), (scale,) = (v.tolist() for v in _evaluate(pair, np.array([alpha]), T))
     if _degenerate(den, scale):
         raise DenominatorNearZero(f"factor derivative is {den!r}, below threshold for scale {scale!r}")
     return num / den
@@ -175,7 +174,7 @@ def _at_order(pair: IndicatorPair, order: FracOrder, T) -> float:
 
 def average_indicator(pair: IndicatorPair, T: float | None = None) -> float:
     """Y(T)/X(T), the ratio of indicator to factor at time T."""
-    return _at_order(pair, FracOrder(0.0), T)
+    return _at_order(pair, 0.0, T)
 
 
 def marginal_indicator(pair: IndicatorPair, T: float | None = None) -> float:
@@ -184,7 +183,7 @@ def marginal_indicator(pair: IndicatorPair, T: float | None = None) -> float:
     Polynomial pairs differentiate exactly; sampled pairs use one-sided
     second-order finite differences at the window end.
     """
-    return _at_order(pair, FracOrder(1.0), T)
+    return _at_order(pair, 1.0, T)
 
 
 def t_indicator(pair: IndicatorPair, alpha: float | FracOrder, T: float | None = None) -> float:
@@ -201,7 +200,7 @@ def t_indicator(pair: IndicatorPair, alpha: float | FracOrder, T: float | None =
     uses the second-order three-point difference: an O(h) jump (4.9975
     against 5.0 for fig1 sampled with N = 2000).
     """
-    return _at_order(pair, as_order(alpha), T)
+    return _at_order(pair, as_order(alpha).alpha, T)
 
 
 def t_indicator_time(
@@ -228,7 +227,7 @@ def t_indicator_time(
         s = y if T is None else y.truncated(float(T))
         T = s.t_end
         d = caputo_series(s, order)
-    return gamma(2.0 - a) * T ** (a - 1.0) * d
+    return math.gamma(2.0 - a) * T ** (a - 1.0) * d
 
 
 def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> SweepResult:
@@ -242,10 +241,11 @@ def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> SweepRes
         raise EmptySweep("no order values given")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise DomainError("orders must be strictly increasing")
-    values, scales = _evaluate(pair, [FracOrder(a) for a in alphas], T)
+    num, den, scales = _evaluate(pair, _as_orders(alphas), T)
+    degenerate = _degenerate(den, scales)
     entries = tuple(
-        SweepEntry(a, None, True) if _degenerate(den, scale) else SweepEntry(a, num / den, False)
-        for a, (num, den), scale in zip(alphas, values, scales)
+        SweepEntry(a, None, True) if flag else SweepEntry(a, num_a / den_a, False)
+        for a, num_a, den_a, flag in zip(alphas, num.tolist(), den.tolist(), degenerate.tolist())
     )
     return SweepResult(entries, float(T) if T is not None else pair.t_end)
 

@@ -116,6 +116,37 @@ class TestCaputoPoly:
         with pytest.raises(DomainError, match="overflows"):
             caputo_poly(monomial(2), 0.5, 1e300)
 
+    def test_degree_150_does_not_overflow(self):
+        # Gamma(151)/Gamma(150.5) * 1^149.5: finite, although Gamma(151) is 5.7e262.
+        got = caputo_poly(monomial(150), 0.5, 1.0)
+        assert got == 12.257659156029481
+        assert rel_err(got, ref_caputo_poly(monomial(150).coeffs, 0.5, 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.25, 99.5, 140.25])
+    @pytest.mark.parametrize("T", [0.5, 1.0, 1.5])
+    def test_log_gamma_branch_against_oracle(self, alpha, T):
+        # Degrees 169 (direct gamma ratio), 171 and 200 (log-gamma): Gamma(201)
+        # itself overflows a double.
+        coeffs = [0.0] * 201
+        coeffs[169], coeffs[171], coeffs[200] = 1.0, -2.0, 0.5
+        want = ref_caputo_poly(coeffs, alpha, T)
+        assert rel_err(caputo_poly(Polynomial(tuple(coeffs)), alpha, T), want) <= 1e-12
+
+    def test_overflowing_gamma_ratio_is_domain_error(self):
+        # Gamma(172)/Gamma(1.25) = 1.4e309 is beyond double range.
+        with pytest.raises(DomainError, match=r"order-170\.75 derivative overflows"):
+            caputo_poly(monomial(171), 170.75, 1.0)
+
+    @given(coeff_lists, st.one_of(st.floats(0.0, 7.5), st.integers(0, 7).map(float)),
+           st.floats(0.1, 10.0))
+    @settings(deadline=None, max_examples=200)
+    def test_against_oracle(self, cs, alpha, T):
+        got = caputo_poly(Polynomial(tuple(cs)), alpha, T)
+        want = ref_caputo_poly(cs, alpha, T)
+        # Relative to the cancellation-free magnitude, sum of |terms|.
+        scale = ref_caputo_poly([abs(c) for c in cs], alpha, T)
+        assert abs(got - want) <= 1e-13 * scale
+
     def test_square_half_order(self):
         # Gamma(3)/Gamma(2.5) at T=1, frozen from the mpmath oracle.
         got = caputo_poly(monomial(2), 0.5, 1.0)

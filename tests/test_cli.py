@@ -173,6 +173,23 @@ class TestDerivCommand:
         assert code == 0
         assert len(parse_csv(out)[1]) == 3
 
+    def test_degree_150_monomial_is_finite(self, capsys):
+        # Gamma(151)/Gamma(150.5): the gamma values are large but finite.
+        coeffs = ",".join(["0"] * 150 + ["1"])
+        code, out, err = run_cli(capsys, "deriv", "--coeffs", coeffs, "--alpha", "0.5", "--T", "1")
+        assert (code, out, err) == (0, "alpha,value\n0.5,12.257659156029481\n", "")
+
+    def test_alpha_range_equals_single_orders(self, capsys):
+        # All orders of a call are evaluated together; each row must equal
+        # the one-order call.
+        argv = ["deriv", "--coeffs", "1,-2,0.5,0.25", "--T", "1.5"]
+        code, out, _ = run_cli(capsys, *argv, "--alpha", "0:1.75:0.125")
+        assert code == 0
+        rows = parse_csv(out)[1]
+        assert len(rows) == 15
+        for alpha, value in rows:
+            assert run_cli(capsys, *argv, "--alpha", alpha)[1].splitlines()[1] == f"{alpha},{value}"
+
     def test_missing_source_fails(self, capsys):
         code, out, err = run_cli(capsys, "deriv", "--alpha", "0.5")
         assert code == 1
@@ -205,6 +222,28 @@ class TestErrorMapping:
         assert out == ""
         assert err.startswith("error: DomainError") and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["-inf", "-nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("indicator", "--demo", "fig1", "--alpha", "0.5", "--T"),
+            ("demo", "fig1", "--N", "200", "--x-tol"),
+            ("demo", "fig1", "--N", "200", "--y-tol"),
+        ],
+        ids=["--T", "--x-tol", "--y-tol"],
+    )
+    def test_negative_non_number_fails(self, capsys, argv, value):
+        code, out, err = run_cli(capsys, *argv, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: DomainError: ") and err.count("\n") == 1
+
+    def test_trailing_time_option_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["indicator", "--demo", "fig1", "--alpha", "0.5", "--T"])
+        assert exc.value.code == 2
+        assert "argument --T: expected one argument" in capsys.readouterr().err
+
     def test_invalid_utf8_names_line(self, capsys, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"t,x,y\n0,1,2\n1,\xff2,4\n2,3,6\n")
@@ -231,6 +270,12 @@ class TestErrorMapping:
         assert code == 1
         assert out == ""
         assert err.startswith("error: DomainError") and "Traceback" not in err
+
+    def test_overflow_names_first_order(self, capsys):
+        # T^(2-a) overflows at every order of the range; the first is named.
+        code, out, err = run_cli(capsys, "deriv", "--coeffs", "0,0,1", "--alpha", "0.25:0.75:0.25", "--T", "1e250")
+        assert (code, out) == (1, "")
+        assert err == "error: DomainError: order-0.25 derivative overflows at T=1e+250\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
@@ -284,8 +329,8 @@ class TestCheckCommand:
         code, out, _ = run_cli(capsys, "check")
         assert code == 0
         lines = out.strip().splitlines()
-        assert len([l for l in lines if l.startswith("PASS")]) == 8
-        assert lines[-1] == "8/8 checks passed"
+        assert len([l for l in lines if l.startswith("PASS")]) == 7
+        assert lines[-1] == "7/7 checks passed"
 
     def test_report_can_go_to_file(self, capsys, tmp_path):
         target = tmp_path / "report.txt"

@@ -185,6 +185,12 @@ class TestTIndicatorTime:
 
 
 class TestAlphaSweep:
+    def test_huge_orders_annihilate(self, fig2):
+        # Differentiation stops once the polynomial is zero, so an order of
+        # 1e15 costs as much as an order of 5.
+        result = alpha_sweep(fig2.pair(), [1e15, 1e15 + 0.5], 100.0)
+        assert [e.degenerate for e in result] == [True, True]
+
     def test_fig1_endpoints(self, fig1):
         result = alpha_sweep(fig1.pair(), [0.0, 1.0], 200.0)
         assert [e.alpha for e in result] == [0.0, 1.0]
@@ -222,9 +228,12 @@ class TestOneEvaluationPath:
     """alpha_sweep and t_indicator agree bit for bit, degenerate orders too."""
 
     @staticmethod
-    def assert_sweep_matches_single_orders(pair, alphas, T):
+    def assert_sweep_matches_single_orders(pair, alphas, T, spot=None):
+        """Check the entries at the orders in ``spot`` (default: all)."""
         result = alpha_sweep(pair, alphas, T)
         for entry in result:
+            if spot is not None and entry.alpha not in spot:
+                continue
             if entry.degenerate:
                 assert entry.value is None
                 with pytest.raises(DenominatorNearZero):
@@ -251,6 +260,21 @@ class TestOneEvaluationPath:
         alphas = [0.0, 0.3, 0.7, 1.0, 1.4]
         flags = self.assert_sweep_matches_single_orders(IndicatorPair(y=y, x=x), alphas, T)
         assert flags == [False, True, True, True, True]
+
+    # 24001 orders k/8000 on [0, 3]: 0, 1, 2 and 3 exactly, and orders in
+    # (1, 2) and (2, 3).  Spot checks cover every 997th order and the edges.
+    LONG_SWEEP = [k / 8000 for k in range(24001)]
+    SPOT = {*LONG_SWEEP[::997], 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 1 / 8000, 2 - 1 / 8000}
+
+    def test_long_polynomial_sweep(self, fig2):
+        flags = self.assert_sweep_matches_single_orders(fig2.pair(), self.LONG_SWEEP, 385.0, self.SPOT)
+        assert len(flags) == 24001 and not any(flags)
+
+    def test_long_polynomial_sweep_degenerate_entries(self):
+        # x = t^2 - (4/3) t as in test_polynomial_pair.
+        pair = IndicatorPair(y=Polynomial((0.0, 1.0, 1.0)), x=Polynomial((0.0, -4.0 / 3.0, 1.0)))
+        flags = self.assert_sweep_matches_single_orders(pair, self.LONG_SWEEP, 1.0, self.SPOT)
+        assert flags == [a == 0.5 or a > 2.0 for a in self.LONG_SWEEP]
 
     def test_sampled_pair_over_several_blocks(self, fig1):
         pair = IndicatorPair(y=sample(fig1.y, 300.0, 40_000), x=sample(fig1.x, 300.0, 40_000))

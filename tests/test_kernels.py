@@ -1,13 +1,13 @@
 import math
+from math import gamma
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracalc import FracOrder, SampledSeries, _kernels
+from fracalc import SampledSeries, _kernels
 from fracalc.caputo import caputo_series_orders
-from fracalc.specfun import gamma
 
 
 def brute_pairs(x, y, x_tol, y_tol):
@@ -82,7 +82,7 @@ class TestL1WeightedSum:
         old = _kernels._L1_BLOCK
         _kernels._L1_BLOCK = size
         try:
-            got = caputo_series_orders(pair, [FracOrder(a) for a in orders])
+            got = caputo_series_orders(pair, orders)
         finally:
             _kernels._L1_BLOCK = old
         for a, row in zip(orders, got):
