@@ -200,8 +200,15 @@ def _check_time(T: float) -> float:
 
 
 def _derivative(p: Polynomial, n: int) -> Polynomial:
-    """The n-th classical derivative; zero once n exceeds the degree."""
-    for _ in range(min(n, len(p.coeffs))):
+    """The n-th classical derivative; zero once n exceeds the degree.
+
+    Beyond the degree the zero polynomial is returned without
+    differentiating, so the intermediate coefficients (up to degree!)
+    cannot overflow on the way to it.
+    """
+    if n > p.degree:
+        return Polynomial()
+    for _ in range(n):
         p = p.derivative()
     return p
 

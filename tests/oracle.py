@@ -6,9 +6,19 @@ defining integral.  Tests compare the package against these references;
 the references never call into the package.
 """
 
+import math
+
 import mpmath as mp
 
 mp.mp.dps = 50
+
+
+def ref_gamma(z: float) -> float:
+    return float(mp.gamma(z))
+
+
+def ref_log_gamma(z: float) -> float:
+    return float(mp.loggamma(z))
 
 
 def ref_caputo_poly(coeffs, alpha: float, T: float) -> float:
@@ -49,3 +59,5 @@ def rel_err(got: float, want: float) -> float:
         return abs(got)
     return abs(got - want) / abs(want)
 
+
+assert math.isclose(ref_gamma(0.5), math.sqrt(math.pi), rel_tol=1e-15)

@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 import time
+from math import gamma
 
 import numpy as np
 
@@ -145,6 +146,25 @@ def test_criterion_07_intermediate_value_oracle():
     )
     assert abs(got - live) <= 1e-8
     report(7, f"t_indicator(fig1, 0.5, 200) = {got!r}, |err| {err:.2e} (tol 1e-8)")
+
+
+def test_criterion_08_gamma_quality_gates():
+    # The closed form's Gamma is the standard library's; hold it to the gates.
+    sqrt_pi_err = rel_err(gamma(0.5), np.sqrt(np.pi))
+    assert sqrt_pi_err <= 1e-10
+    fact = 1
+    worst_fact = 0.0
+    for k in range(1, 21):
+        worst_fact = max(worst_fact, rel_err(gamma(float(k)), float(fact)))
+        fact *= k
+    assert worst_fact <= 1e-12
+    rng = np.random.default_rng(1729)
+    worst_rec = 0.0
+    for z in rng.uniform(0.1, 20.0, 1000):
+        z = float(z)
+        worst_rec = max(worst_rec, abs(gamma(z + 1.0) - z * gamma(z)) / abs(gamma(z + 1.0)))
+    assert worst_rec <= 1e-10
+    report(8, f"sqrt(pi) {sqrt_pi_err:.1e}; factorials {worst_fact:.1e}; recurrence {worst_rec:.1e}")
 
 
 def test_criterion_09_convergence_order():

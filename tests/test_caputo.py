@@ -122,6 +122,12 @@ class TestCaputoPoly:
         assert got == 12.257659156029481
         assert rel_err(got, ref_caputo_poly(monomial(150).coeffs, 0.5, 1.0)) <= 1e-14
 
+    @pytest.mark.parametrize("alpha", [201.0, 250.0])
+    def test_integer_order_above_degree_200_is_zero(self, alpha):
+        # The 200th derivative of t^200 is 200! = 7.9e374, which overflows;
+        # orders above the degree must return 0 without passing through it.
+        assert caputo_poly(monomial(200), alpha, 1.0) == 0.0
+
     @pytest.mark.parametrize("alpha", [0.5, 1.25, 99.5, 140.25])
     @pytest.mark.parametrize("T", [0.5, 1.0, 1.5])
     def test_log_gamma_branch_against_oracle(self, alpha, T):

@@ -1,12 +1,28 @@
+"""The standard-library gamma behind the closed form, and its poles.
+
+``caputo_poly`` and the indicator guard take Gamma from ``math.gamma`` and
+``math.lgamma``.  The value tests hold those to the accuracy the power
+rule needs, against the mpmath oracle.  The error tests check that the
+package never hands them a pole, a non-positive log-gamma argument or a
+non-finite number: integer orders take the classical derivative, orders
+above a monomial's degree annihilate it, and non-finite orders are
+rejected before any gamma is evaluated.
+"""
+
 import math
+from math import gamma
+from math import lgamma as log_gamma
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracalc import DomainError, PoleError, gamma, log_gamma
+from fracalc import DomainError, Polynomial, caputo_poly
 from oracle import ref_gamma, ref_log_gamma, rel_err
+
+CUBE = Polynomial((0.0, 0.0, 0.0, 1.0))
+DEGREE_200 = Polynomial((0.0,) * 200 + (1.0,))
 
 
 class TestGammaValues:
@@ -53,20 +69,36 @@ class TestGammaInvariants:
         assert abs(gamma(z + 1.0) - z * gamma(z)) / abs(gamma(z + 1.0)) <= 1e-10
 
 
+def _recording(monkeypatch, name):
+    """Replace math.<name> with a wrapper that records its arguments."""
+    seen = []
+    real = getattr(math, name)
+
+    def wrapper(z):
+        seen.append(z)
+        return real(z)
+
+    monkeypatch.setattr(math, name, wrapper)
+    return seen
+
+
 class TestGammaErrors:
     @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -17.0])
-    def test_poles_raise(self, z):
-        with pytest.raises(PoleError):
+    def test_poles_raise(self, z, monkeypatch):
+        with pytest.raises(ValueError):
             gamma(z)
-
-    def test_near_pole_raises(self):
-        with pytest.raises(PoleError):
-            gamma(-3.0 + 1e-13)
+        # D^alpha t^3 with 3 + 1 - alpha = z: the integer order takes the
+        # classical derivative, which is zero, and never reaches the pole.
+        seen = _recording(monkeypatch, "gamma")
+        assert caputo_poly(CUBE, 4.0 - z, 2.0) == 0.0
+        assert z not in seen
 
     @pytest.mark.parametrize("z", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_rejected(self, z):
+    def test_non_finite_rejected(self, z, monkeypatch):
+        seen = _recording(monkeypatch, "gamma")
         with pytest.raises(DomainError):
-            gamma(z)
+            caputo_poly(CUBE, z, 1.0)
+        assert seen == []
 
 
 class TestLogGamma:
@@ -89,6 +121,11 @@ class TestLogGamma:
         assert rel_err(log_gamma(300.0), ref_log_gamma(300.0)) <= 1e-12
 
     @pytest.mark.parametrize("z", [0.0, -1.0, -0.5])
-    def test_non_positive_rejected(self, z):
-        with pytest.raises(DomainError):
-            log_gamma(z)
+    def test_non_positive_rejected(self, z, monkeypatch):
+        # D^alpha t^200 takes the log-gamma branch; with 200 + 1 - alpha = z
+        # the order exceeds the degree, so the monomial is annihilated and
+        # log-gamma only sees the positive argument of the order-0.5 term.
+        seen = _recording(monkeypatch, "lgamma")
+        assert caputo_poly(DEGREE_200, 201.0 - z, 1.0) == 0.0
+        assert caputo_poly(DEGREE_200, 0.5, 1.0) > 0.0
+        assert seen and min(seen) > 0.0
