@@ -50,13 +50,7 @@ _GRID_SNAP_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class FracOrder:
-    """Differentiation order alpha >= 0.
-
-    ``n`` is the number of classical derivatives taken inside the defining
-    integral: floor(alpha) + 1 for non-integer alpha.  Exact integer orders
-    dispatch to the classical derivative of that order instead, so for them
-    ``n`` is alpha itself.
-    """
+    """Differentiation order alpha, a float checked finite and >= 0."""
 
     alpha: float
 
@@ -65,16 +59,6 @@ class FracOrder:
         if not (math.isfinite(a) and a >= 0.0):
             raise DomainError(f"order must be finite and >= 0, got {self.alpha!r}")
         object.__setattr__(self, "alpha", a)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.alpha == math.floor(self.alpha)
-
-    @property
-    def n(self) -> int:
-        if self.is_integer:
-            return int(self.alpha)
-        return int(math.floor(self.alpha)) + 1
 
 
 def as_order(alpha: float | FracOrder) -> FracOrder:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -43,6 +44,17 @@ _DEFAULT_N = 2000
 # Options whose value is a float, so may be "-inf" or "-nan".
 _FLOAT_OPTIONS = ("--T", "--x-tol", "--y-tol")
 
+# Bounds on an --alpha range: the orders it lists, and the length and the
+# decimal places of its literals (a shortest float repr has at most 24
+# characters and 340 places), so that its exact integers stay small.
+_MAX_RANGE_ORDERS = 1_000_000
+_MAX_RANGE_LITERAL = 64
+_MAX_RANGE_DECIMALS = 400
+
+# A float literal once underscores are dropped: sign, the digits before and
+# after the point, exponent.
+_DECIMAL = re.compile(r"([+-]?)(\d*)\.?(\d*)(?:[eE]([+-]?\d+))?")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -70,19 +82,51 @@ def _fmt(x: float) -> str:
 
 
 def _parse_alpha_spec(text: str) -> tuple[float, ...]:
-    """A single order 'A' or an inclusive range 'START:STOP:STEP'."""
+    """A single order 'A' or an inclusive range 'START:STOP:STEP'.
+
+    A range is built from its decimal literals: with d the most decimal
+    places among them, START, STOP and STEP times 10**d are exact integers,
+    and order i is (START + i*STEP) * 10**d divided by 10**d.  Python rounds
+    that int/int division correctly, so '0:1:0.1' gives 0.3, where float
+    steps give 0.30000000000000004, and no order passes STOP.
+    """
     if ":" not in text:
-        return (float(text),)
+        return (_parse_number(text),)
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"alpha range must be START:STOP:STEP, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0.0:
-        raise DomainError(f"alpha range step must be > 0, got {step!r}")
+    if not all(math.isfinite(_parse_number(p)) for p in parts):
+        raise DomainError(f"alpha range must be finite numbers, got {text!r}")
+    if max(len(p) for p in parts) > _MAX_RANGE_LITERAL:
+        raise DomainError(f"alpha range literals need at most {_MAX_RANGE_LITERAL} characters, got {text!r}")
+    literals = [_decimal(p) for p in parts]
+    d = max(0, *(places for _, places in literals))
+    if d > _MAX_RANGE_DECIMALS:
+        raise DomainError(f"alpha range literals need at most {_MAX_RANGE_DECIMALS} decimal places, got {text!r}")
+    start, stop, step = (n * 10 ** (d - places) for n, places in literals)
+    if step <= 0:
+        raise DomainError(f"alpha range step must be > 0, got {parts[2]!r}")
     if start > stop:
         raise DomainError(f"alpha range needs start <= stop, got {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + i * step for i in range(count))
+    count = (stop - start) // step + 1
+    if count > _MAX_RANGE_ORDERS:
+        raise DomainError(f"alpha range lists more than {_MAX_RANGE_ORDERS} orders, got {text!r}")
+    scale = 10**d
+    return tuple((start + i * step) / scale for i in range(count))
+
+
+def _parse_number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DomainError(f"--alpha must be a number or START:STOP:STEP, got {text!r}")
+
+
+def _decimal(text: str) -> tuple[int, int]:
+    """(n, d) with n / 10**d the exact value of a finite float literal."""
+    sign, whole, frac, exp = _DECIMAL.fullmatch(text.strip().replace("_", "")).groups()
+    n = int(sign + whole + frac)
+    return n, (len(frac) - int(exp or 0) if n else 0)
 
 
 def _parse_coeffs(text: str) -> tuple[float, ...]:

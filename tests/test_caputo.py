@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from fracalc import (
     caputo_series,
     sample,
 )
+from fracalc.indicators import IndicatorPair, _evaluate
 from oracle import ref_caputo_poly, ref_caputo_quad, rel_err
 
 coeff_lists = st.lists(st.floats(-10.0, 10.0), min_size=0, max_size=6)
@@ -29,7 +32,12 @@ class TestFracOrder:
         "alpha,n", [(0.0, 0), (1.0, 1), (2.0, 2), (0.5, 1), (1.3, 2), (2.7, 3)]
     )
     def test_inner_derivative_count(self, alpha, n):
-        assert FracOrder(alpha).n == n
+        # The guard scale of order alpha is max|x^(n)| T^(n-alpha) / Gamma(n-alpha+1),
+        # and max|(t^3)^(n)| on [0, 1] is 3!/(3-n)!.
+        cube = monomial(3)
+        _, _, (scale,) = _evaluate(IndicatorPair(y=cube, x=cube), np.array([alpha]), 1.0)
+        want = math.factorial(3) / math.factorial(3 - n) / math.gamma(n - alpha + 1.0)
+        assert math.isclose(scale, want, rel_tol=1e-14)
 
     @pytest.mark.parametrize("alpha", [-0.1, float("nan"), float("inf")])
     def test_invalid_orders_rejected(self, alpha):

@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fracalc import Polynomial, caputo_poly, export_csv
-from fracalc.cli import main
+from fracalc.cli import _parse_alpha_spec, main
 
 
 def run_cli(capsys, *argv):
@@ -194,6 +195,49 @@ class TestDerivCommand:
         code, out, err = run_cli(capsys, "deriv", "--alpha", "0.5")
         assert code == 1
         assert out == "" and "DomainError" in err
+
+
+class TestAlphaSpec:
+    def test_decimal_range_has_no_float_noise(self, capsys):
+        assert _parse_alpha_spec("0:1:0.1") == tuple(float(f"0.{i}") for i in range(10)) + (1.0,)
+        code, out, _ = run_cli(capsys, "sweep", "--demo", "fig2", "--alpha", "0:1:0.1", "--T", "385")
+        assert code == 0
+        assert [row[0] for row in parse_csv(out)[1]][3] == "0.3"
+
+    def test_exponent_literals(self):
+        assert _parse_alpha_spec("1e-5") == (1e-5,)
+        assert _parse_alpha_spec("1e-5:3E-5:1e-5") == (1e-05, 2e-05, 3e-05)
+        assert _parse_alpha_spec("0:1e-4:1e-5") == tuple(float(f"{k}e-5") for k in range(11))
+
+    @pytest.mark.parametrize(
+        "spec", ["0:1:0.01", "0.05:0.95:0.05", "1.5:2:0.125", "0:1:0.00005", "2.5e-3:1.1e-2:5e-4", "0.1:0.7:1_0e-2"]
+    )
+    def test_each_order_is_the_nearest_double(self, spec):
+        start, stop, step = (Fraction(p.replace("_", "")) for p in spec.split(":"))
+        count = int((stop - start) / step) + 1
+        assert _parse_alpha_spec(spec) == tuple(float(start + i * step) for i in range(count))
+
+    def test_last_order_never_passes_stop(self):
+        assert _parse_alpha_spec("0:0.9999999999:0.1")[-1] == 0.9
+        assert _parse_alpha_spec("0.1:0.3:0.1") == (0.1, 0.2, 0.3)
+
+    def test_literal_forms(self):
+        assert _parse_alpha_spec(" +.5 : 5. : 1.5 ") == (0.5, 2.0, 3.5, 5.0)
+        assert _parse_alpha_spec("0e-999:1:0.5") == (0.0, 0.5, 1.0)
+        assert _parse_alpha_spec("5e-324:1e-323:5e-324") == (5e-324, 1e-323)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "abc", "a:1:0.1", "0:inf:0.1", "0:1:nan", "0:1:0", "0:1:-0.1",
+            "0:1e-300:1e-310", "0:1:1e-401", "0:1:0." + "0" * 64 + "1",
+        ],
+    )
+    def test_bad_spec_fails_cleanly(self, capsys, spec):
+        code, out, err = run_cli(capsys, "sweep", "--demo", "fig2", "--alpha", spec, "--T", "385")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: DomainError: ") and err.count("\n") == 1
 
 
 class TestErrorMapping:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from math import gamma
 
 import numpy as np
@@ -34,6 +35,19 @@ def full_length_l1(v, a, h):
     return float((p[:-1] - p[1:]) @ np.diff(v)) * h ** (-a) / gamma(2.0 - a)
 
 
+def exact_weight_sum(v, e):
+    """Order-e L1 sum with cancellation-free weights, summed exactly.
+
+    m^e - (m-1)^e = -m^e * expm1(e * log1p(-1/m)) has no cancellation, and
+    math.fsum adds the rounded products without further error.
+    """
+    d = np.diff(v)
+    m = np.arange(d.size, 0, -1, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        w = -(m**e) * np.expm1(e * np.log1p(-1.0 / m))
+    return math.fsum((w * d).tolist())
+
+
 def central_derivative(v, h):
     """The finite-difference derivative series the scheme for 1 < a < 2 uses."""
     d = np.empty_like(v)
@@ -54,6 +68,58 @@ class TestL1WeightedSum:
     def test_constant_input_is_zero(self):
         got = _kernels.l1_weighted_sum([np.full(50, 3.7), np.full(50, -2.0)], [0.25, 0.75])
         assert got.shape == (2, 2) and (got == 0.0).all()
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 16_384])
+    def test_exponents_do_not_interact(self, monkeypatch, block):
+        # Each exponent's row is bit for bit what it is when passed alone:
+        # what keeps alpha_sweep equal to t_indicator.
+        monkeypatch.setattr(_kernels, "_L1_BLOCK", block)
+        rng = np.random.default_rng(11)
+        rows = [rng.normal(size=58).cumsum(), rng.uniform(-1.0, 3.0, 58)]
+        exponents = [0.01, 0.25, 1.0 - 1e-9, 0.5, 1.0, 0.999]
+        together = _kernels.l1_weighted_sum(rows, exponents)
+        for e, row in zip(exponents, together):
+            alone = _kernels.l1_weighted_sum(rows, [e])
+            assert alone.shape == (1, 2)
+            np.testing.assert_array_equal(row, alone[0])
+
+    @pytest.mark.parametrize("n,block", [(15, 7), (15, 14), (15, 16_384), (1, 1), (40_000, 16_384)])
+    def test_count_zero_raises_no_floating_point_error(self, monkeypatch, n, block):
+        # The block that ends the grid holds m = 0, whose log is -inf: the
+        # kernel must contain that itself, under the strictest settings.
+        monkeypatch.setattr(_kernels, "_L1_BLOCK", block)
+        v = np.arange(n + 1, dtype=np.float64) ** 2
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _kernels.l1_weighted_sum([v], [0.3, 0.5, 1.0])
+        assert np.isfinite(got).all()
+        # At e = 1 every weight is 1: the sum telescopes to v[N] - v[0].
+        assert math.isclose(got[2, 0], v[-1] - v[0], rel_tol=1e-12)
+
+    def test_weights_within_a_few_ulps_of_the_powers(self, monkeypatch):
+        # A row with one unit step at k sums to the weight of count m = N-k
+        # alone.  m^e - (m-1)^e cancels, so its error is measured in ulps of
+        # m^e: pow gives under 1, the log taken once per block about 1.4,
+        # and exp(e * log m) with the full log m over 10 at these counts.
+        monkeypatch.setattr(_kernels, "_L1_BLOCK", 1000)
+        n = 8000
+        steps = np.unique(np.linspace(0, n - 1, 97).astype(np.int64))
+        rows = (np.arange(n + 1) > steps[:, None]).astype(np.float64)
+        exponents = [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0]
+        got = _kernels.l1_weighted_sum(rows, exponents)
+        m = (n - steps).astype(np.float64)
+        for e, row in zip(exponents, got):
+            with np.errstate(divide="ignore"):
+                want = -(m**e) * np.expm1(e * np.log1p(-1.0 / m))
+            assert (np.abs(row - want) <= 4 * 2.0**-52 * m**e).all()
+
+    @pytest.mark.parametrize("e", [0.01, 0.5, 0.99])
+    @pytest.mark.parametrize("f", [lambda t: t + np.sin(t), lambda t: t * t, lambda t: np.exp(t / 3.0)])
+    def test_long_grid_against_exact_weights(self, e, f):
+        v = f(np.linspace(0.0, 10.0, 200_001))
+        got = _kernels.l1_weighted_sum([v], [e])[0, 0]
+        want = exact_weight_sum(v, e)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
     @settings(max_examples=200, deadline=None)
     @given(
