@@ -7,16 +7,7 @@ indicator/factor ratios that spans the spectrum from the average (order 0)
 to the marginal (order 1) value of an economic indicator.
 """
 
-from .caputo import (
-    FracOrder,
-    Polynomial,
-    SampledSeries,
-    as_order,
-    caputo_l1,
-    caputo_l1_extended,
-    caputo_poly,
-    caputo_series,
-)
+from .caputo import Polynomial, SampledSeries, caputo_poly, caputo_series
 from .errors import (
     DenominatorNearZero,
     DomainError,
@@ -45,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # domain types
-    "FracOrder",
     "Polynomial",
     "SampledSeries",
     "IndicatorPair",
@@ -53,11 +43,8 @@ __all__ = [
     "SweepResult",
     "DemoId",
     "DemoProcess",
-    "as_order",
     # derivative engines
     "caputo_poly",
-    "caputo_l1",
-    "caputo_l1_extended",
     "caputo_series",
     # indicators
     "average_indicator",

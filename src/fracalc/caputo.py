@@ -14,10 +14,15 @@ Two engines are provided:
   ``D^alpha t^k = Gamma(k+1)/Gamma(k+1-alpha) * T^(k-alpha)`` for k >= n,
   with ``D^alpha t^k = 0`` for k <= n-1, evaluated for all orders of a call
   at once.
-* :func:`caputo_l1` / :func:`caputo_l1_extended` -- product-integration
-  quadrature for uniformly sampled series.  The L1 scheme replaces f by its
+* :func:`caputo_series` -- product-integration quadrature for uniformly
+  sampled series, 0 <= alpha < 2.  The L1 scheme replaces f by its
   piecewise-linear interpolant inside the weakly singular integral, giving
   O(h^(2-alpha)) accuracy for smooth f and exact annihilation of constants.
+
+Both are one-order views of the all-orders cores that every derivative and
+indicator call goes through: ``_power_rule`` for polynomials and
+:func:`caputo_series_orders` for sampled series.  ``_as_orders`` is the one
+check of the orders.
 """
 
 from __future__ import annotations
@@ -31,13 +36,9 @@ from ._kernels import l1_weighted_sum
 from .errors import DomainError, InsufficientData
 
 __all__ = [
-    "FracOrder",
     "Polynomial",
     "SampledSeries",
-    "as_order",
     "caputo_poly",
-    "caputo_l1",
-    "caputo_l1_extended",
     "caputo_series",
 ]
 
@@ -46,26 +47,6 @@ _GAMMA_DIRECT_LIMIT = 170.0
 
 # Relative slack when matching a requested time against the sampling grid.
 _GRID_SNAP_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """Differentiation order alpha, a float checked finite and >= 0."""
-
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not (math.isfinite(a) and a >= 0.0):
-            raise DomainError(f"order must be finite and >= 0, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", a)
-
-
-def as_order(alpha: float | FracOrder) -> FracOrder:
-    """Coerce a plain float to :class:`FracOrder` (validating it)."""
-    if isinstance(alpha, FracOrder):
-        return alpha
-    return FracOrder(float(alpha))
 
 
 @dataclass(frozen=True)
@@ -168,7 +149,7 @@ class SampledSeries:
 
 
 def _as_orders(alphas) -> np.ndarray:
-    """The orders as a float64 array, each checked like :class:`FracOrder`."""
+    """The orders as a float64 array, each checked finite and >= 0."""
     a = np.array(alphas, dtype=np.float64, ndmin=1)
     bad = ~(np.isfinite(a) & (a >= 0.0))
     if bad.any():
@@ -248,36 +229,14 @@ def _power_rule(polys, alphas: np.ndarray, T: float) -> np.ndarray:
     return out
 
 
-def caputo_poly(p: Polynomial, alpha: float | FracOrder, T: float) -> float:
+def caputo_poly(p: Polynomial, alpha: float, T: float) -> float:
     """Caputo derivative of a polynomial at time T, in closed form.
 
     Non-integer orders use the power rule term by term (monomials of degree
     <= n-1 vanish); exact integer orders return the classical derivative,
     with order 0 meaning p(T).
     """
-    alphas = np.array([as_order(alpha).alpha])
-    return float(_power_rule([p], alphas, _check_time(T))[0, 0])
-
-
-def caputo_l1(series: SampledSeries, alpha: float | FracOrder) -> float:
-    """L1 product-integration estimate of the Caputo derivative at t_end.
-
-    For 0 < alpha < 1:
-
-        h^(-alpha)/Gamma(2-alpha) * sum_k [(N-k)^(1-alpha) - (N-1-k)^(1-alpha)]
-                                          * (values[k+1] - values[k])
-
-    Endpoints follow the integer conventions: alpha = 0 returns f(T) and
-    alpha = 1 a second-order one-sided estimate of f'(T).  Neither is the
-    limit of the scheme: as alpha -> 0+ the sum tends to f(T) - f(0), and as
-    alpha -> 1- only the last weight survives, giving the first-order
-    backward difference (f(T) - f(T-h))/h.  So a sweep over orders jumps by
-    f(0) at alpha = 0 and by O(h) at alpha = 1.
-    """
-    order = as_order(alpha)
-    if order.alpha > 1.0:
-        raise DomainError(f"L1 scheme requires 0 <= alpha <= 1, got {order.alpha!r}")
-    return caputo_series_orders([series], [order.alpha])[0][0]
+    return float(_power_rule([p], _as_orders(float(alpha)), _check_time(T))[0, 0])
 
 
 def _difference_derivative(series: SampledSeries) -> SampledSeries:
@@ -291,37 +250,41 @@ def _difference_derivative(series: SampledSeries) -> SampledSeries:
     return SampledSeries(h, d)
 
 
-def caputo_l1_extended(series: SampledSeries, alpha: float | FracOrder) -> float:
-    """Caputo derivative for 1 < alpha < 2 on sampled data.
+def caputo_series(series: SampledSeries, alpha: float) -> float:
+    """Numerical Caputo derivative at t_end, for 0 <= alpha < 2.
 
-    Differentiates once by finite differences (central inside, one-sided at
-    the ends), then applies the L1 scheme of order alpha - 1 to the
-    derivative series.
+    For 0 < alpha < 1, the L1 product-integration estimate
+
+        h^(-alpha)/Gamma(2-alpha) * sum_k [(N-k)^(1-alpha) - (N-1-k)^(1-alpha)]
+                                          * (values[k+1] - values[k])
+
+    For 1 < alpha < 2, the series is differentiated once by finite
+    differences (central inside, one-sided at the ends) and the L1 scheme
+    of order alpha - 1 is applied to that derivative; this needs N >= 4.
+    Larger orders are rejected because repeated differencing of sampled
+    data amplifies noise beyond usefulness.
+
+    Endpoints follow the integer conventions: alpha = 0 returns f(T) and
+    alpha = 1 a second-order one-sided estimate of f'(T).  Neither is the
+    limit of the scheme: as alpha -> 0+ the sum tends to f(T) - f(0), and as
+    alpha -> 1- only the last weight survives, giving the first-order
+    backward difference (f(T) - f(T-h))/h.  So a sweep over orders jumps by
+    f(0) at alpha = 0 and by O(h) at alpha = 1.
     """
-    order = as_order(alpha)
-    if not 1.0 < order.alpha < 2.0:
-        raise DomainError(f"extended scheme requires 1 < alpha < 2, got {order.alpha!r}")
-    return caputo_series_orders([series], [order.alpha])[0][0]
-
-
-def caputo_series(series: SampledSeries, alpha: float | FracOrder) -> float:
-    """Numerical Caputo derivative at t_end, dispatching on the order.
-
-    Covers 0 <= alpha < 2; larger orders are rejected because repeated
-    differencing of sampled data amplifies noise beyond usefulness.
-    """
-    return caputo_series_orders([series], [as_order(alpha).alpha])[0][0]
+    return caputo_series_orders([series], [float(alpha)])[0][0]
 
 
 def caputo_series_orders(series, alphas) -> list[list[float]]:
     """Numerical Caputo derivatives of series on one grid, at several orders.
 
-    Entry [i][j] is :func:`caputo_series` of ``series[j]`` at the valid
-    order ``alphas[i]`` (a float).  The orders in (0, 1) share one blocked
+    Entry [i][j] is :func:`caputo_series` of ``series[j]`` at order
+    ``alphas[i]``; the orders are checked here, so a negative or non-finite
+    order is a :class:`DomainError`.  The orders in (0, 1) share one blocked
     kernel pass over the samples, and those in (1, 2) one pass over the
     finite-difference derivatives, so the cost is O(len(alphas) * N) and,
     beyond those derivatives, the extra memory does not grow with N.
     """
+    alphas = _as_orders(alphas).tolist()
     n_steps = series[0].n_steps
     out: list[list[float]] = [[] for _ in alphas]
     l1, extended = [], []

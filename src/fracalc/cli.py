@@ -23,18 +23,11 @@ from .caputo import (
     _as_orders,
     _check_time,
     _power_rule,
-    caputo_series,
+    caputo_series_orders,
 )
 from .check import run_checks
 from .errors import DomainError, FracalcError
-from .indicators import (
-    IndicatorPair,
-    alpha_sweep,
-    average_indicator,
-    detect_multivalued,
-    marginal_indicator,
-    t_indicator,
-)
+from .indicators import _ratios, alpha_sweep, detect_multivalued
 from .series import demo_process, ingest_csv, sample
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
@@ -271,9 +264,7 @@ def _load_pair(config: RunConfig):
         d = demo_process(config.demo)
         if config.engine == "numeric":
             # Sample over [0, T] directly so any positive T works.
-            t_hi = config.T if config.T is not None else d.t_end
-            pair = IndicatorPair(y=sample(d.y, t_hi, config.n), x=sample(d.x, t_hi, config.n))
-            return pair, None
+            return d.sampled_pair(config.n, config.T), None
         return d.pair(), config.T if config.T is not None else d.t_end
     raise DomainError("need --input PATH or --demo fig1|fig2")
 
@@ -292,7 +283,7 @@ def _run_deriv(config: RunConfig) -> int:
             values = _power_rule([p], _as_orders(config.alphas), _check_time(config.T))[0].tolist()
         else:
             s = sample(p, config.T, config.n)
-            values = [caputo_series(s, a) for a in config.alphas]
+            values = [v for (v,) in caputo_series_orders([s], config.alphas)]
     elif config.input:
         if config.engine == "analytic":
             raise DomainError("analytic engine needs --coeffs")
@@ -300,7 +291,7 @@ def _run_deriv(config: RunConfig) -> int:
         series: SampledSeries = pair.x if config.column == "x" else pair.y
         if config.T is not None:
             series = series.truncated(config.T)
-        values = [caputo_series(series, a) for a in config.alphas]
+        values = [v for (v,) in caputo_series_orders([series], config.alphas)]
     else:
         raise DomainError("need --coeffs or --input")
 
@@ -312,10 +303,10 @@ def _run_deriv(config: RunConfig) -> int:
 def _run_indicator(config: RunConfig) -> int:
     a = _require_single_alpha(config)
     pair, T = _load_pair(config)
+    alphas = (0.0, 1.0, a)
     rows = [
-        {"kind": "average", "alpha": 0.0, "value": average_indicator(pair, T), "degenerate": False},
-        {"kind": "marginal", "alpha": 1.0, "value": marginal_indicator(pair, T), "degenerate": False},
-        {"kind": "t_indicator", "alpha": a, "value": t_indicator(pair, a, T), "degenerate": False},
+        {"kind": kind, "alpha": alpha, "value": value, "degenerate": False}
+        for kind, alpha, value in zip(("average", "marginal", "t_indicator"), alphas, _ratios(pair, alphas, T))
     ]
     _emit_results(
         config, "kind,alpha,value", lambda r: f"{r['kind']},{_fmt(r['alpha'])},{_fmt(r['value'])}", rows

@@ -21,14 +21,12 @@ import numpy as np
 
 from ._kernels import multivalued_pairs
 from .caputo import (
-    FracOrder,
     Polynomial,
     SampledSeries,
     _as_orders,
     _derivative,
     _map,
     _power_rule,
-    as_order,
     caputo_poly,
     caputo_series,
     caputo_series_orders,
@@ -151,7 +149,7 @@ def _evaluate(pair: IndicatorPair, alphas: np.ndarray, T):
         if T is not None:
             y, x = y.truncated(float(T)), x.truncated(float(T))
         T = y.t_end
-        num, den = np.array(caputo_series_orders([y, x], alphas.tolist())).T
+        num, den = np.array(caputo_series_orders([y, x], alphas)).T
     floor = np.floor(alphas)
     n = np.where(alphas == floor, alphas, floor + 1.0)
     bases = {m: _scale_base(x, int(m), T) for m in set(n.tolist())}
@@ -165,16 +163,21 @@ def _degenerate(den, scale):
     return abs(den) <= _REL_THRESHOLD * scale
 
 
-def _at_order(pair: IndicatorPair, alpha: float, T) -> float:
-    (num,), (den,), (scale,) = (v.tolist() for v in _evaluate(pair, np.array([alpha]), T))
-    if _degenerate(den, scale):
-        raise DenominatorNearZero(f"factor derivative is {den!r}, below threshold for scale {scale!r}")
-    return num / den
+def _ratios(pair: IndicatorPair, alphas, T) -> list[float]:
+    """The indicator at every order of ``alphas``, from one evaluation.
+
+    Raises DenominatorNearZero at the first degenerate order in list order.
+    """
+    num, den, scales = (v.tolist() for v in _evaluate(pair, _as_orders(alphas), T))
+    for d, scale in zip(den, scales):
+        if _degenerate(d, scale):
+            raise DenominatorNearZero(f"factor derivative is {d!r}, below threshold for scale {scale!r}")
+    return [n / d for n, d in zip(num, den)]
 
 
 def average_indicator(pair: IndicatorPair, T: float | None = None) -> float:
     """Y(T)/X(T), the ratio of indicator to factor at time T."""
-    return _at_order(pair, 0.0, T)
+    return _ratios(pair, [0.0], T)[0]
 
 
 def marginal_indicator(pair: IndicatorPair, T: float | None = None) -> float:
@@ -183,10 +186,10 @@ def marginal_indicator(pair: IndicatorPair, T: float | None = None) -> float:
     Polynomial pairs differentiate exactly; sampled pairs use one-sided
     second-order finite differences at the window end.
     """
-    return _at_order(pair, 1.0, T)
+    return _ratios(pair, [1.0], T)[0]
 
 
-def t_indicator(pair: IndicatorPair, alpha: float | FracOrder, T: float | None = None) -> float:
+def t_indicator(pair: IndicatorPair, alpha: float, T: float | None = None) -> float:
     """Ratio of Caputo derivatives of common order alpha at time T.
 
     Degenerates to :func:`average_indicator` at alpha = 0 and to
@@ -200,34 +203,27 @@ def t_indicator(pair: IndicatorPair, alpha: float | FracOrder, T: float | None =
     uses the second-order three-point difference: an O(h) jump (4.9975
     against 5.0 for fig1 sampled with N = 2000).
     """
-    return _at_order(pair, as_order(alpha).alpha, T)
+    return _ratios(pair, [float(alpha)], T)[0]
 
 
-def t_indicator_time(
-    y: Polynomial | SampledSeries, alpha: float | FracOrder, T: float | None = None
-) -> float:
-    """Order-alpha indicator with time itself as the factor, in closed form.
+def t_indicator_time(y: Polynomial | SampledSeries, alpha: float, T: float | None = None) -> float:
+    """The paper's T-indicator with time itself as the factor, in closed form.
 
     Equals Gamma(2-alpha) * T^(alpha-1) * D^alpha y(T), which is
     ``t_indicator`` against X(t) = t with the factor derivative folded in
     analytically; alpha must stay below 2 so the prefactor is finite.
     """
-    order = as_order(alpha)
-    a = order.alpha
+    a = _as_orders(float(alpha)).item()
     if a >= 2.0:
         raise DomainError(f"time-factor form requires 0 <= alpha < 2, got {a!r}")
     if isinstance(y, Polynomial):
         if T is None:
             raise DomainError("polynomial input needs an explicit evaluation time T")
-        T = float(T)
-        if not (math.isfinite(T) and T > 0.0):
-            raise DomainError(f"evaluation time must be > 0, got T={T!r}")
-        d = float(y(T)) if a == 0.0 else caputo_poly(y, order, T)
+        d = caputo_poly(y, a, T)
     else:
-        s = y if T is None else y.truncated(float(T))
-        T = s.t_end
-        d = caputo_series(s, order)
-    return math.gamma(2.0 - a) * T ** (a - 1.0) * d
+        y = y if T is None else y.truncated(float(T))
+        T, d = y.t_end, caputo_series(y, a)
+    return math.gamma(2.0 - a) * float(T) ** (a - 1.0) * d
 
 
 def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> SweepResult:

@@ -58,11 +58,10 @@ class DemoProcess:
     def pair(self) -> IndicatorPair:
         return IndicatorPair(y=self.y, x=self.x)
 
-    def sampled_pair(self, n: int) -> IndicatorPair:
-        return IndicatorPair(
-            y=sample(self.y, self.t_end, n),
-            x=sample(self.x, self.t_end, n),
-        )
+    def sampled_pair(self, n: int, t_end: float | None = None) -> IndicatorPair:
+        """Both components sampled with n steps on [0, t_end], by default [0, self.t_end]."""
+        t_end = self.t_end if t_end is None else t_end
+        return IndicatorPair(y=sample(self.y, t_end, n), x=sample(self.x, t_end, n))
 
 
 _DEMOS = {

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from fracalc import (
     DomainError,
-    FracOrder,
     InsufficientData,
     Polynomial,
     SampledSeries,
-    caputo_l1,
-    caputo_l1_extended,
+    alpha_sweep,
     caputo_poly,
     caputo_series,
     sample,
+    t_indicator,
 )
+from fracalc.caputo import _difference_derivative, caputo_series_orders
 from fracalc.indicators import IndicatorPair, _evaluate
 from oracle import ref_caputo_poly, ref_caputo_quad, rel_err
 
@@ -28,6 +28,8 @@ def monomial(k):
 
 
 class TestFracOrder:
+    """The fractional order: which orders are refused, and its guard scale."""
+
     @pytest.mark.parametrize(
         "alpha,n", [(0.0, 0), (1.0, 1), (2.0, 2), (0.5, 1), (1.3, 2), (2.7, 3)]
     )
@@ -41,8 +43,16 @@ class TestFracOrder:
 
     @pytest.mark.parametrize("alpha", [-0.1, float("nan"), float("inf")])
     def test_invalid_orders_rejected(self, alpha):
-        with pytest.raises(DomainError):
-            FracOrder(alpha)
+        # Every public entry point refuses the order, polynomial and sampled.
+        p, s = monomial(2), sample(monomial(2), 1.0, 16)
+        for call in (
+            lambda: caputo_poly(p, alpha, 1.0),
+            lambda: caputo_series(s, alpha),
+            lambda: t_indicator(IndicatorPair(y=s, x=s), alpha),
+            lambda: alpha_sweep(IndicatorPair(y=p, x=p), [alpha], 1.0),
+        ):
+            with pytest.raises(DomainError, match="order must be finite and >= 0"):
+                call()
 
 
 class TestPolynomial:
@@ -220,16 +230,16 @@ class TestCaputoPoly:
 class TestCaputoL1:
     def test_constant_series_exactly_zero(self):
         s = sample(Polynomial((7.0,)), 1.0, 64)
-        assert caputo_l1(s, 0.5) == 0.0
+        assert caputo_series(s, 0.5) == 0.0
 
     def test_linear_is_exact(self):
         # L1 integrates its own interpolant exactly, and that interpolant
         # reproduces linear functions: only roundoff remains.
-        got = caputo_l1(sample(Polynomial((0.0, 1.0)), 1.0, 1024), 0.5)
+        got = caputo_series(sample(Polynomial((0.0, 1.0)), 1.0, 1024), 0.5)
         assert rel_err(got, 1.1283791670955126) <= 1e-9  # 1/Gamma(1.5)
 
     def test_square_against_analytic_engine(self):
-        got = caputo_l1(sample(monomial(2), 1.0, 4096), 0.5)
+        got = caputo_series(sample(monomial(2), 1.0, 4096), 0.5)
         want = caputo_poly(monomial(2), 0.5, 1.0)
         assert rel_err(got, want) <= 5e-3
 
@@ -238,7 +248,7 @@ class TestCaputoL1:
             s = sample(monomial(beta), 1.0, 4096)
             for a in (0.25, 0.5, 0.75):
                 want = caputo_poly(monomial(beta), a, 1.0)
-                got = caputo_l1(s, a)
+                got = caputo_series(s, a)
                 if want == 0.0:
                     assert abs(got) <= 1e-6
                 else:
@@ -248,31 +258,31 @@ class TestCaputoL1:
         import mpmath as mp
 
         t = np.arange(4097) / 4096
-        got = caputo_l1(SampledSeries(1 / 4096, np.exp(t)), 0.5)
+        got = caputo_series(SampledSeries(1 / 4096, np.exp(t)), 0.5)
         want = ref_caputo_quad(mp.exp, 0.5, 1.0)
         assert rel_err(got, want) <= 1e-4
 
     def test_order_zero_returns_final_value(self):
         s = sample(monomial(2), 1.0, 16)
-        assert caputo_l1(s, 0.0) == s.values[-1]
+        assert caputo_series(s, 0.0) == s.values[-1]
 
     def test_order_one_is_three_point_difference(self):
         s = sample(monomial(2), 1.0, 100)
         v = s.values
-        assert caputo_l1(s, 1.0) == (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * s.h)
+        assert caputo_series(s, 1.0) == (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * s.h)
 
     def test_convergence_order(self):
         p = monomial(3)
         exact = caputo_poly(p, 0.5, 1.0)
-        e512 = abs(caputo_l1(sample(p, 1.0, 512), 0.5) - exact)
-        e1024 = abs(caputo_l1(sample(p, 1.0, 1024), 0.5) - exact)
+        e512 = abs(caputo_series(sample(p, 1.0, 512), 0.5) - exact)
+        e1024 = abs(caputo_series(sample(p, 1.0, 1024), 0.5) - exact)
         assert e512 / e1024 >= 2**1.3
 
-    @pytest.mark.parametrize("alpha", [1.5, 2.0, -0.5])
+    @pytest.mark.parametrize("alpha", [2.0, -0.5])
     def test_order_outside_unit_interval_rejected(self, alpha):
         s = sample(monomial(1), 1.0, 8)
         with pytest.raises(DomainError):
-            caputo_l1(s, alpha)
+            caputo_series(s, alpha)
 
     @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(0.05, 0.95))
     @settings(deadline=None, max_examples=60)
@@ -280,8 +290,8 @@ class TestCaputoL1:
         s1 = sample(Polynomial((1.0, -2.0, 0.5)), 1.0, 128)
         s2 = sample(Polynomial((0.0, 3.0, 0.0, -1.0)), 1.0, 128)
         summed = SampledSeries(s1.h, a * s1.values + b * s2.values)
-        lhs = caputo_l1(summed, alpha)
-        d1, d2 = caputo_l1(s1, alpha), caputo_l1(s2, alpha)
+        lhs = caputo_series(summed, alpha)
+        d1, d2 = caputo_series(s1, alpha), caputo_series(s2, alpha)
         rhs = a * d1 + b * d2
         scale = abs(a) * abs(d1) + abs(b) * abs(d2)
         assert abs(lhs - rhs) <= 1e-12 * scale + 1e-12
@@ -290,32 +300,32 @@ class TestCaputoL1:
 class TestCaputoL1Extended:
     def test_constant_annihilated(self):
         s = sample(Polynomial((7.0,)), 1.0, 64)
-        assert abs(caputo_l1_extended(s, 1.5)) <= 1e-10
+        assert abs(caputo_series(s, 1.5)) <= 1e-10
 
     def test_linear_annihilated(self):
-        got = caputo_l1_extended(sample(Polynomial((0.0, 1.0)), 1.0, 4096), 1.5)
+        got = caputo_series(sample(Polynomial((0.0, 1.0)), 1.0, 4096), 1.5)
         assert abs(got) <= 1e-6
 
     def test_square_against_analytic_engine(self):
-        got = caputo_l1_extended(sample(monomial(2), 1.0, 4096), 1.5)
+        got = caputo_series(sample(monomial(2), 1.0, 4096), 1.5)
         want = caputo_poly(monomial(2), 1.5, 1.0)  # Gamma(3)/Gamma(1.5)
         assert rel_err(got, want) <= 1e-2
         assert rel_err(got, 2.2567583341910251) <= 1e-2
 
     def test_cubic_against_oracle(self):
-        got = caputo_l1_extended(sample(monomial(3), 1.0, 4096), 1.25)
+        got = caputo_series(sample(monomial(3), 1.0, 4096), 1.25)
         assert rel_err(got, ref_caputo_poly(monomial(3).coeffs, 1.25, 1.0)) <= 1e-2
 
-    @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.5, 2.5])
+    @pytest.mark.parametrize("alpha", [2.0, 2.5])
     def test_order_outside_open_interval_rejected(self, alpha):
         s = sample(monomial(2), 1.0, 16)
         with pytest.raises(DomainError):
-            caputo_l1_extended(s, alpha)
+            caputo_series(s, alpha)
 
     def test_short_series_rejected(self):
         s = SampledSeries(1.0, [0.0, 1.0, 4.0, 9.0])  # N = 3
         with pytest.raises(InsufficientData):
-            caputo_l1_extended(s, 1.5)
+            caputo_series(s, 1.5)
 
 
 class TestCaputoInteger:
@@ -352,8 +362,8 @@ class TestOrderZeroConvention:
     def test_sampled_jump_at_zero_order(self):
         p = Polynomial((70.0, -0.2, 0.001))
         s = sample(p, 200.0, 2000)
-        at_zero = caputo_l1(s, 0.0)
-        near_zero = caputo_l1(s, 1e-6)
+        at_zero = caputo_series(s, 0.0)
+        near_zero = caputo_series(s, 1e-6)
         assert at_zero == s.values[-1]
         assert abs(near_zero - (s.values[-1] - s.values[0])) <= 1e-3
         assert abs(at_zero - near_zero) > 60.0
@@ -362,10 +372,16 @@ class TestOrderZeroConvention:
 class TestCaputoSeriesDispatch:
     def test_routes_by_order(self):
         s = sample(monomial(2), 1.0, 256)
-        assert caputo_series(s, 0.3) == caputo_l1(s, 0.3)
-        assert caputo_series(s, 1.5) == caputo_l1_extended(s, 1.5)
-        assert caputo_series(s, 1.0) == caputo_l1(s, 1.0)
+        assert caputo_series(s, 1.5) == caputo_series(_difference_derivative(s), 0.5)
         assert caputo_series(s, 0.0) == s.values[-1]
+
+    @pytest.mark.parametrize("alpha", [-0.5, float("nan"), float("inf")])
+    def test_core_rejects_invalid_orders(self, alpha):
+        # The all-orders core checks its own orders: -0.5 would otherwise
+        # send exponent 1.5 into the kernel, whose exponents lie in (0, 1].
+        s = sample(monomial(2), 1.0, 16)
+        with pytest.raises(DomainError, match="order must be finite and >= 0"):
+            caputo_series_orders([s], [0.5, alpha])
 
     @pytest.mark.parametrize("alpha", [2.0, 2.5, 10.0])
     def test_cap_at_two(self, alpha):

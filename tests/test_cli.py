@@ -4,7 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fracalc import Polynomial, caputo_poly, export_csv
+from fracalc import (
+    Polynomial,
+    average_indicator,
+    caputo_poly,
+    caputo_series,
+    export_csv,
+    ingest_csv,
+    marginal_indicator,
+    t_indicator,
+)
 from fracalc.cli import _parse_alpha_spec, main
 
 
@@ -134,6 +143,23 @@ class TestIndicatorCommand:
         assert kinds["t_indicator"]["value"] == pytest.approx(-5.0, abs=1e-8)
         assert doc["params"]["alpha"] == "0.5"
 
+    @pytest.mark.parametrize("alpha", ["0.7", "1.4"])
+    @pytest.mark.parametrize("kind", ["sampled", "polynomial"])
+    def test_rows_equal_library_indicators(self, capsys, tmp_path, fig2, kind, alpha):
+        # The three rows come from one evaluation of the pair at all three
+        # orders; each must equal its one-order library function.
+        if kind == "sampled":
+            path = tmp_path / "fig2.csv"
+            export_csv(fig2.sampled_pair(1000), path)
+            pair, source = ingest_csv(path), ("--input", str(path))
+        else:
+            pair, source = fig2.pair(), ("--demo", "fig2")
+        code, out, _ = run_cli(capsys, "indicator", *source, "--alpha", alpha, "--T", "120")
+        assert code == 0
+        a = float(alpha)
+        want = [average_indicator(pair, 120.0), marginal_indicator(pair, 120.0), t_indicator(pair, a, 120.0)]
+        assert [float(row[2]) for row in parse_csv(out)[1]] == want
+
     def test_alpha_range_rejected(self, capsys):
         code, _, err = run_cli(capsys, "indicator", "--demo", "fig1", "--alpha", "0:1:0.5")
         assert code == 1
@@ -190,6 +216,18 @@ class TestDerivCommand:
         assert len(rows) == 15
         for alpha, value in rows:
             assert run_cli(capsys, *argv, "--alpha", alpha)[1].splitlines()[1] == f"{alpha},{value}"
+
+    def test_input_range_equals_single_orders(self, capsys, tmp_path, fig1):
+        # One kernel pass serves every order of the range, those in (1, 2)
+        # included; each row must equal the one-order library call.
+        path = tmp_path / "fig1.csv"
+        export_csv(fig1.sampled_pair(1000), path)
+        code, out, _ = run_cli(capsys, "deriv", "--input", str(path), "--alpha", "0:1.95:0.05")
+        assert code == 0
+        series = ingest_csv(path).y
+        rows = parse_csv(out)[1]
+        assert len(rows) == 40
+        assert [float(v) for _, v in rows] == [caputo_series(series, float(a)) for a, _ in rows]
 
     def test_missing_source_fails(self, capsys):
         code, out, err = run_cli(capsys, "deriv", "--alpha", "0.5")
@@ -255,9 +293,11 @@ class TestErrorMapping:
         assert out == "" and "FileNotFoundError" in err
 
     def test_degenerate_marginal_maps_to_error(self, capsys):
-        code, _, err = run_cli(capsys, "indicator", "--demo", "fig1", "--alpha", "0.5", "--T", "100")
-        assert code == 1
-        assert "DenominatorNearZero" in err
+        # X'(100) = 0 for fig1: the marginal, the first degenerate order of
+        # the three, is the one named, and nothing reaches the data stream.
+        code, out, err = run_cli(capsys, "indicator", "--demo", "fig1", "--alpha", "0.5", "--T", "100")
+        assert (code, out) == (1, "")
+        assert err == "error: DenominatorNearZero: factor derivative is 0.0, below threshold for scale 0.2\n"
 
     @pytest.mark.parametrize("flag", ["--x-tol", "--y-tol"])
     def test_nan_tolerance_fails(self, capsys, flag):

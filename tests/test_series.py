@@ -52,6 +52,11 @@ class TestDemoProcess:
         with pytest.raises(DomainError):
             demo_process("fig3")
 
+    def test_sampled_pair_takes_a_horizon(self, fig1):
+        pair = fig1.sampled_pair(100, 350.0)
+        assert (fig1.sampled_pair(100).t_end, pair.t_end) == (200.0, 350.0)
+        np.testing.assert_array_equal(pair.y.values, sample(fig1.y, 350.0, 100).values)
+
 
 class TestSample:
     def test_identity_three_points(self):
