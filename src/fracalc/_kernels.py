@@ -41,12 +41,12 @@ def l1_weighted_sum(rows, exponents):
 
     The block that ends the grid holds m = 0, whose log is -inf, so its
     power is exp(-inf) = 0 = 0^e.  That needs e > 0 (at e = 0 the product
-    0 * -inf is nan): the exponents must lie in (0, 1], as those of
-    ``caputo_series_orders`` always do.  The matvec is ``np.einsum``, not
-    BLAS: it runs on one thread and sums in the same order whichever BLAS
-    numpy links.  Extra memory is O(rows * block), never O(N).  Each
-    exponent's arithmetic is the same whichever other exponents share the
-    call, so its result is too.
+    0 * -inf is nan): the exponents must lie in (0, 1], as those of the
+    sampled branch of ``caputo._derivatives`` always do.  The matvec is
+    ``np.einsum``, not BLAS: it runs on one thread and sums in the same
+    order whichever BLAS numpy links.  Extra memory is O(rows * block),
+    never O(N).  Each exponent's arithmetic is the same whichever other
+    exponents share the call, so its result is too.
     """
     rows = [np.asarray(r, dtype=np.float64) for r in rows]
     n = rows[0].shape[0] - 1

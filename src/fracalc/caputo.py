@@ -19,10 +19,10 @@ Two engines are provided:
   piecewise-linear interpolant inside the weakly singular integral, giving
   O(h^(2-alpha)) accuracy for smooth f and exact annihilation of constants.
 
-Both are one-order views of the all-orders cores that every derivative and
-indicator call goes through: ``_power_rule`` for polynomials and
-:func:`caputo_series_orders` for sampled series.  ``_as_orders`` is the one
-check of the orders.
+Both are one-order views of :func:`_derivatives`, the all-orders core that
+every derivative and indicator call goes through.  It alone checks the
+orders (with ``_as_orders``) and the evaluation time, and chooses between
+the closed form and the L1 scheme.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ class Polynomial:
                 return k
         return -1
 
-    @property
-    def is_zero(self) -> bool:
-        return self.degree < 0
-
     def __call__(self, t):
         """Horner evaluation; accepts scalars or numpy arrays."""
         acc = 0.0 if np.isscalar(t) else np.zeros_like(np.asarray(t, dtype=np.float64))
@@ -82,15 +78,6 @@ class Polynomial:
 
     def derivative(self) -> Polynomial:
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
-
-    def __add__(self, other: Polynomial) -> Polynomial:
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0.0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0.0,) * (n - len(other.coeffs))
-        return Polynomial(tuple(x + y for x, y in zip(a, b)))
-
-    def __rmul__(self, scalar: float) -> Polynomial:
-        return Polynomial(tuple(float(scalar) * c for c in self.coeffs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,13 +144,6 @@ def _as_orders(alphas) -> np.ndarray:
     return a
 
 
-def _check_time(T: float) -> float:
-    T = float(T)
-    if not (math.isfinite(T) and T > 0.0):
-        raise DomainError(f"end time must be finite and > 0, got T={T!r}")
-    return T
-
-
 def _derivative(p: Polynomial, n: int) -> Polynomial:
     """The n-th classical derivative; zero once n exceeds the degree.
 
@@ -183,15 +163,45 @@ def _map(f, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, values.tolist()), np.float64, values.size)
 
 
+def _derivatives(fs, alphas, T=None):
+    """Caputo derivatives of every function at every order: the one evaluation path.
+
+    ``fs`` are all polynomials or all sampled series on one grid.  Returns
+    ``(values, alphas, fs, T)``: ``values[i, j]`` is the derivative of
+    ``fs[i]`` at order ``alphas[j]``, ``alphas`` the orders checked by
+    :func:`_as_orders`, and ``fs`` and ``T`` the functions and the time
+    evaluated at.
+
+    Polynomials take the closed form and need T, finite and > 0, or 0 when
+    every order is 0 (plain evaluation).  Series take the L1 scheme; with
+    T given they are truncated to [0, T], and the truncated series are
+    returned, otherwise they are taken at their end.
+
+    Raises:
+        DomainError: an order is negative or not finite, or T is missing
+            or out of range for polynomials or off the grid for series.
+    """
+    alphas = _as_orders(alphas)
+    if isinstance(fs[0], Polynomial):
+        if T is None:
+            raise DomainError("polynomial input needs an explicit evaluation time T")
+        T = float(T)
+        if not (math.isfinite(T) and (T > 0.0 or (T == 0.0 and not alphas.any()))):
+            raise DomainError(f"end time must be finite and > 0, got T={T!r}")
+        return _power_rule(fs, alphas, T), alphas, fs, T
+    if T is not None:
+        fs = [f.truncated(T) for f in fs]
+    return _l1_orders(fs, alphas), alphas, fs, fs[0].t_end
+
+
 def _power_rule(polys, alphas: np.ndarray, T: float) -> np.ndarray:
-    """Caputo derivatives at T of each polynomial at every order of ``alphas``.
+    """The polynomial branch of :func:`_derivatives`: the closed form at T.
 
     Row i is ``polys[i]``.  Non-integer orders take the power rule, one
     array expression per non-zero monomial t^k over the orders below k
     (t^k is annihilated by the others); Gamma(k+1)/Gamma(k+1-alpha) goes
     through log-gamma once k + 1 exceeds 170.  Exact integer orders take
-    the classical derivative, order 0 being p(T), so T = 0 is valid when
-    every order is 0.  The orders must come from :func:`_as_orders`.
+    the classical derivative, order 0 being p(T).
 
     Raises:
         DomainError: a power T^(k-alpha) or a gamma ratio overflows, naming
@@ -234,9 +244,9 @@ def caputo_poly(p: Polynomial, alpha: float, T: float) -> float:
 
     Non-integer orders use the power rule term by term (monomials of degree
     <= n-1 vanish); exact integer orders return the classical derivative,
-    with order 0 meaning p(T).
+    with order 0 meaning p(T), which is also defined at T = 0.
     """
-    return float(_power_rule([p], _as_orders(float(alpha)), _check_time(T))[0, 0])
+    return float(_derivatives([p], float(alpha), T)[0][0, 0])
 
 
 def _difference_derivative(series: SampledSeries) -> SampledSeries:
@@ -271,31 +281,28 @@ def caputo_series(series: SampledSeries, alpha: float) -> float:
     backward difference (f(T) - f(T-h))/h.  So a sweep over orders jumps by
     f(0) at alpha = 0 and by O(h) at alpha = 1.
     """
-    return caputo_series_orders([series], [float(alpha)])[0][0]
+    return float(_derivatives([series], float(alpha))[0][0, 0])
 
 
-def caputo_series_orders(series, alphas) -> list[list[float]]:
-    """Numerical Caputo derivatives of series on one grid, at several orders.
+def _l1_orders(series, alphas: np.ndarray) -> np.ndarray:
+    """The sampled branch of :func:`_derivatives`: the scheme of :func:`caputo_series`.
 
-    Entry [i][j] is :func:`caputo_series` of ``series[j]`` at order
-    ``alphas[i]``; the orders are checked here, so a negative or non-finite
-    order is a :class:`DomainError`.  The orders in (0, 1) share one blocked
-    kernel pass over the samples, and those in (1, 2) one pass over the
+    Row i is ``series[i]``.  The orders in (0, 1) share one blocked kernel
+    pass over the samples, and those in (1, 2) one pass over the
     finite-difference derivatives, so the cost is O(len(alphas) * N) and,
     beyond those derivatives, the extra memory does not grow with N.
     """
-    alphas = _as_orders(alphas).tolist()
     n_steps = series[0].n_steps
-    out: list[list[float]] = [[] for _ in alphas]
+    out = np.empty((len(series), alphas.size))
     l1, extended = [], []
-    for i, a in enumerate(alphas):
+    for i, a in enumerate(alphas.tolist()):
         if a >= 2.0:
             raise DomainError(f"numerical engine covers 0 <= alpha < 2, got {a!r}")
         if a == 0.0:
-            out[i] = [float(s.values[-1]) for s in series]
+            out[:, i] = [s.values[-1] for s in series]
         elif a == 1.0:
-            out[i] = [float((3.0 * s.values[-1] - 4.0 * s.values[-2] + s.values[-3]) / (2.0 * s.h))
-                      for s in series]
+            out[:, i] = [(3.0 * s.values[-1] - 4.0 * s.values[-2] + s.values[-3]) / (2.0 * s.h)
+                         for s in series]
         elif a < 1.0:
             l1.append((i, a))
         elif n_steps < 4:
@@ -311,5 +318,5 @@ def caputo_series_orders(series, alphas) -> list[list[float]]:
             continue
         sums = l1_weighted_sum([r.values for r in rows], [1.0 - a for _, a in picked])
         for (i, a), row_sums in zip(picked, sums.tolist()):
-            out[i] = [v * r.h ** (-a) / math.gamma(2.0 - a) for v, r in zip(row_sums, rows)]
+            out[:, i] = [v * r.h ** (-a) / math.gamma(2.0 - a) for v, r in zip(row_sums, rows)]
     return out

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caputo import (
-    Polynomial,
-    SampledSeries,
-    _as_orders,
-    _check_time,
-    _power_rule,
-    caputo_series_orders,
-)
+from .caputo import Polynomial, SampledSeries, _derivatives
 from .check import run_checks
 from .errors import DomainError, FracalcError
 from .indicators import _ratios, alpha_sweep, detect_multivalued
@@ -274,28 +267,24 @@ def _run_deriv(config: RunConfig) -> int:
         raise DomainError("deriv needs --alpha")
     if config.coeffs is not None and config.input:
         raise DomainError("give --coeffs or --input, not both")
+    T = config.T
     if config.coeffs is not None:
-        p = Polynomial(config.coeffs)
-        engine = config.engine or "analytic"
-        if config.T is None:
+        f = Polynomial(config.coeffs)
+        if T is None:
             raise DomainError("polynomial input needs an explicit --T")
-        if engine == "analytic":
-            values = _power_rule([p], _as_orders(config.alphas), _check_time(config.T))[0].tolist()
-        else:
-            s = sample(p, config.T, config.n)
-            values = [v for (v,) in caputo_series_orders([s], config.alphas)]
+        if config.engine == "numeric":
+            # Sampled on [0, T], so the derivative is taken at the series end.
+            f, T = sample(f, T, config.n), None
     elif config.input:
         if config.engine == "analytic":
             raise DomainError("analytic engine needs --coeffs")
         pair = ingest_csv(config.input)
-        series: SampledSeries = pair.x if config.column == "x" else pair.y
-        if config.T is not None:
-            series = series.truncated(config.T)
-        values = [v for (v,) in caputo_series_orders([series], config.alphas)]
+        f = pair.x if config.column == "x" else pair.y
     else:
         raise DomainError("need --coeffs or --input")
+    (values,), *_ = _derivatives([f], config.alphas, T)
 
-    rows = [{"alpha": a, "value": v, "degenerate": False} for a, v in zip(config.alphas, values)]
+    rows = [{"alpha": a, "value": v, "degenerate": False} for a, v in zip(config.alphas, values.tolist())]
     _emit_results(config, "alpha,value", lambda r: f"{_fmt(r['alpha'])},{_fmt(r['value'])}", rows)
     return 0
 

@@ -20,17 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import multivalued_pairs
-from .caputo import (
-    Polynomial,
-    SampledSeries,
-    _as_orders,
-    _derivative,
-    _map,
-    _power_rule,
-    caputo_poly,
-    caputo_series,
-    caputo_series_orders,
-)
+from .caputo import Polynomial, SampledSeries, _derivative, _derivatives, _map
 from .errors import DenominatorNearZero, DomainError, EmptySweep, GridMismatch
 
 __all__ = [
@@ -76,17 +66,6 @@ class IndicatorPair:
             return
         raise DomainError("indicator and factor must share one representation kind")
 
-    @property
-    def kind(self) -> str:
-        return "polynomial" if isinstance(self.y, Polynomial) else "sampled"
-
-    @property
-    def t_end(self) -> float | None:
-        """End of the sampled window; None for polynomial pairs."""
-        if self.kind == "sampled":
-            return self.y.t_end
-        return None
-
 
 @dataclass(frozen=True)
 class SweepEntry:
@@ -124,32 +103,17 @@ def _scale_base(x, n: int, T: float) -> float:
     return float(np.max(np.abs(d))) if d.size else 0.0
 
 
-def _evaluate(pair: IndicatorPair, alphas: np.ndarray, T):
+def _evaluate(pair: IndicatorPair, alphas, T):
     """Per order, the numerator and denominator of the indicator and the guard scale.
 
-    The one evaluation path of every indicator; ``alphas`` comes from
-    ``_as_orders`` and each result is an array over it.  Sampled pairs are
-    truncated to [0, T] once and differentiated at all orders in one kernel
-    pass; polynomial pairs take the closed form for all orders at once
-    (order 0 is plain evaluation, which also admits T = 0).  The guard
-    scale bounds |D^alpha x| by max|x^(n)| * T^(n-alpha) / Gamma(n-alpha+1),
-    max|x^(n)| for integer orders; max|x^(n)| is computed once per
-    distinct n.
+    The one evaluation path of every indicator: both members go through
+    ``caputo._derivatives`` in one call, which checks the orders and T, and
+    each result is an array over the orders.  The guard reads the window
+    the core evaluated.  Its scale bounds |D^alpha x| by
+    max|x^(n)| * T^(n-alpha) / Gamma(n-alpha+1), max|x^(n)| for integer
+    orders; max|x^(n)| is computed once per distinct n.
     """
-    y, x = pair.y, pair.x
-    if pair.kind == "polynomial":
-        if T is None:
-            raise DomainError("polynomial pairs need an explicit evaluation time T")
-        T = float(T)
-        zero_ok = not alphas.any()
-        if not math.isfinite(T) or T < 0.0 or (T == 0.0 and not zero_ok):
-            raise DomainError(f"evaluation time out of range: T={T!r}")
-        num, den = _power_rule([y, x], alphas, T)
-    else:
-        if T is not None:
-            y, x = y.truncated(float(T)), x.truncated(float(T))
-        T = y.t_end
-        num, den = np.array(caputo_series_orders([y, x], alphas)).T
+    (num, den), alphas, (_, x), T = _derivatives([pair.y, pair.x], alphas, T)
     floor = np.floor(alphas)
     n = np.where(alphas == floor, alphas, floor + 1.0)
     bases = {m: _scale_base(x, int(m), T) for m in set(n.tolist())}
@@ -168,7 +132,7 @@ def _ratios(pair: IndicatorPair, alphas, T) -> list[float]:
 
     Raises DenominatorNearZero at the first degenerate order in list order.
     """
-    num, den, scales = (v.tolist() for v in _evaluate(pair, _as_orders(alphas), T))
+    num, den, scales = (v.tolist() for v in _evaluate(pair, alphas, T))
     for d, scale in zip(den, scales):
         if _degenerate(d, scale):
             raise DenominatorNearZero(f"factor derivative is {d!r}, below threshold for scale {scale!r}")
@@ -213,17 +177,14 @@ def t_indicator_time(y: Polynomial | SampledSeries, alpha: float, T: float | Non
     ``t_indicator`` against X(t) = t with the factor derivative folded in
     analytically; alpha must stay below 2 so the prefactor is finite.
     """
-    a = _as_orders(float(alpha)).item()
+    a = float(alpha)
     if a >= 2.0:
         raise DomainError(f"time-factor form requires 0 <= alpha < 2, got {a!r}")
-    if isinstance(y, Polynomial):
-        if T is None:
-            raise DomainError("polynomial input needs an explicit evaluation time T")
-        d = caputo_poly(y, a, T)
-    else:
-        y = y if T is None else y.truncated(float(T))
-        T, d = y.t_end, caputo_series(y, a)
-    return math.gamma(2.0 - a) * float(T) ** (a - 1.0) * d
+    d, _, _, T = _derivatives([y], a, T)
+    if T == 0.0:
+        # Order 0 admits T = 0, where the prefactor T^(alpha-1) is undefined.
+        raise DomainError(f"end time must be finite and > 0, got T={T!r}")
+    return math.gamma(2.0 - a) * T ** (a - 1.0) * d.item()
 
 
 def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> SweepResult:
@@ -237,13 +198,13 @@ def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> SweepRes
         raise EmptySweep("no order values given")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise DomainError("orders must be strictly increasing")
-    num, den, scales = _evaluate(pair, _as_orders(alphas), T)
+    num, den, scales = _evaluate(pair, alphas, T)
     degenerate = _degenerate(den, scales)
     entries = tuple(
         SweepEntry(a, None, True) if flag else SweepEntry(a, num_a / den_a, False)
         for a, num_a, den_a, flag in zip(alphas, num.tolist(), den.tolist(), degenerate.tolist())
     )
-    return SweepResult(entries, float(T) if T is not None else pair.t_end)
+    return SweepResult(entries, float(T) if T is not None else pair.y.t_end)
 
 
 def detect_multivalued(

@@ -248,7 +248,7 @@ def export_csv(pair: IndicatorPair, target) -> None:
 
     ``target`` is a path or a writable text file object.
     """
-    if pair.kind != "sampled":
+    if not isinstance(pair.x, SampledSeries):
         raise DomainError("only sampled pairs can be exported")
     x, y = pair.x, pair.y
     lines = ["t,x,y"]

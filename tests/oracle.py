@@ -54,6 +54,12 @@ def ref_caputo_quad(fprime, alpha: float, T: float) -> float:
     return float(integral / mp.gamma(1 - a))
 
 
+def lin_comb(*terms) -> tuple:
+    """Coefficients of sum(c * p) over (c, coeffs of p) terms, low order first."""
+    n = max(len(cs) for _, cs in terms)
+    return tuple(sum(c * cs[k] for c, cs in terms if k < len(cs)) for k in range(n))
+
+
 def rel_err(got: float, want: float) -> float:
     if want == 0.0:
         return abs(got)

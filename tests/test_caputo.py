@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from fracalc import (
     sample,
     t_indicator,
 )
-from fracalc.caputo import _difference_derivative, caputo_series_orders
+from fracalc.caputo import _derivatives, _difference_derivative
 from fracalc.indicators import IndicatorPair, _evaluate
-from oracle import ref_caputo_poly, ref_caputo_quad, rel_err
+from oracle import lin_comb, ref_caputo_poly, ref_caputo_quad, rel_err
 
 coeff_lists = st.lists(st.floats(-10.0, 10.0), min_size=0, max_size=6)
 
@@ -58,7 +59,7 @@ class TestFracOrder:
 class TestPolynomial:
     def test_zero_polynomial(self):
         p = Polynomial(())
-        assert p.is_zero and p.degree == -1 and p(3.0) == 0.0
+        assert p.degree == -1 and p(3.0) == 0.0
 
     def test_degree_ignores_trailing_zeros(self):
         assert Polynomial((1.0, 2.0, 0.0)).degree == 1
@@ -73,12 +74,6 @@ class TestPolynomial:
 
     def test_derivative(self):
         assert Polynomial((1.0, 2.0, 3.0)).derivative().coeffs == (2.0, 6.0)
-
-    def test_algebra(self):
-        p = Polynomial((1.0, 2.0))
-        q = Polynomial((0.0, 0.0, 1.0))
-        assert (p + q).coeffs == (1.0, 2.0, 1.0)
-        assert (2.0 * p).coeffs == (2.0, 4.0)
 
 
 class TestSampledSeries:
@@ -167,9 +162,11 @@ class TestCaputoPoly:
     def test_against_oracle(self, cs, alpha, T):
         got = caputo_poly(Polynomial(tuple(cs)), alpha, T)
         want = ref_caputo_poly(cs, alpha, T)
-        # Relative to the cancellation-free magnitude, sum of |terms|.
+        # Relative to the cancellation-free magnitude, sum of |terms|.  Below
+        # the smallest normal double a result keeps fewer significant bits
+        # (1e-13 * scale itself can underflow to 0), so that is the floor.
         scale = ref_caputo_poly([abs(c) for c in cs], alpha, T)
-        assert abs(got - want) <= 1e-13 * scale
+        assert abs(got - want) <= 1e-13 * scale + sys.float_info.min
 
     def test_square_half_order(self):
         # Gamma(3)/Gamma(2.5) at T=1, frozen from the mpmath oracle.
@@ -198,17 +195,25 @@ class TestCaputoPoly:
         p = Polynomial((1.0, 2.0, 3.0))
         assert caputo_poly(p, 0.0, 2.0) == p(2.0)
 
+    def test_order_zero_at_time_zero_is_evaluation(self):
+        p = Polynomial((1.0, 2.0, 3.0))
+        assert caputo_poly(p, 0.0, 0.0) == p(0.0) == 1.0
+
     @pytest.mark.parametrize("T", [0.0, -1.0])
     def test_non_positive_time_rejected(self, T):
         with pytest.raises(DomainError):
             caputo_poly(monomial(1), 0.5, T)
+
+    def test_missing_time_is_domain_error(self):
+        with pytest.raises(DomainError, match="needs an explicit evaluation time T"):
+            caputo_poly(monomial(1), 0.5, None)
 
     @given(coeff_lists, coeff_lists, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
            st.floats(0.01, 2.99), st.floats(0.1, 10.0))
     @settings(deadline=None, max_examples=200)
     def test_linearity(self, cp, cq, a, b, alpha, T):
         p, q = Polynomial(tuple(cp)), Polynomial(tuple(cq))
-        lhs = caputo_poly(a * p + b * q, alpha, T)
+        lhs = caputo_poly(Polynomial(lin_comb((a, p.coeffs), (b, q.coeffs))), alpha, T)
         rhs = a * caputo_poly(p, alpha, T) + b * caputo_poly(q, alpha, T)
         # Scale by the cancellation-free magnitude of both operands.
         scale = abs(a) * caputo_poly(Polynomial(tuple(abs(c) for c in cp)), alpha, T) + \
@@ -316,31 +321,10 @@ class TestCaputoL1Extended:
         got = caputo_series(sample(monomial(3), 1.0, 4096), 1.25)
         assert rel_err(got, ref_caputo_poly(monomial(3).coeffs, 1.25, 1.0)) <= 1e-2
 
-    @pytest.mark.parametrize("alpha", [2.0, 2.5])
-    def test_order_outside_open_interval_rejected(self, alpha):
-        s = sample(monomial(2), 1.0, 16)
-        with pytest.raises(DomainError):
-            caputo_series(s, alpha)
-
     def test_short_series_rejected(self):
         s = SampledSeries(1.0, [0.0, 1.0, 4.0, 9.0])  # N = 3
         with pytest.raises(InsufficientData):
             caputo_series(s, 1.5)
-
-
-class TestCaputoInteger:
-    """Integer orders of the sampled engine: plain value and first derivative."""
-
-    def test_order_zero(self):
-        assert caputo_series(sample(monomial(2), 1.0, 100), 0.0) == 1.0
-
-    def test_first_derivative(self):
-        got = caputo_series(sample(monomial(2), 1.0, 1000), 1.0)
-        assert abs(got - 2.0) <= 1e-4
-
-    def test_order_above_two_rejected(self):
-        with pytest.raises(DomainError):
-            caputo_series(sample(monomial(2), 1.0, 100), 3.0)
 
 
 class TestOrderZeroConvention:
@@ -381,7 +365,7 @@ class TestCaputoSeriesDispatch:
         # send exponent 1.5 into the kernel, whose exponents lie in (0, 1].
         s = sample(monomial(2), 1.0, 16)
         with pytest.raises(DomainError, match="order must be finite and >= 0"):
-            caputo_series_orders([s], [0.5, alpha])
+            _derivatives([s], [0.5, alpha])
 
     @pytest.mark.parametrize("alpha", [2.0, 2.5, 10.0])
     def test_cap_at_two(self, alpha):

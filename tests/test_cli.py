@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from fracalc import (
+    DomainError,
     Polynomial,
+    alpha_sweep,
     average_indicator,
     caputo_poly,
     caputo_series,
@@ -13,6 +15,7 @@ from fracalc import (
     ingest_csv,
     marginal_indicator,
     t_indicator,
+    t_indicator_time,
 )
 from fracalc.cli import _parse_alpha_spec, main
 
@@ -234,6 +237,15 @@ class TestDerivCommand:
         assert code == 1
         assert out == "" and "DomainError" in err
 
+    def test_polynomial_needs_time(self, capsys):
+        code, out, err = run_cli(capsys, "deriv", "--coeffs", "0,0,1", "--alpha", "0.5")
+        assert (code, out, err) == (1, "", "error: DomainError: polynomial input needs an explicit --T\n")
+
+    def test_order_zero_at_time_zero_is_evaluation(self, capsys):
+        # Order 0 is plain evaluation, defined at T = 0 as in `sweep`.
+        code, out, err = run_cli(capsys, "deriv", "--coeffs", "0,0,1", "--alpha", "0", "--T", "0")
+        assert (code, out, err) == (0, "alpha,value\n0.0,0.0\n", "")
+
 
 class TestAlphaSpec:
     def test_decimal_range_has_no_float_noise(self, capsys):
@@ -406,6 +418,34 @@ class TestErrorMapping:
         code, _, err = run_cli(capsys, "sweep", "--demo", "fig1", "--alpha", "1:0:0.5")
         assert code == 1
         assert "DomainError" in err
+
+
+class TestOneTimeCheck:
+    """A polynomial's evaluation time is checked in one place, with one message."""
+
+    LIBRARY = {
+        "caputo_poly": lambda pair, T: caputo_poly(pair.y, 0.5, T),
+        "t_indicator": lambda pair, T: t_indicator(pair, 0.5, T),
+        "alpha_sweep": lambda pair, T: alpha_sweep(pair, [0.5], T),
+        "t_indicator_time": lambda pair, T: t_indicator_time(pair.y, 0.5, T),
+    }
+    CLI = {
+        "deriv": ("deriv", "--coeffs", "1400,-3,0.01"),
+        "indicator": ("indicator", "--demo", "fig1"),
+        "sweep": ("sweep", "--demo", "fig1"),
+    }
+
+    @pytest.mark.parametrize("T", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("entry", [*LIBRARY, *CLI])
+    def test_bad_time_has_one_message(self, capsys, fig1, entry, T):
+        want = f"end time must be finite and > 0, got T={float(T)!r}"
+        if entry in self.LIBRARY:
+            with pytest.raises(DomainError) as exc:
+                self.LIBRARY[entry](fig1.pair(), float(T))
+            assert str(exc.value) == want
+        else:
+            code, out, err = run_cli(capsys, *self.CLI[entry], "--alpha", "0.5", "--T", T)
+            assert (code, out, err) == (1, "", f"error: DomainError: {want}\n")
 
 
 class TestCheckCommand:

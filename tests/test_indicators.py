@@ -20,7 +20,7 @@ from fracalc import (
     t_indicator,
     t_indicator_time,
 )
-from oracle import ref_caputo_poly, rel_err
+from oracle import lin_comb, ref_caputo_poly, rel_err
 
 IDENTITY = Polynomial((0.0, 1.0))
 
@@ -38,12 +38,6 @@ class TestPairValidation:
     def test_grid_mismatch_rejected(self):
         with pytest.raises(GridMismatch):
             IndicatorPair(y=sample(IDENTITY, 1.0, 8), x=sample(IDENTITY, 1.0, 16))
-
-    def test_kind_and_t_end(self, fig1):
-        assert fig1.pair().kind == "polynomial"
-        assert fig1.pair().t_end is None
-        sp = fig1.sampled_pair(100)
-        assert sp.kind == "sampled" and math.isclose(sp.t_end, 200.0)
 
 
 class TestAverageIndicator:
@@ -84,7 +78,7 @@ class TestMarginalIndicator:
 
     def test_proportional_dependence(self):
         x = Polynomial((1.0, 2.0, 0.5))
-        pair = IndicatorPair(y=3.0 * x, x=x)
+        pair = IndicatorPair(y=Polynomial(lin_comb((3.0, x.coeffs))), x=x)
         assert rel_err(marginal_indicator(pair, 2.0), 3.0) <= 1e-12
 
     def test_sampled_matches_exact(self, fig1):
@@ -140,15 +134,15 @@ class TestTIndicator:
         x = Polynomial((0.0, 1.0, 1.0))
         y = Polynomial((0.0, 2.0, 0.0, 1.0))
         base = t_indicator(IndicatorPair(y=y, x=x), alpha, 3.0)
-        scaled_y = t_indicator(IndicatorPair(y=c * y, x=x), alpha, 3.0)
-        scaled_x = t_indicator(IndicatorPair(y=y, x=c * x), alpha, 3.0)
+        scaled_y = t_indicator(IndicatorPair(y=Polynomial(lin_comb((c, y.coeffs))), x=x), alpha, 3.0)
+        scaled_x = t_indicator(IndicatorPair(y=y, x=Polynomial(lin_comb((c, x.coeffs)))), alpha, 3.0)
         assert rel_err(scaled_y, c * base) <= 1e-12
         assert rel_err(scaled_x, base / c) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0, 1.5])
     def test_proportional_processes(self, alpha):
         x = Polynomial((0.0, 1.0, 2.0, 1.0))
-        pair = IndicatorPair(y=2.5 * x, x=x)
+        pair = IndicatorPair(y=Polynomial(lin_comb((2.5, x.coeffs))), x=x)
         assert rel_err(t_indicator(pair, alpha, 1.5), 2.5) <= 1e-12
 
 
@@ -182,6 +176,11 @@ class TestTIndicatorTime:
     def test_order_cap(self, fig1, alpha):
         with pytest.raises(DomainError):
             t_indicator_time(fig1.y, alpha, 100.0)
+
+    def test_order_zero_at_time_zero_rejected(self, fig1):
+        # Order 0 is defined at T = 0, but the prefactor T^(alpha-1) is not.
+        with pytest.raises(DomainError, match=r"end time must be finite and > 0, got T=0\.0"):
+            t_indicator_time(fig1.y, 0.0, 0.0)
 
 
 class TestAlphaSweep:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracalc import SampledSeries, _kernels
-from fracalc.caputo import caputo_series_orders
+from fracalc.caputo import _derivatives
 
 
 def brute_pairs(x, y, x_tol, y_tol):
@@ -148,11 +148,11 @@ class TestL1WeightedSum:
         old = _kernels._L1_BLOCK
         _kernels._L1_BLOCK = size
         try:
-            got = caputo_series_orders(pair, orders)
+            got, *_ = _derivatives(pair, orders)
         finally:
             _kernels._L1_BLOCK = old
-        for a, row in zip(orders, got):
-            for s, value in zip(pair, row):
+        for a, column in zip(orders, got.T.tolist()):
+            for s, value in zip(pair, column):
                 if a < 1.0:
                     want = full_length_l1(s.values, a, h)
                 else:

@@ -54,7 +54,7 @@ class TestDemoProcess:
 
     def test_sampled_pair_takes_a_horizon(self, fig1):
         pair = fig1.sampled_pair(100, 350.0)
-        assert (fig1.sampled_pair(100).t_end, pair.t_end) == (200.0, 350.0)
+        assert (fig1.sampled_pair(100).y.t_end, pair.y.t_end) == (200.0, 350.0)
         np.testing.assert_array_equal(pair.y.values, sample(fig1.y, 350.0, 100).values)
 
 
@@ -85,7 +85,7 @@ class TestIngestCsv:
 
     def test_minimal_file(self, tmp_path):
         pair = ingest_csv(self.write(tmp_path, "t,x,y\n0,1,2\n1,2,4\n2,3,6\n"))
-        assert pair.kind == "sampled"
+        assert isinstance(pair.x, SampledSeries) and isinstance(pair.y, SampledSeries)
         assert pair.x.h == 1.0
         np.testing.assert_array_equal(pair.x.values, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(pair.y.values, [2.0, 4.0, 6.0])
