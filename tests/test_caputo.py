@@ -1,9 +1,8 @@
 import math
-import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracalc import (
@@ -158,15 +157,20 @@ class TestCaputoPoly:
 
     @given(coeff_lists, st.one_of(st.floats(0.0, 7.5), st.integers(0, 7).map(float)),
            st.floats(0.1, 10.0))
+    @example([0.0, 0.0, 2.2250738585e-313], 0.0, 2.25)
+    @example([0.0, 0.0, 1.5e-323], 0.5, 10.0)
+    @example([0.0, 0.0, 0.0, 0.0, 0.0, 3.5e-323], 2.5, 10.0)
     @settings(deadline=None, max_examples=200)
     def test_against_oracle(self, cs, alpha, T):
         got = caputo_poly(Polynomial(tuple(cs)), alpha, T)
         want = ref_caputo_poly(cs, alpha, T)
-        # Relative to the cancellation-free magnitude, sum of |terms|.  Below
-        # the smallest normal double a result keeps fewer significant bits
-        # (1e-13 * scale itself can underflow to 0), so that is the floor.
+        # Relative to the cancellation-free magnitude, sum of |terms|.  That
+        # bound underflows for subnormal results, where each rounding loses up
+        # to half a subnormal step outright and later products by T scale the
+        # loss by at most max(1, T)**degree: at most two roundings per term.
         scale = ref_caputo_poly([abs(c) for c in cs], alpha, T)
-        assert abs(got - want) <= 1e-13 * scale + sys.float_info.min
+        floor = len(cs) * math.ulp(0.0) * max(1.0, T) ** (len(cs) - 1)
+        assert abs(got - want) <= 1e-13 * scale + floor
 
     def test_square_half_order(self):
         # Gamma(3)/Gamma(2.5) at T=1, frozen from the mpmath oracle.
