@@ -20,8 +20,6 @@ from .errors import (
 )
 from .indicators import (
     IndicatorPair,
-    SweepEntry,
-    SweepResult,
     alpha_sweep,
     average_indicator,
     detect_multivalued,
@@ -39,8 +37,6 @@ __all__ = [
     "Polynomial",
     "SampledSeries",
     "IndicatorPair",
-    "SweepEntry",
-    "SweepResult",
     "DemoId",
     "DemoProcess",
     # derivative engines

@@ -13,7 +13,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .errors import DomainError, FracalcError
 from .indicators import _ratios, alpha_sweep, detect_multivalued
 from .series import demo_process, ingest_csv, sample
 
-__all__ = ["RunConfig", "build_parser", "run", "main"]
+__all__ = ["build_parser", "main"]
 
 _DEFAULT_N = 2000
 
@@ -40,26 +39,6 @@ _MAX_RANGE_DECIMALS = 400
 # A float literal once underscores are dropped: sign, the digits before and
 # after the point, exponent.
 _DECIMAL = re.compile(r"([+-]?)(\d*)\.?(\d*)(?:[eE]([+-]?\d+))?")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation parameters for one CLI run."""
-
-    command: str
-    input: str | None = None
-    engine: str | None = None
-    alphas: tuple[float, ...] = ()
-    alpha_raw: str | None = None
-    T: float | None = None
-    n: int = _DEFAULT_N
-    output: str | None = None
-    format: str = "csv"
-    coeffs: tuple[float, ...] | None = None
-    column: str = "y"
-    demo: str | None = None
-    x_tol: float | None = None
-    y_tol: float | None = None
 
 
 def _fmt(x: float) -> str:
@@ -144,14 +123,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--coeffs", metavar="C0,C1,...", help="polynomial coefficients, low order first")
     p.add_argument("--column", choices=("x", "y"), default="y", help="CSV column to differentiate")
+    p.set_defaults(run=_run_deriv)
 
     p = sub.add_parser("indicator", help="average, marginal, and order-alpha indicator at T")
     add_io(p)
     p.add_argument("--demo", choices=("fig1", "fig2"), help="use a built-in demo pair")
+    p.set_defaults(run=_run_indicator)
 
     p = sub.add_parser("sweep", help="indicator across a range of orders")
     add_io(p)
     p.add_argument("--demo", choices=("fig1", "fig2"), help="use a built-in demo pair")
+    p.set_defaults(run=_run_sweep)
 
     p = sub.add_parser("demo", help="emit a demo curve (X(t), Y(t)) plus a multivaluedness report")
     p.add_argument("which", choices=("fig1", "fig2"))
@@ -160,31 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="factor match tolerance (default: one grid cell of X variation)")
     p.add_argument("--y-tol", type=float, dest="y_tol",
                    help="indicator difference threshold (default: 10 grid cells of Y variation)")
+    # No --engine here, but the JSON params name one.
+    p.set_defaults(run=_run_demo, engine=None)
 
     p = sub.add_parser("check", help="run the built-in verification suite")
     p.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
+    p.set_defaults(run=_run_check)
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    alpha_raw = getattr(args, "alpha", None)
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        engine=getattr(args, "engine", None),
-        alphas=_parse_alpha_spec(alpha_raw) if alpha_raw else (),
-        alpha_raw=alpha_raw,
-        T=getattr(args, "T", None),
-        n=getattr(args, "N", _DEFAULT_N),
-        output=getattr(args, "output", None),
-        format=getattr(args, "format", "csv"),
-        coeffs=_parse_coeffs(args.coeffs) if getattr(args, "coeffs", None) else None,
-        column=getattr(args, "column", "y"),
-        demo=getattr(args, "demo", None) or getattr(args, "which", None),
-        x_tol=getattr(args, "x_tol", None),
-        y_tol=getattr(args, "y_tol", None),
-    )
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -202,135 +167,119 @@ def _report(text: str, data_went_to_file: bool) -> None:
     stream.write(text)
 
 
-def _json_doc(command: str, params: dict, body: dict) -> str:
-    return json.dumps({"command": command, "params": params, **body}, indent=2) + "\n"
+def _json_doc(args: argparse.Namespace, body: dict) -> str:
+    params = {
+        "engine": args.engine,
+        "alpha": args.alpha,
+        "T": args.T,
+        "N": args.N,
+        "input": args.input,
+        "demo": getattr(args, "demo", None) or getattr(args, "which", None),
+        "format": args.format,
+    }
+    return json.dumps({"command": args.command, "params": params, **body}, indent=2) + "\n"
 
 
 def _csv_doc(header: str, rows: list[str]) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-def _emit_results(config: RunConfig, header: str, line, rows: list[dict]) -> None:
-    """Write result rows as one JSON document or as CSV lines ``line(row)``.
+def _emit_results(args: argparse.Namespace, alphas, values, kinds=None) -> None:
+    """Write one row per order: ``alpha,value`` CSV lines or one JSON document.
 
     Every result reaches the data stream here, so this is where a non-finite
     value, which is not a number in CSV and invalid in RFC 8259 JSON, is
-    refused.  A degenerate row carries no value.
+    refused.  A degenerate order has the value None: an empty CSV cell, a
+    JSON null marked degenerate.  ``kinds``, when given, names each row and
+    comes first in it.
     """
-    for r in rows:
-        if r["value"] is not None and not math.isfinite(r["value"]):
-            raise DomainError(f"result at alpha={r['alpha']!r} is not finite: {r['value']!r}")
-    if config.format == "json":
-        text = _json_doc(config.command, _base_params(config), {"results": rows})
+    for a, v in zip(alphas, values):
+        if v is not None and not math.isfinite(v):
+            raise DomainError(f"result at alpha={a!r} is not finite: {v!r}")
+    if args.format == "json":
+        rows = [{"alpha": a, "value": v, "degenerate": v is None} for a, v in zip(alphas, values)]
+        if kinds is not None:
+            rows = [{"kind": k, **r} for k, r in zip(kinds, rows)]
+        text = _json_doc(args, {"results": rows})
     else:
-        text = _csv_doc(header, [line(r) for r in rows])
-    _emit(text, config.output)
+        lines = [f"{_fmt(a)},{'' if v is None else _fmt(v)}" for a, v in zip(alphas, values)]
+        if kinds is not None:
+            lines = [f"{k},{line}" for k, line in zip(kinds, lines)]
+        text = _csv_doc("alpha,value" if kinds is None else "kind,alpha,value", lines)
+    _emit(text, args.output)
 
 
-def _base_params(config: RunConfig) -> dict:
-    return {
-        "engine": config.engine,
-        "alpha": config.alpha_raw,
-        "T": config.T,
-        "N": config.n,
-        "input": config.input,
-        "demo": config.demo,
-        "format": config.format,
-    }
-
-
-def _require_single_alpha(config: RunConfig) -> float:
-    if len(config.alphas) != 1:
-        raise DomainError("this command takes a single --alpha value")
-    return config.alphas[0]
-
-
-def _load_pair(config: RunConfig):
+def _load_pair(args: argparse.Namespace):
     """Build the indicator pair plus the T to evaluate at (None = series end)."""
-    if config.input and config.demo:
+    if args.input and args.demo:
         raise DomainError("give --input or --demo, not both")
-    if config.input:
-        if config.engine == "analytic":
+    if args.input:
+        if args.engine == "analytic":
             raise DomainError("CSV input is sampled data; use the numeric engine")
-        return ingest_csv(config.input), config.T
-    if config.demo:
-        d = demo_process(config.demo)
-        if config.engine == "numeric":
+        return ingest_csv(args.input), args.T
+    if args.demo:
+        d = demo_process(args.demo)
+        if args.engine == "numeric":
             # Sample over [0, T] directly so any positive T works.
-            return d.sampled_pair(config.n, config.T), None
-        return d.pair(), config.T if config.T is not None else d.t_end
+            return d.sampled_pair(args.N, args.T), None
+        return d.pair(), args.T if args.T is not None else d.t_end
     raise DomainError("need --input PATH or --demo fig1|fig2")
 
 
-def _run_deriv(config: RunConfig) -> int:
-    if not config.alphas:
+def _run_deriv(args: argparse.Namespace) -> int:
+    coeffs = _parse_coeffs(args.coeffs) if args.coeffs else None
+    if not args.alphas:
         raise DomainError("deriv needs --alpha")
-    if config.coeffs is not None and config.input:
+    if coeffs is not None and args.input:
         raise DomainError("give --coeffs or --input, not both")
-    T = config.T
-    if config.coeffs is not None:
-        f = Polynomial(config.coeffs)
+    T = args.T
+    if coeffs is not None:
+        f = Polynomial(coeffs)
         if T is None:
             raise DomainError("polynomial input needs an explicit --T")
-        if config.engine == "numeric":
+        if args.engine == "numeric":
             # Sampled on [0, T], so the derivative is taken at the series end.
-            f, T = sample(f, T, config.n), None
-    elif config.input:
-        if config.engine == "analytic":
+            f, T = sample(f, T, args.N), None
+    elif args.input:
+        if args.engine == "analytic":
             raise DomainError("analytic engine needs --coeffs")
-        pair = ingest_csv(config.input)
-        f = pair.x if config.column == "x" else pair.y
+        pair = ingest_csv(args.input)
+        f = pair.x if args.column == "x" else pair.y
     else:
         raise DomainError("need --coeffs or --input")
-    (values,), *_ = _derivatives([f], config.alphas, T)
-
-    rows = [{"alpha": a, "value": v, "degenerate": False} for a, v in zip(config.alphas, values.tolist())]
-    _emit_results(config, "alpha,value", lambda r: f"{_fmt(r['alpha'])},{_fmt(r['value'])}", rows)
+    (values,), *_ = _derivatives([f], args.alphas, T)
+    _emit_results(args, args.alphas, values.tolist())
     return 0
 
 
-def _run_indicator(config: RunConfig) -> int:
-    a = _require_single_alpha(config)
-    pair, T = _load_pair(config)
-    alphas = (0.0, 1.0, a)
-    rows = [
-        {"kind": kind, "alpha": alpha, "value": value, "degenerate": False}
-        for kind, alpha, value in zip(("average", "marginal", "t_indicator"), alphas, _ratios(pair, alphas, T))
-    ]
-    _emit_results(
-        config, "kind,alpha,value", lambda r: f"{r['kind']},{_fmt(r['alpha'])},{_fmt(r['value'])}", rows
-    )
+def _run_indicator(args: argparse.Namespace) -> int:
+    if len(args.alphas) != 1:
+        raise DomainError("this command takes a single --alpha value")
+    pair, T = _load_pair(args)
+    alphas = (0.0, 1.0, args.alphas[0])
+    _emit_results(args, alphas, _ratios(pair, alphas, T), kinds=("average", "marginal", "t_indicator"))
     return 0
 
 
-def _run_sweep(config: RunConfig) -> int:
-    if not config.alphas:
+def _run_sweep(args: argparse.Namespace) -> int:
+    if not args.alphas:
         raise DomainError("sweep needs --alpha (a value or START:STOP:STEP)")
-    pair, T = _load_pair(config)
-    result = alpha_sweep(pair, config.alphas, T)
-    rows = [
-        {"alpha": e.alpha, "value": e.value, "degenerate": e.degenerate} for e in result
-    ]
-    _emit_results(
-        config,
-        "alpha,value",
-        lambda r: f"{_fmt(r['alpha'])}," if r["degenerate"] else f"{_fmt(r['alpha'])},{_fmt(r['value'])}",
-        rows,
-    )
+    pair, T = _load_pair(args)
+    _emit_results(args, args.alphas, alpha_sweep(pair, args.alphas, T))
     return 0
 
 
-def _run_demo(config: RunConfig) -> int:
-    d = demo_process(config.demo)
-    xs = sample(d.x, d.t_end, config.n)
-    ys = sample(d.y, d.t_end, config.n)
-    x_tol = config.x_tol if config.x_tol is not None else _grid_tol(xs, 1.0)
-    y_tol = config.y_tol if config.y_tol is not None else _grid_tol(ys, 10.0)
+def _run_demo(args: argparse.Namespace) -> int:
+    d = demo_process(args.which)
+    xs = sample(d.x, d.t_end, args.N)
+    ys = sample(d.y, d.t_end, args.N)
+    x_tol = args.x_tol if args.x_tol is not None else _grid_tol(xs, 1.0)
+    y_tol = args.y_tol if args.y_tol is not None else _grid_tol(ys, 10.0)
     t1, t2 = detect_multivalued(xs, ys, x_tol, y_tol)
 
     # No finiteness check here: SampledSeries rejects non-finite samples.
     ts = xs.times()
-    if config.format == "json":
+    if args.format == "json":
         rows = [
             {"t": float(t), "x": float(xv), "y": float(yv)}
             for t, xv, yv in zip(ts.tolist(), xs.values.tolist(), ys.values.tolist())
@@ -344,16 +293,16 @@ def _run_demo(config: RunConfig) -> int:
                 "witnesses": [{"t1": a, "t2": b} for a, b in zip(t1[:10].tolist(), t2[:10].tolist())],
             },
         }
-        text = _json_doc("demo", _base_params(config), body)
+        text = _json_doc(args, body)
     else:
         text = _csv_doc(
             "x,y",
             [f"{_fmt(xv)},{_fmt(yv)}" for xv, yv in zip(xs.values.tolist(), ys.values.tolist())],
         )
-    _emit(text, config.output)
+    _emit(text, args.output)
 
     report = [
-        f"multivalued dependence ({config.demo}): {t1.size} witness pair(s) "
+        f"multivalued dependence ({args.which}): {t1.size} witness pair(s) "
         f"at x_tol={_fmt(x_tol)}, y_tol={_fmt(y_tol)}"
     ]
     if t1.size:
@@ -363,7 +312,7 @@ def _run_demo(config: RunConfig) -> int:
             f"X {_fmt(float(d.x(a)))} ~= {_fmt(float(d.x(b)))} "
             f"but Y {_fmt(float(d.y(a)))} vs {_fmt(float(d.y(b)))}"
         )
-    _report("\n".join(report) + "\n", data_went_to_file=config.output is not None)
+    _report("\n".join(report) + "\n", data_went_to_file=args.output is not None)
     return 0
 
 
@@ -371,28 +320,15 @@ def _grid_tol(series: SampledSeries, cells: float) -> float:
     return cells * float(np.max(np.abs(np.diff(series.values))))
 
 
-def _run_check(config: RunConfig) -> int:
+def _run_check(args: argparse.Namespace) -> int:
     results = run_checks()
     lines = [
         f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
     ]
     n_ok = sum(r.passed for r in results)
     lines.append(f"{n_ok}/{len(results)} checks passed")
-    _emit("\n".join(lines) + "\n", config.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0 if n_ok == len(results) else 1
-
-
-_HANDLERS = {
-    "deriv": _run_deriv,
-    "indicator": _run_indicator,
-    "sweep": _run_sweep,
-    "demo": _run_demo,
-    "check": _run_check,
-}
-
-
-def run(config: RunConfig) -> int:
-    return _HANDLERS[config.command](config)
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
@@ -423,7 +359,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return run(config_from_args(args))
+        # Parsed here, not by argparse's type=, which would turn a
+        # DomainError into a usage error with exit status 2.
+        alpha = getattr(args, "alpha", None)
+        args.alphas = _parse_alpha_spec(alpha) if alpha else ()
+        return args.run(args)
     except (FracalcError, OSError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1

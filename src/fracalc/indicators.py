@@ -25,8 +25,6 @@ from .errors import DenominatorNearZero, DomainError, EmptySweep, GridMismatch
 
 __all__ = [
     "IndicatorPair",
-    "SweepEntry",
-    "SweepResult",
     "average_indicator",
     "marginal_indicator",
     "t_indicator",
@@ -65,27 +63,6 @@ class IndicatorPair:
                 )
             return
         raise DomainError("indicator and factor must share one representation kind")
-
-
-@dataclass(frozen=True)
-class SweepEntry:
-    alpha: float
-    value: float | None
-    degenerate: bool
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Indicator values across orders; degenerate entries carry no value."""
-
-    entries: tuple[SweepEntry, ...]
-    t_end: float
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def _scale_base(x, n: int, T: float) -> float:
@@ -187,11 +164,11 @@ def t_indicator_time(y: Polynomial | SampledSeries, alpha: float, T: float | Non
     return math.gamma(2.0 - a) * T ** (a - 1.0) * d.item()
 
 
-def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> SweepResult:
-    """Evaluate the T-indicator across orders, isolating degenerate entries.
+def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> list[float | None]:
+    """The T-indicator at every order of ``alphas``, None where degenerate.
 
-    A near-zero factor derivative at one order marks that entry degenerate
-    instead of aborting the sweep; every other error propagates.
+    A near-zero factor derivative at one order gives None there instead of
+    aborting the sweep; every other error propagates.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
@@ -200,11 +177,7 @@ def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> SweepRes
         raise DomainError("orders must be strictly increasing")
     num, den, scales = _evaluate(pair, alphas, T)
     degenerate = _degenerate(den, scales)
-    entries = tuple(
-        SweepEntry(a, None, True) if flag else SweepEntry(a, num_a / den_a, False)
-        for a, num_a, den_a, flag in zip(alphas, num.tolist(), den.tolist(), degenerate.tolist())
-    )
-    return SweepResult(entries, float(T) if T is not None else pair.y.t_end)
+    return [None if flag else n / d for n, d, flag in zip(num.tolist(), den.tolist(), degenerate.tolist())]
 
 
 def detect_multivalued(

@@ -99,7 +99,7 @@ def sample(p: Polynomial, t_end: float, n: int) -> SampledSeries:
     """
     t_end = float(t_end)
     if not (math.isfinite(t_end) and t_end > 0.0):
-        raise DomainError(f"t_end must be finite and > 0, got {t_end!r}")
+        raise DomainError(f"end time must be finite and > 0, got T={t_end!r}")
     n = int(n)
     if n < 2:
         raise DomainError(f"need n >= 2 sampling steps, got {n}")

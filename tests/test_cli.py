@@ -14,6 +14,7 @@ from fracalc import (
     export_csv,
     ingest_csv,
     marginal_indicator,
+    sample,
     t_indicator,
     t_indicator_time,
 )
@@ -421,18 +422,23 @@ class TestErrorMapping:
 
 
 class TestOneTimeCheck:
-    """A polynomial's evaluation time is checked in one place, with one message."""
+    """A bad evaluation time has one message, on either engine."""
 
     LIBRARY = {
         "caputo_poly": lambda pair, T: caputo_poly(pair.y, 0.5, T),
         "t_indicator": lambda pair, T: t_indicator(pair, 0.5, T),
         "alpha_sweep": lambda pair, T: alpha_sweep(pair, [0.5], T),
         "t_indicator_time": lambda pair, T: t_indicator_time(pair.y, 0.5, T),
+        "sample": lambda pair, T: sample(pair.y, T, 2000),
     }
     CLI = {
         "deriv": ("deriv", "--coeffs", "1400,-3,0.01"),
         "indicator": ("indicator", "--demo", "fig1"),
         "sweep": ("sweep", "--demo", "fig1"),
+        # The numeric engine samples the polynomial on [0, T] first.
+        "deriv-numeric": ("deriv", "--coeffs", "1400,-3,0.01", "--engine", "numeric"),
+        "indicator-numeric": ("indicator", "--demo", "fig1", "--engine", "numeric"),
+        "sweep-numeric": ("sweep", "--demo", "fig1", "--engine", "numeric"),
     }
 
     @pytest.mark.parametrize("T", ["0", "-1", "nan", "inf"])
@@ -446,6 +452,70 @@ class TestOneTimeCheck:
         else:
             code, out, err = run_cli(capsys, *self.CLI[entry], "--alpha", "0.5", "--T", T)
             assert (code, out, err) == (1, "", f"error: DomainError: {want}\n")
+
+
+class TestOutputBytes:
+    """The result layouts of `sweep`, `indicator` and `deriv`, byte for byte.
+
+    Values that depend on the platform's libm come from the library, so the
+    comparison pins the layout: header, cell order, empty cells, JSON keys,
+    their order and the indentation.
+    """
+
+    @pytest.fixture
+    def flat(self, tmp_path, monkeypatch):
+        # Constant factor, as in TestSweepCommand: every positive order is
+        # degenerate.  A relative path keeps the JSON params fixed.
+        monkeypatch.chdir(tmp_path)
+        lines = ["t,x,y"] + [f"{t},5.0,{t * t}" for t in range(6)]
+        (tmp_path / "flat.csv").write_text("\n".join(lines) + "\n")
+        return "flat.csv"
+
+    def test_sweep_csv(self, capsys, flat):
+        got = run_cli(capsys, "sweep", "--input", flat, "--alpha", "0:1:0.5")
+        assert got == (0, "alpha,value\n0.0,5.0\n0.5,\n1.0,\n", "")
+
+    def test_sweep_json(self, capsys, flat):
+        got = run_cli(capsys, "sweep", "--input", flat, "--alpha", "0:1:0.5", "--format", "json")
+        row = '    {{\n      "alpha": {},\n      "value": {},\n      "degenerate": {}\n    }}'
+        want = (
+            '{\n  "command": "sweep",\n  "params": {\n    "engine": null,\n'
+            '    "alpha": "0:1:0.5",\n    "T": null,\n    "N": 2000,\n'
+            '    "input": "flat.csv",\n    "demo": null,\n    "format": "json"\n  },\n'
+            '  "results": [\n'
+            + ",\n".join([row.format("0.0", "5.0", "false"), row.format("0.5", "null", "true"),
+                          row.format("1.0", "null", "true")])
+            + "\n  ]\n}\n"
+        )
+        assert got == (0, want, "")
+
+    def test_indicator_json(self, capsys, fig1):
+        got = run_cli(capsys, "indicator", "--demo", "fig1", "--alpha", "0.5", "--T", "200", "--format", "json")
+        pair = fig1.pair()
+        rows = [
+            ("average", 0.0, average_indicator(pair, 200.0)),
+            ("marginal", 1.0, marginal_indicator(pair, 200.0)),
+            ("t_indicator", 0.5, t_indicator(pair, 0.5, 200.0)),
+        ]
+        want = (
+            '{\n  "command": "indicator",\n  "params": {\n    "engine": null,\n'
+            '    "alpha": "0.5",\n    "T": 200.0,\n    "N": 2000,\n'
+            '    "input": null,\n    "demo": "fig1",\n    "format": "json"\n  },\n'
+            '  "results": [\n'
+            + ",\n".join(
+                f'    {{\n      "kind": "{kind}",\n      "alpha": {alpha!r},\n'
+                f'      "value": {value!r},\n      "degenerate": false\n    }}'
+                for kind, alpha, value in rows
+            )
+            + "\n  ]\n}\n"
+        )
+        assert got == (0, want, "")
+
+    def test_deriv_csv(self, capsys):
+        got = run_cli(capsys, "deriv", "--coeffs", "0,0,1", "--alpha", "0.25:0.75:0.25", "--T", "1")
+        p = Polynomial((0.0, 0.0, 1.0))
+        want = "alpha,value\n" + "".join(f"{a!r},{caputo_poly(p, a, 1.0)!r}\n" for a in (0.25, 0.5, 0.75))
+        assert got == (0, want, "")
 
 
 class TestCheckCommand:
