@@ -27,7 +27,7 @@ from .indicators import (
     t_indicator,
     t_indicator_time,
 )
-from .series import DemoId, DemoProcess, demo_process, export_csv, ingest_csv, sample
+from .series import DemoProcess, demo_process, export_csv, ingest_csv, sample
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "Polynomial",
     "SampledSeries",
     "IndicatorPair",
-    "DemoId",
     "DemoProcess",
     # derivative engines
     "caputo_poly",

@@ -20,7 +20,7 @@ from .indicators import (
     t_indicator,
     t_indicator_time,
 )
-from .series import DemoId, demo_process, sample
+from .series import demo_process, sample
 
 __all__ = ["CheckResult", "run_checks"]
 
@@ -77,8 +77,8 @@ def _check_constant_annihilation() -> CheckResult:
 def _check_average_degeneration() -> CheckResult:
     rng = np.random.default_rng(7)
     bad = 0
-    for which in (DemoId.FIG1, DemoId.FIG2):
-        demo = demo_process(which)
+    for name in ("fig1", "fig2"):
+        demo = demo_process(name)
         pair = demo.pair()
         for T in rng.uniform(1.0, demo.t_end, 10):
             T = float(T)
@@ -90,7 +90,7 @@ def _check_average_degeneration() -> CheckResult:
 
 
 def _check_marginal_degeneration() -> CheckResult:
-    demo = demo_process(DemoId.FIG1)
+    demo = demo_process("fig1")
     numeric = t_indicator(demo.sampled_pair(20000), 1.0)
     err = _rel(numeric, 5.0)
     pair = demo.pair()
@@ -103,7 +103,7 @@ def _check_marginal_degeneration() -> CheckResult:
 
 
 def _check_time_factor_identity() -> CheckResult:
-    y = demo_process(DemoId.FIG1).y
+    y = demo_process("fig1").y
     T = 100.0
     n = 4096
     ys = sample(y, T, n)
@@ -124,7 +124,7 @@ def _check_time_factor_identity() -> CheckResult:
 
 
 def _check_intermediate_value_oracle() -> CheckResult:
-    v = t_indicator(demo_process(DemoId.FIG1).pair(), 0.5, 200.0)
+    v = t_indicator(demo_process("fig1").pair(), 0.5, 200.0)
     err = abs(v - _FIG1_T_INDICATOR_HALF_200)
     return CheckResult(
         "intermediate_value_oracle",

@@ -20,7 +20,7 @@ from .caputo import Polynomial, SampledSeries, _derivatives
 from .check import run_checks
 from .errors import DomainError, FracalcError
 from .indicators import _ratios, alpha_sweep, detect_multivalued
-from .series import demo_process, ingest_csv, sample
+from .series import _DEMOS, demo_process, ingest_csv, sample
 
 __all__ = ["build_parser", "main"]
 
@@ -108,16 +108,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, with_engine=True):
-        p.add_argument("--input", metavar="PATH", help="CSV file with header t,x,y")
-        if with_engine:
-            p.add_argument("--engine", choices=("analytic", "numeric"))
-        p.add_argument("--alpha", metavar="A|START:STOP:STEP", help="order(s) of differentiation")
-        p.add_argument("--T", type=float, metavar="VALUE", help="evaluation time (default: series end)")
+    def add_common(p):
+        # The flags of every data command, `demo` included.
         p.add_argument("--N", type=int, default=_DEFAULT_N, metavar="VALUE",
                        help=f"sampling resolution (default {_DEFAULT_N})")
         p.add_argument("--output", metavar="PATH", help="write data here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    def add_io(p):
+        p.add_argument("--input", metavar="PATH", help="CSV file with header t,x,y")
+        p.add_argument("--engine", choices=("analytic", "numeric"))
+        p.add_argument("--alpha", metavar="A|START:STOP:STEP", help="order(s) of differentiation")
+        p.add_argument("--T", type=float, metavar="VALUE", help="evaluation time (default: series end)")
+        add_common(p)
 
     p = sub.add_parser("deriv", help="Caputo derivative of one column or polynomial at T")
     add_io(p)
@@ -127,23 +130,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("indicator", help="average, marginal, and order-alpha indicator at T")
     add_io(p)
-    p.add_argument("--demo", choices=("fig1", "fig2"), help="use a built-in demo pair")
+    p.add_argument("--demo", choices=tuple(_DEMOS), help="use a built-in demo pair")
     p.set_defaults(run=_run_indicator)
 
     p = sub.add_parser("sweep", help="indicator across a range of orders")
     add_io(p)
-    p.add_argument("--demo", choices=("fig1", "fig2"), help="use a built-in demo pair")
+    p.add_argument("--demo", choices=tuple(_DEMOS), help="use a built-in demo pair")
     p.set_defaults(run=_run_sweep)
 
     p = sub.add_parser("demo", help="emit a demo curve (X(t), Y(t)) plus a multivaluedness report")
-    p.add_argument("which", choices=("fig1", "fig2"))
-    add_io(p, with_engine=False)
+    p.add_argument("demo", choices=tuple(_DEMOS))
+    add_common(p)
     p.add_argument("--x-tol", type=float, dest="x_tol",
                    help="factor match tolerance (default: one grid cell of X variation)")
     p.add_argument("--y-tol", type=float, dest="y_tol",
                    help="indicator difference threshold (default: 10 grid cells of Y variation)")
-    # No --engine here, but the JSON params name one.
-    p.set_defaults(run=_run_demo, engine=None)
+    p.set_defaults(run=_run_demo)
 
     p = sub.add_parser("check", help="run the built-in verification suite")
     p.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
@@ -168,15 +170,8 @@ def _report(text: str, data_went_to_file: bool) -> None:
 
 
 def _json_doc(args: argparse.Namespace, body: dict) -> str:
-    params = {
-        "engine": args.engine,
-        "alpha": args.alpha,
-        "T": args.T,
-        "N": args.N,
-        "input": args.input,
-        "demo": getattr(args, "demo", None) or getattr(args, "which", None),
-        "format": args.format,
-    }
+    # `demo` has no --engine, --alpha, --T or --input; they read as null.
+    params = {k: getattr(args, k, None) for k in ("engine", "alpha", "T", "N", "input", "demo", "format")}
     return json.dumps({"command": args.command, "params": params, **body}, indent=2) + "\n"
 
 
@@ -211,26 +206,26 @@ def _emit_results(args: argparse.Namespace, alphas, values, kinds=None) -> None:
 
 def _load_pair(args: argparse.Namespace):
     """Build the indicator pair plus the T to evaluate at (None = series end)."""
-    if args.input and args.demo:
+    if args.input is not None and args.demo is not None:
         raise DomainError("give --input or --demo, not both")
-    if args.input:
+    if args.input is not None:
         if args.engine == "analytic":
             raise DomainError("CSV input is sampled data; use the numeric engine")
         return ingest_csv(args.input), args.T
-    if args.demo:
+    if args.demo is not None:
         d = demo_process(args.demo)
         if args.engine == "numeric":
             # Sample over [0, T] directly so any positive T works.
             return d.sampled_pair(args.N, args.T), None
         return d.pair(), args.T if args.T is not None else d.t_end
-    raise DomainError("need --input PATH or --demo fig1|fig2")
+    raise DomainError(f"need --input PATH or --demo {'|'.join(_DEMOS)}")
 
 
 def _run_deriv(args: argparse.Namespace) -> int:
-    coeffs = _parse_coeffs(args.coeffs) if args.coeffs else None
+    coeffs = _parse_coeffs(args.coeffs) if args.coeffs is not None else None
     if not args.alphas:
         raise DomainError("deriv needs --alpha")
-    if coeffs is not None and args.input:
+    if coeffs is not None and args.input is not None:
         raise DomainError("give --coeffs or --input, not both")
     T = args.T
     if coeffs is not None:
@@ -240,7 +235,7 @@ def _run_deriv(args: argparse.Namespace) -> int:
         if args.engine == "numeric":
             # Sampled on [0, T], so the derivative is taken at the series end.
             f, T = sample(f, T, args.N), None
-    elif args.input:
+    elif args.input is not None:
         if args.engine == "analytic":
             raise DomainError("analytic engine needs --coeffs")
         pair = ingest_csv(args.input)
@@ -270,7 +265,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_demo(args: argparse.Namespace) -> int:
-    d = demo_process(args.which)
+    d = demo_process(args.demo)
     xs = sample(d.x, d.t_end, args.N)
     ys = sample(d.y, d.t_end, args.N)
     x_tol = args.x_tol if args.x_tol is not None else _grid_tol(xs, 1.0)
@@ -302,7 +297,7 @@ def _run_demo(args: argparse.Namespace) -> int:
     _emit(text, args.output)
 
     report = [
-        f"multivalued dependence ({args.which}): {t1.size} witness pair(s) "
+        f"multivalued dependence ({args.demo}): {t1.size} witness pair(s) "
         f"at x_tol={_fmt(x_tol)}, y_tol={_fmt(y_tol)}"
     ]
     if t1.size:
@@ -362,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         # Parsed here, not by argparse's type=, which would turn a
         # DomainError into a usage error with exit status 2.
         alpha = getattr(args, "alpha", None)
-        args.alphas = _parse_alpha_spec(alpha) if alpha else ()
+        args.alphas = _parse_alpha_spec(alpha) if alpha is not None else ()
         return args.run(args)
     except (FracalcError, OSError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

@@ -197,9 +197,6 @@ def detect_multivalued(
     x_tol, y_tol = float(x_tol), float(y_tol)
     if not (math.isfinite(x_tol) and x_tol > 0.0 and math.isfinite(y_tol) and y_tol > 0.0):
         raise DomainError(f"tolerances must be finite and > 0, got x_tol={x_tol!r}, y_tol={y_tol!r}")
-    if x.n_steps != y.n_steps or not math.isclose(x.h, y.h, rel_tol=1e-12):
-        raise GridMismatch(
-            f"series grids differ: (h={x.h!r}, N={x.n_steps}) vs (h={y.h!r}, N={y.n_steps})"
-        )
+    IndicatorPair(y=y, x=x)  # raises GridMismatch unless x and y share one grid
     i, j = multivalued_pairs(x.values, y.values, x_tol, y_tol)
     return i * x.h, j * x.h

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import codecs
-import enum
 import io
 import math
 import warnings
@@ -16,7 +15,6 @@ from .errors import DomainError, InsufficientData, NonUniformGrid, ParseError
 from .indicators import IndicatorPair
 
 __all__ = [
-    "DemoId",
     "DemoProcess",
     "demo_process",
     "sample",
@@ -36,11 +34,6 @@ _SPLITLINES_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 _SCAN_CHUNK = 1 << 20
 
 
-class DemoId(enum.Enum):
-    FIG1 = "fig1"
-    FIG2 = "fig2"
-
-
 @dataclass(frozen=True)
 class DemoProcess:
     """A built-in demonstration process: polynomial factor x and indicator y.
@@ -50,7 +43,6 @@ class DemoProcess:
     though both are single-valued in t.
     """
 
-    id: DemoId
     x: Polynomial
     y: Polynomial
     t_end: float
@@ -65,14 +57,12 @@ class DemoProcess:
 
 
 _DEMOS = {
-    DemoId.FIG1: DemoProcess(
-        id=DemoId.FIG1,
+    "fig1": DemoProcess(
         x=Polynomial((70.0, -0.2, 0.001)),
         y=Polynomial((1400.0, -3.0, 0.01)),
         t_end=200.0,
     ),
-    DemoId.FIG2: DemoProcess(
-        id=DemoId.FIG2,
+    "fig2": DemoProcess(
         x=Polynomial((70.0, -0.58, 5.4e-3, -1.5e-5, 8.2e-9)),
         y=Polynomial((1700.0, -24.0, 0.51, -3.5e-3, 7.5e-6)),
         t_end=240.0,
@@ -80,15 +70,12 @@ _DEMOS = {
 }
 
 
-def demo_process(which: DemoId | str) -> DemoProcess:
-    """Look up a demo process by id or by its name ("fig1"/"fig2")."""
-    if isinstance(which, str):
-        try:
-            which = DemoId(which.lower())
-        except ValueError:
-            names = ", ".join(d.value for d in DemoId)
-            raise DomainError(f"unknown demo process {which!r}; expected one of: {names}")
-    return _DEMOS[which]
+def demo_process(name: str) -> DemoProcess:
+    """Look up a built-in demo process by name, in any case."""
+    try:
+        return _DEMOS[name.lower()]
+    except KeyError:
+        raise DomainError(f"unknown demo process {name!r}; expected one of: {', '.join(_DEMOS)}") from None
 
 
 def sample(p: Polynomial, t_end: float, n: int) -> SampledSeries:

@@ -4,17 +4,17 @@ from pathlib import Path
 import pytest
 
 import fracalc
-from fracalc import DemoId, demo_process
+from fracalc import demo_process
 
 
 @pytest.fixture(scope="session")
 def fig1():
-    return demo_process(DemoId.FIG1)
+    return demo_process("fig1")
 
 
 @pytest.fixture(scope="session")
 def fig2():
-    return demo_process(DemoId.FIG2)
+    return demo_process("fig2")
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +74,17 @@ class TestDemoCommand:
         assert code == 0
         assert target.read_text().startswith("x,y\n70.0,1400.0\n")
         assert "witness pair" in out and err == ""
+
+    @pytest.mark.parametrize(
+        "flag", [("--input", "x.csv"), ("--T", "5"), ("--alpha", "0.5"), ("--engine", "numeric")],
+        ids=lambda flag: flag[0],
+    )
+    def test_rejects_flags_it_does_not_read(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "fig1", "--N", "100", *flag])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"error: unrecognized arguments: {' '.join(flag)}\n" in err
 
 
 class TestSweepCommand:
@@ -420,6 +433,25 @@ class TestErrorMapping:
         assert code == 1
         assert "DomainError" in err
 
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (("indicator", "--input", "", "--demo", "fig1", "--alpha", "0.5"),
+             "DomainError: give --input or --demo, not both"),
+            (("deriv", "--coeffs", "0,1", "--input", "", "--alpha", "0.5", "--T", "1"),
+             "DomainError: give --coeffs or --input, not both"),
+            (("deriv", "--coeffs", "", "--alpha", "0.5", "--T", "1"),
+             "DomainError: --coeffs must be comma-separated numbers, got ''"),
+            (("sweep", "--demo", "fig1", "--alpha", ""),
+             "DomainError: --alpha must be a number or START:STOP:STEP, got ''"),
+            (("sweep", "--input", "", "--alpha", "0.5"),
+             "FileNotFoundError: [Errno 2] No such file or directory: ''"),
+        ],
+        ids=["indicator-input", "deriv-input", "deriv-coeffs", "sweep-alpha", "sweep-input"],
+    )
+    def test_empty_value_counts_as_given(self, capsys, argv, error):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {error}\n")
+
 
 class TestOneTimeCheck:
     """A bad evaluation time has one message, on either engine."""
@@ -455,12 +487,20 @@ class TestOneTimeCheck:
 
 
 class TestOutputBytes:
-    """The result layouts of `sweep`, `indicator` and `deriv`, byte for byte.
+    """The output layouts of `sweep`, `indicator`, `deriv` and `demo`, byte for byte.
 
     Values that depend on the platform's libm come from the library, so the
     comparison pins the layout: header, cell order, empty cells, JSON keys,
-    their order and the indentation.
+    their order and the indentation.  The demo curve at N = 4 is exact in
+    binary, so it is written out.
     """
+
+    DEMO = ("demo", "fig1", "--N", "4", "--x-tol", "1e-9", "--y-tol", "1")
+    DEMO_CSV = "x,y\n70.0,1400.0\n62.5,1275.0\n60.0,1200.0\n62.5,1175.0\n70.0,1200.0\n"
+    DEMO_REPORT = (
+        "multivalued dependence (fig1): 2 witness pair(s) at x_tol=1e-09, y_tol=1.0\n"
+        "  e.g. t1=0.0, t2=200.0: X 70.0 ~= 70.0 but Y 1400.0 vs 1200.0\n"
+    )
 
     @pytest.fixture
     def flat(self, tmp_path, monkeypatch):
@@ -516,6 +556,50 @@ class TestOutputBytes:
         p = Polynomial((0.0, 0.0, 1.0))
         want = "alpha,value\n" + "".join(f"{a!r},{caputo_poly(p, a, 1.0)!r}\n" for a in (0.25, 0.5, 0.75))
         assert got == (0, want, "")
+
+    def test_demo_csv(self, capsys):
+        assert run_cli(capsys, *self.DEMO) == (0, self.DEMO_CSV, self.DEMO_REPORT)
+
+    def test_demo_report_beside_output_file(self, capsys, tmp_path):
+        target = tmp_path / "curve.csv"
+        assert run_cli(capsys, *self.DEMO, "--output", str(target)) == (0, self.DEMO_REPORT, "")
+        assert target.read_bytes() == self.DEMO_CSV.encode()
+
+    def test_demo_json(self, capsys):
+        got = run_cli(capsys, *self.DEMO, "--format", "json")
+        rows = [(0.0, 70.0, 1400.0), (50.0, 62.5, 1275.0), (100.0, 60.0, 1200.0),
+                (150.0, 62.5, 1175.0), (200.0, 70.0, 1200.0)]
+        want = (
+            '{\n  "command": "demo",\n  "params": {\n    "engine": null,\n'
+            '    "alpha": null,\n    "T": null,\n    "N": 4,\n'
+            '    "input": null,\n    "demo": "fig1",\n    "format": "json"\n  },\n'
+            '  "results": [\n'
+            + ",\n".join(
+                f'    {{\n      "t": {t},\n      "x": {x},\n      "y": {y}\n    }}' for t, x, y in rows
+            )
+            + '\n  ],\n  "multivalued": {\n    "count": 2,\n    "x_tol": 1e-09,\n    "y_tol": 1.0,\n'
+            '    "witnesses": [\n'
+            '      {\n        "t1": 0.0,\n        "t2": 200.0\n      },\n'
+            '      {\n        "t1": 50.0,\n        "t2": 150.0\n      }\n'
+            "    ]\n  }\n}\n"
+        )
+        assert got == (0, want, self.DEMO_REPORT)
+
+
+class TestRuntimeDependencies:
+    def test_runs_with_numpy_alone(self, child_env):
+        # pyproject.toml lists numpy as the only run-time dependency; the test
+        # tools are made unimportable in the child.
+        code = (
+            "import sys\n"
+            "sys.modules.update(mpmath=None, hypothesis=None, pytest=None)\n"
+            "from fracalc.cli import main\n"
+            "sys.exit(main(['check']) or main(['demo', 'fig1', '--N', '200']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "7/7 checks passed\n" in proc.stdout and "x,y\n70.0,1400.0\n" in proc.stdout
+        assert proc.stderr.startswith("multivalued dependence (fig1): ")
 
 
 class TestCheckCommand:

@@ -317,7 +317,7 @@ class TestDetectMultivalued:
         assert t1.size == t2.size == 0
 
     def test_grid_mismatch_rejected(self, fig1):
-        with pytest.raises(GridMismatch):
+        with pytest.raises(GridMismatch, match="^indicator and factor grids differ: "):
             detect_multivalued(sample(fig1.x, 200.0, 100), sample(fig1.y, 200.0, 50), 1.0, 1.0)
 
     @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fracalc import (
-    DemoId,
     DomainError,
     FracalcError,
     IndicatorPair,
@@ -44,12 +43,12 @@ class TestDemoProcess:
     def test_fig2_endpoint_values(self, fig2):
         assert fig2.x(0.0) == 70.0 and fig2.y(0.0) == 1700.0
 
-    def test_lookup_by_name(self):
-        assert demo_process("fig1").id is DemoId.FIG1
-        assert demo_process("FIG2").id is DemoId.FIG2
+    def test_lookup_by_name(self, fig1):
+        assert demo_process("Fig1") is fig1
+        assert demo_process("FIG2") is demo_process("fig2")
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^unknown demo process 'fig3'; expected one of: fig1, fig2$"):
             demo_process("fig3")
 
     def test_sampled_pair_takes_a_horizon(self, fig1):
