@@ -16,7 +16,15 @@ _WINDOW_ULPS = 4.0
 # Grid steps per block of the L1 sum: the block's differences, log counts
 # and weight buffers (a few hundred KB) stay in cache across all exponents,
 # and the log of the counts is taken once per block, not once per exponent.
+# Every other pass over the samples (sampling, the ingest grid check, the
+# finiteness check and the degeneracy guard's scale) walks the same blocks,
+# so none of them needs memory that grows with N.
 _L1_BLOCK = 16_384
+
+
+def blocks(size):
+    """(start, stop) of each block of at most ``_L1_BLOCK`` indices, covering range(size) in order."""
+    return ((start, min(start + _L1_BLOCK, size)) for start in range(0, size, _L1_BLOCK))
 
 
 def l1_weighted_sum(rows, exponents):
@@ -53,8 +61,7 @@ def l1_weighted_sum(rows, exponents):
     out = np.zeros((len(exponents), len(rows)))
     size = min(_L1_BLOCK, n) + 1
     power, weight = np.empty(size), np.empty(size - 1)
-    for start in range(0, n, _L1_BLOCK):
-        stop = min(start + _L1_BLOCK, n)
+    for start, stop in blocks(n):
         d = np.stack([np.diff(r[start : stop + 1]) for r in rows])
         top, bottom = n - start, n - stop
         with np.errstate(divide="ignore"):

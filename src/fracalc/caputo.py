@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import l1_weighted_sum
+from ._kernels import blocks, l1_weighted_sum
 from .errors import DomainError, InsufficientData
 
 __all__ = [
@@ -87,6 +87,10 @@ class SampledSeries:
     The derivative's memory window starts at the first sample, which is
     t = 0 by definition; :func:`fracalc.ingest_csv` rejects files whose
     time stamps start elsewhere rather than shifting them.
+
+    float64 values are held as given, not copied: a strided view, such as
+    a column of a parsed table, stays a view.  Other input is converted
+    to float64 once.  The array held is marked read-only.
     """
 
     h: float
@@ -96,12 +100,12 @@ class SampledSeries:
         h = float(self.h)
         if not (math.isfinite(h) and h > 0.0):
             raise DomainError(f"step must be finite and > 0, got h={self.h!r}")
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
+        v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1:
             raise DomainError("values must be one-dimensional")
         if v.shape[0] < 3:
             raise InsufficientData(f"need at least 3 samples (N >= 2), got {v.shape[0]}")
-        if not np.isfinite(v).all():
+        if not all(np.isfinite(v[start:stop]).all() for start, stop in blocks(v.shape[0])):
             raise DomainError("all sample values must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "h", h)

@@ -9,7 +9,6 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -17,10 +16,9 @@ import sys
 import numpy as np
 
 from .caputo import Polynomial, SampledSeries, _derivatives
-from .check import run_checks
 from .errors import DomainError, FracalcError
 from .indicators import _ratios, alpha_sweep, detect_multivalued
-from .series import _DEMOS, demo_process, ingest_csv, sample
+from .series import _DEMOS, _steps, demo_process, ingest_csv, sample
 
 __all__ = ["build_parser", "main"]
 
@@ -101,12 +99,26 @@ def _parse_coeffs(text: str) -> tuple[float, ...]:
         raise DomainError(f"--coeffs must be comma-separated numbers, got {text!r}")
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports arguments it does not take itself.
+
+    argparse hands a subcommand's unrecognized arguments up to the top-level
+    parser, whose usage line lists only the command names.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracalc",
         description="Caputo fractional derivatives and memory-aware economic indicators.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def add_common(p):
         # The flags of every data command, `demo` included.
@@ -170,6 +182,8 @@ def _report(text: str, data_went_to_file: bool) -> None:
 
 
 def _json_doc(args: argparse.Namespace, body: dict) -> str:
+    import json  # only --format json needs it
+
     # `demo` has no --engine, --alpha, --T or --input; they read as null.
     params = {k: getattr(args, k, None) for k in ("engine", "alpha", "T", "N", "input", "demo", "format")}
     return json.dumps({"command": args.command, "params": params, **body}, indent=2) + "\n"
@@ -316,6 +330,8 @@ def _grid_tol(series: SampledSeries, cells: float) -> float:
 
 
 def _run_check(args: argparse.Namespace) -> int:
+    from .check import run_checks  # only `check` needs the suite
+
     results = run_checks()
     lines = [
         f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
@@ -358,6 +374,9 @@ def main(argv: list[str] | None = None) -> int:
         # DomainError into a usage error with exit status 2.
         alpha = getattr(args, "alpha", None)
         args.alphas = _parse_alpha_spec(alpha) if alpha is not None else ()
+        if hasattr(args, "N"):
+            # Checked on every path, also where nothing is sampled.
+            _steps(args.N)
         return args.run(args)
     except (FracalcError, OSError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

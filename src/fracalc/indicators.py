@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import multivalued_pairs
+from ._kernels import blocks, multivalued_pairs
 from .caputo import Polynomial, SampledSeries, _derivative, _derivatives, _map
 from .errors import DenominatorNearZero, DomainError, EmptySweep, GridMismatch
 
@@ -69,15 +69,23 @@ def _scale_base(x, n: int, T: float) -> float:
     """max|x^(n)| on [0, T]: the order-independent part of the guard scale.
 
     Polynomials are probed on a fixed grid; sampled series use the n-th
-    divided difference (the samples themselves for n = 0).
+    divided difference (the samples themselves for n = 0), taken block by
+    block so that no memory grows with N.  The sampled branch of
+    ``caputo._derivatives`` admits only orders below 2, so n <= 2 and the
+    difference has at least one entry.
     """
     if isinstance(x, Polynomial):
         q = _derivative(x, n)
         return float(np.max(np.abs(q(np.linspace(0.0, T, _PROBE_POINTS)))))
-    d = x.values
-    for _ in range(n):
-        d = np.diff(d) / x.h
-    return float(np.max(np.abs(d))) if d.size else 0.0
+    v, h = x.values, x.h
+
+    def block_max(start, stop):
+        d = v[start : stop + n]
+        for _ in range(n):
+            d = np.diff(d) / h
+        return np.abs(d).max()
+
+    return float(np.max([block_max(*b) for b in blocks(v.shape[0] - n)]))
 
 
 def _evaluate(pair: IndicatorPair, alphas, T):

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import blocks
 from .caputo import Polynomial, SampledSeries
 from .errors import DomainError, InsufficientData, NonUniformGrid, ParseError
 from .indicators import IndicatorPair
@@ -81,22 +82,31 @@ def demo_process(name: str) -> DemoProcess:
 def sample(p: Polynomial, t_end: float, n: int) -> SampledSeries:
     """Sample a polynomial uniformly: values[k] = p(k * t_end / n), k = 0..n.
 
-    When the n + 1 samples cannot be allocated the result is a DomainError
-    naming n.
+    The samples are computed block by block into the one array returned,
+    so no other memory grows with n.  When the n + 1 samples cannot be
+    allocated the result is a DomainError naming n.
     """
     t_end = float(t_end)
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"end time must be finite and > 0, got T={t_end!r}")
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"need n >= 2 sampling steps, got {n}")
+    n = _steps(n)
     h = t_end / n
     try:
-        values = p(np.arange(n + 1) * h)
+        values = np.empty(n + 1)
     except (MemoryError, ValueError):
         # numpy raises ValueError for sizes beyond its index range.
         raise DomainError(f"N={n} samples do not fit in memory") from None
+    for start, stop in blocks(n + 1):
+        values[start:stop] = p(np.arange(start, stop) * h)
     return SampledSeries(h, values)
+
+
+def _steps(n) -> int:
+    """n as the int number of sampling steps, checked to be at least 2."""
+    n = int(n)
+    if n < 2:
+        raise DomainError(f"need n >= 2 sampling steps, got {n}")
+    return n
 
 
 def _parse_float(cell: str, line: int) -> float:
@@ -118,11 +128,12 @@ def ingest_csv(path) -> IndicatorPair:
     invalid byte raises :class:`ParseError` naming its 1-based line.
 
     ASCII files cost one scan of the bytes and one ``np.loadtxt`` call,
-    whose float parsing dominates; memory is about three float64 columns
-    (24 bytes per row) plus the contiguous copies of x and y.  Other files,
-    and files ``np.loadtxt`` refuses, go through a line-by-line parser that
-    is about twice as slow and holds the whole text and a Python float per
-    cell.  Both give the same arrays and the same errors.
+    whose float parsing dominates.  Memory is the one float64 table it
+    returns, 24 bytes per row: x and y are column views of it, not copies,
+    and the grid check walks t in blocks.  Other files, and files
+    ``np.loadtxt`` refuses, go through a line-by-line parser that is about
+    twice as slow and holds the whole text and a Python float per cell.
+    Both give the same arrays and the same errors.
     """
     with open(path, "rb") as f:
         t, x, y = _read_columns(f)
@@ -135,8 +146,8 @@ def ingest_csv(path) -> IndicatorPair:
         raise NonUniformGrid("time stamps must be strictly increasing")
     if abs(t0) > _GRID_RTOL * h:
         raise DomainError(f"series must start at t = 0, got t0={t0!r}")
-    deltas = np.diff(t)
-    if np.max(np.abs(deltas - h)) > _GRID_RTOL * h:
+    deviation = np.max([np.abs(np.diff(t[start : stop + 1]) - h).max() for start, stop in blocks(n)])
+    if deviation > _GRID_RTOL * h:
         raise NonUniformGrid(f"time deltas deviate from uniform step {h!r} beyond tolerance")
     return IndicatorPair(y=SampledSeries(h, y), x=SampledSeries(h, x))
 

@@ -84,7 +84,9 @@ class TestDemoCommand:
             main(["demo", "fig1", "--N", "100", *flag])
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == ""
-        assert f"error: unrecognized arguments: {' '.join(flag)}\n" in err
+        # The usage line is demo's own, not the top-level list of commands.
+        assert err.startswith("usage: fracalc demo [-h] [--N VALUE]")
+        assert err.endswith(f"\nfracalc demo: error: unrecognized arguments: {' '.join(flag)}\n")
 
 
 class TestSweepCommand:
@@ -428,6 +430,22 @@ class TestErrorMapping:
         assert out == ""
         assert err == f"error: DomainError: N={n} samples do not fit in memory\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("indicator", "--demo", "fig1", "--alpha", "0.5", "--N", "-5"),
+            ("sweep", "--demo", "fig2", "--alpha", "0:1:0.5", "--N", "1"),
+            ("deriv", "--coeffs", "0,0,1", "--alpha", "0.5", "--T", "1", "--N", "0"),
+            ("deriv", "--input", "unread.csv", "--alpha", "0.5", "--N", "1"),
+            ("demo", "fig1", "--N", "1"),
+        ],
+        ids=["indicator-analytic", "sweep-analytic", "deriv-coeffs", "deriv-input", "demo"],
+    )
+    def test_resolution_below_two_fails_on_every_path(self, capsys, argv):
+        # Also where nothing is sampled: --N is checked before any input is read.
+        n = argv[-1]
+        assert run_cli(capsys, *argv) == (1, "", f"error: DomainError: need n >= 2 sampling steps, got {n}\n")
+
     def test_bad_alpha_range_fails(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--demo", "fig1", "--alpha", "1:0:0.5")
         assert code == 1
@@ -600,6 +618,12 @@ class TestRuntimeDependencies:
         assert proc.returncode == 0, proc.stderr
         assert "7/7 checks passed\n" in proc.stdout and "x,y\n70.0,1400.0\n" in proc.stdout
         assert proc.stderr.startswith("multivalued dependence (fig1): ")
+
+    def test_check_suite_and_json_load_on_demand(self, child_env):
+        # Only `check` needs the suite and only --format json the json module.
+        code = "import sys, fracalc.cli\nprint(sorted({'json', 'fracalc.check'} & set(sys.modules)))\n"
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestCheckCommand:

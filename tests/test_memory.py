@@ -1,0 +1,68 @@
+"""Memory contracts: the samples are the only memory that grows with N.
+
+Peaks are measured with ``tracemalloc``, which sees numpy's array buffers
+as well as Python objects.  Every bound is the memory the result itself
+needs plus ``SLACK``: sixteen float64 buffers of one block.  The block is
+shrunk here so that a single full-length temporary of N float64 values
+breaks the bound at sizes that run in a fraction of a second.
+"""
+
+import tracemalloc
+
+import pytest
+
+from fracalc import _kernels, export_csv, ingest_csv, sample
+from fracalc.indicators import _evaluate
+from fracalc.series import _loadtxt_table
+
+BLOCK = 4096
+SLACK = 16 * 8 * BLOCK
+
+
+@pytest.fixture(autouse=True)
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(_kernels, "_L1_BLOCK", BLOCK)
+
+
+def traced_peak(f, *args):
+    """f(*args) and the most memory it held at once beyond what was live before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_sample_holds_only_the_samples(fig1):
+    n = 200_000
+    series, peak = traced_peak(sample, fig1.y, fig1.t_end, n)
+    assert series.values.nbytes == 8 * (n + 1)
+    assert peak <= 8 * (n + 1) + SLACK
+
+
+def test_evaluate_needs_no_memory_that_grows_with_n(fig1):
+    pair = fig1.sampled_pair(200_000)
+    _, peak = traced_peak(_evaluate, pair, [0.0, 0.5, 1.0], None)
+    assert peak <= SLACK
+
+
+def test_ingest_holds_one_table(tmp_path, fig2):
+    # np.loadtxt over-allocates while it parses, so the floor is its own
+    # peak on the same rows, at least the 24 bytes per row of its table.
+    rows = 100_001
+    path = tmp_path / "pair.csv"
+    export_csv(fig2.sampled_pair(rows - 1), path)
+    with open(path, encoding="utf-8") as text:
+        _, floor = traced_peak(_loadtxt_table, text)
+    pair, peak = traced_peak(ingest_csv, path)
+    assert floor >= 24 * rows
+    assert peak <= floor + SLACK
+    # x and y are columns of that one table, not copies of them.
+    assert pair.x.values.base is not None and pair.x.values.base is pair.y.values.base
+    assert not pair.x.values.flags.writeable and not pair.y.values.flags.writeable
