@@ -1,5 +1,7 @@
 """Hot numerical kernels (numpy)."""
 
+import math
+
 import numpy as np
 
 # Candidate pairs are tested in blocks of at most this many, so the memory
@@ -13,13 +15,18 @@ _BLOCK_ELEMENTS = 1_000_000
 # window always contains every match; the exact test then removes the extra.
 _WINDOW_ULPS = 4.0
 
-# Grid steps per block of the L1 sum: the block's differences, log counts
-# and weight buffers (a few hundred KB) stay in cache across all exponents,
-# and the log of the counts is taken once per block, not once per exponent.
-# Every other pass over the samples (sampling, the ingest grid check, the
-# finiteness check and the degeneracy guard's scale) walks the same blocks,
-# so none of them needs memory that grows with N.
+# Grid steps per block of the L1 sum at most: the block's differences, log
+# counts and weight buffers (a few hundred KB) stay in cache while the
+# block's moments are taken.  Every other pass over the samples (sampling,
+# the ingest grid check, the finiteness check, the degeneracy guard's scale
+# and the demo tolerances) walks blocks of the same size, so none of them
+# needs memory that grows with N.
 _L1_BLOCK = 16_384
+
+# The last steps of the grid, whose counts m = N-k are at most this, keep
+# the direct sum of power differences: the expansion needs log(m / top),
+# and log 0 = -inf.  l1_weighted_sum says why 64.
+_NEAR_FIELD = 64
 
 
 def blocks(size):
@@ -27,8 +34,30 @@ def blocks(size):
     return ((start, min(start + _L1_BLOCK, size)) for start in range(0, size, _L1_BLOCK))
 
 
+def _spans(n):
+    """(top, bottom) counts of each expanded block, from n down to the near field.
+
+    A block holds at most ``_L1_BLOCK`` steps and ends at bottom >= 4/5 top,
+    so its span log(top / bottom) is at most log(5/4).
+    """
+    top = n
+    while top > _NEAR_FIELD:
+        bottom = max(_NEAR_FIELD, top - _L1_BLOCK, -(-4 * top // 5))
+        yield top, bottom
+        top = bottom
+
+
+def _terms(span):
+    """Terms Q of the expansion over a span: the least Q with span^Q e^span / Q! <= 2^-53."""
+    q, remainder = 1, span * math.exp(span)
+    while remainder > 2.0**-53:
+        q += 1
+        remainder *= span / q
+    return q
+
+
 def l1_weighted_sum(rows, exponents):
-    """L1 sums of every row at every exponent, in one blocked pass.
+    """L1 sums of every row at every exponent; the pass over the samples serves all exponents.
 
     ``rows`` holds series of equal length N + 1 (a 2-D array or a sequence
     of 1-D arrays).  Entry [i, j] of the returned (len(exponents), len(rows))
@@ -36,43 +65,103 @@ def l1_weighted_sum(rows, exponents):
 
         sum_k ((N-k)^e_i - (N-1-k)^e_i) * (rows[j][k+1] - rows[j][k]),  k = 0..N-1.
 
-    The grid is walked in blocks of ``_L1_BLOCK`` steps.  Per block the rows
-    are differenced once, and the log of the block's counts m = N-k is taken
-    once, relative to its top count M, as log(m/M).  Per exponent, the
-    powers m^e = M^e * exp(e * log(m/M)) and the weights go into two buffers
-    allocated once per call, and one small matvec applies the weights to
-    all rows.  |e * log(m/M)| is small wherever m is large, so each power
-    is within a few ulps there, and the block's two end counts take their
-    power from ``**``, so the weights telescope across blocks as they do
-    within one.  The sums are about as accurate as with ``m**e`` at every
-    count, at half the cost.
+    The exponents must lie in (0, 1], as those of the sampled branch of
+    ``caputo._derivatives`` always do: the number of terms below is fixed
+    for e <= 1, and the last count's power 0^e is 0 only for e > 0.
 
-    The block that ends the grid holds m = 0, whose log is -inf, so its
-    power is exp(-inf) = 0 = 0^e.  That needs e > 0 (at e = 0 the product
-    0 * -inf is nan): the exponents must lie in (0, 1], as those of the
-    sampled branch of ``caputo._derivatives`` always do.  The matvec is
-    ``np.einsum``, not BLAS: it runs on one thread and sums in the same
-    order whichever BLAS numpy links.  Extra memory is O(rows * block),
-    never O(N).  Each exponent's arithmetic is the same whichever other
-    exponents share the call, so its result is too.
+    **Expansion.**  The counts m = N-k from N down to ``_NEAR_FIELD`` are
+    cut into blocks of at most ``_L1_BLOCK`` steps with bottom >= 4/5 top.
+    In a block of K steps from count M = top, let l_j = log(m_j / M), which
+    lies in [-delta, 0] with delta = log(5/4), and d_j the row's step.  With
+    p_j = m_j^e = M^e exp(e l_j) and the step below the block's last point
+    written out,
+
+        sum_j (p_j - p_{j+1}) d_j = M^e sum_{q=1..Q} (e^q / q!) A_q
+                                    + ((bottom+1)^e - bottom^e) d_{K-1},
+        A_q = sum_{j<K-1} (l_j^q - l_{j+1}^q) d_j.
+
+    The moments A_q do not depend on e, so a block costs Q passes over its
+    samples (a power, a difference and a dot product each) for all
+    exponents together, and each exponent then needs only a Horner sum over
+    q.  The l_j are log1p(-j/M), accurate relative to |l_j|.
+
+    **Terms.**  For t <= 0, |exp(t) - T_{Q-1}(t)| <= |t|^Q / Q!, so the
+    truncated weight of step j differs from the true one by at most
+    (e s)^Q e^(e s) / Q! relative, where s = -l_{K-1} is the block's span.
+    Each block takes the least Q that makes this at most 2^-53 at e = 1
+    (``_terms``): up to 12 terms where the span reaches log(5/4), 7 for a
+    block of 16384 steps from count 1e6.  A wider delta would need more
+    terms, a narrower one more blocks; log(5/4) makes the rule bottom =
+    ceil(4 top / 5) exact in integers.  Below count 64 such blocks would
+    hold under 13 steps, each costing more per exponent than the 64 powers
+    of the direct sum there.
+
+    **Exact ends.**  A block's top power M^e comes from ``**`` and is the
+    bottom power of the block above, so the weights telescope across blocks
+    as they do within one, and the last step's weight is
+    bottom^e expm1(e log1p(1/bottom)), free of cancellation.  The last
+    ``_NEAR_FIELD`` steps take their powers from ``**`` too and difference
+    them directly.  The rounding of the l_j and of the dot products makes a
+    weight's relative error grow with the block's length, not with N; the
+    accuracy test in ``tests/test_kernels.py`` derives the bound.
+
+    **Same result for an exponent alone.**  Powers, exp and log of the
+    exponents are taken one exponent at a time, with Python's ``**`` and
+    ``math`` per block and one ``np.power`` call per exponent in the near
+    field: numpy's ``power`` picks its algorithm by the operands' layout and
+    value (an exponent array of one 0.5 against an array of counts becomes a
+    square root), so a call over all exponents would make an exponent's
+    result depend on the others.  The rest is +, * and / on arrays,
+    correctly rounded element by element, and the dot products are
+    ``np.einsum``, not BLAS: one thread, the same summation order whichever
+    BLAS numpy links.
+
+    Cost: about Q <= 12 passes over the N steps, plus O(Q) work per exponent
+    per block and ``_NEAR_FIELD`` powers per exponent.  Extra memory beside
+    the result is O(rows * block), never O(N).
     """
     rows = [np.asarray(r, dtype=np.float64) for r in rows]
+    exponents = [float(x) for x in exponents]
     n = rows[0].shape[0] - 1
-    out = np.zeros((len(exponents), len(rows)))
-    size = min(_L1_BLOCK, n) + 1
-    power, weight = np.empty(size), np.empty(size - 1)
-    for start, stop in blocks(n):
-        d = np.stack([np.diff(r[start : stop + 1]) for r in rows])
-        top, bottom = n - start, n - stop
-        with np.errstate(divide="ignore"):
-            log_ratio = np.log(np.arange(top, bottom - 1, -1, dtype=np.float64) / top)
-        p, w = power[: log_ratio.size], weight[: log_ratio.size - 1]
-        for i, e in enumerate(exponents):
-            np.exp(np.multiply(e, log_ratio, out=p), out=p)
-            np.multiply(p, top**e, out=p)
-            p[-1] = bottom**e
-            np.subtract(p[:-1], p[1:], out=w)
-            out[i] += np.einsum("ij,j->i", d, w)
+    e = np.array(exponents).reshape(-1, 1)
+    out = np.zeros((e.size, len(rows)))
+    size = min(n, max(_L1_BLOCK, _NEAR_FIELD))
+    d = np.empty((len(rows), size))
+    steps = np.arange(size, dtype=np.float64)
+    ell, weight, power = np.empty(size), np.empty(size), np.empty(size + 1)
+    upper = [n**x for x in exponents]
+    for top, bottom in _spans(n):
+        k, start = top - bottom, n - top
+        for i, r in enumerate(rows):
+            np.subtract(r[start + 1 : start + k + 1], r[start : start + k], out=d[i, :k])
+        if k > 1:
+            ell_k = np.log1p(np.divide(steps[:k], -top, out=ell[:k]), out=ell[:k])
+            moments = np.empty((_terms(-ell_k[-1]), len(rows)))
+            lq = ell_k
+            for q in range(moments.shape[0]):
+                if q:
+                    lq = np.multiply(lq, ell_k, out=power[:k])
+                np.subtract(lq[:-1], lq[1:], out=weight[: k - 1])
+                moments[q] = np.einsum("ij,j->i", d[:, : k - 1], weight[: k - 1])
+            # e * (A_1 + e/2 (A_2 + e/3 (A_3 + ...))), one row per exponent.
+            h = moments[-1]
+            for q in range(moments.shape[0] - 1, 0, -1):
+                h = moments[q - 1] + e / (q + 1) * h
+            out += np.array(upper).reshape(-1, 1) * e * h
+        lower = [bottom**x for x in exponents]
+        step = math.log1p(1.0 / bottom)
+        last = [p * math.expm1(x * step) for p, x in zip(lower, exponents)]
+        out += np.array(last).reshape(-1, 1) * d[:, k - 1]
+        upper = lower
+    top = min(n, _NEAR_FIELD)
+    for i, r in enumerate(rows):
+        np.subtract(r[n - top + 1 :], r[n - top : n], out=d[i, :top])
+    counts, p = np.arange(top, -1, -1, dtype=np.float64), power[: top + 1]
+    for i, x in enumerate(exponents):
+        np.power(counts, x, out=p)
+        p[0] = upper[i]
+        w = np.subtract(p[:-1], p[1:], out=weight[:top])
+        out[i] += np.einsum("ij,j->i", d[:, :top], w)
     return out
 
 

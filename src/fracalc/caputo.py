@@ -293,8 +293,9 @@ def _l1_orders(series, alphas: np.ndarray) -> np.ndarray:
 
     Row i is ``series[i]``.  The orders in (0, 1) share one blocked kernel
     pass over the samples, and those in (1, 2) one pass over the
-    finite-difference derivatives, so the cost is O(len(alphas) * N) and,
-    beyond those derivatives, the extra memory does not grow with N.
+    finite-difference derivatives, so the work over the samples does not
+    grow with len(alphas) and, beyond those derivatives, the extra memory
+    does not grow with N.
     """
     n_steps = series[0].n_steps
     out = np.empty((len(series), alphas.size))

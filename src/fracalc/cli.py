@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from ._kernels import blocks
 from .caputo import Polynomial, SampledSeries, _derivatives
 from .errors import DomainError, FracalcError
 from .indicators import _ratios, alpha_sweep, detect_multivalued
@@ -137,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deriv", help="Caputo derivative of one column or polynomial at T")
     add_io(p)
     p.add_argument("--coeffs", metavar="C0,C1,...", help="polynomial coefficients, low order first")
-    p.add_argument("--column", choices=("x", "y"), default="y", help="CSV column to differentiate")
+    p.add_argument("--column", choices=("x", "y"), help="CSV column to differentiate (default y)")
     p.set_defaults(run=_run_deriv)
 
     p = sub.add_parser("indicator", help="average, marginal, and order-alpha indicator at T")
@@ -241,6 +242,8 @@ def _run_deriv(args: argparse.Namespace) -> int:
         raise DomainError("deriv needs --alpha")
     if coeffs is not None and args.input is not None:
         raise DomainError("give --coeffs or --input, not both")
+    if coeffs is not None and args.column is not None:
+        raise DomainError("--column selects a column of --input; a polynomial has none")
     T = args.T
     if coeffs is not None:
         f = Polynomial(coeffs)
@@ -253,7 +256,7 @@ def _run_deriv(args: argparse.Namespace) -> int:
         if args.engine == "analytic":
             raise DomainError("analytic engine needs --coeffs")
         pair = ingest_csv(args.input)
-        f = pair.x if args.column == "x" else pair.y
+        f = pair.x if args.column == "x" else pair.y  # y unless --column x
     else:
         raise DomainError("need --coeffs or --input")
     (values,), *_ = _derivatives([f], args.alphas, T)
@@ -326,7 +329,10 @@ def _run_demo(args: argparse.Namespace) -> int:
 
 
 def _grid_tol(series: SampledSeries, cells: float) -> float:
-    return cells * float(np.max(np.abs(np.diff(series.values))))
+    """cells times the largest step of the series, taken block by block."""
+    v = series.values
+    steps = (np.abs(np.diff(v[start : stop + 1])).max() for start, stop in blocks(v.shape[0] - 1))
+    return cells * float(max(steps))
 
 
 def _run_check(args: argparse.Namespace) -> int:

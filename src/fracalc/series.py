@@ -122,10 +122,11 @@ def ingest_csv(path) -> IndicatorPair:
     The file is UTF-8 text; a leading byte-order mark is skipped.  Blank
     lines are ignored.  The first other line is the header `t,x,y` (any case,
     blanks around names); every later one holds three comma-separated numbers
-    in any spelling Python's ``float`` accepts.  The grid must start at t = 0
-    and increase in equal steps (deltas within 1e-9 relative of their mean);
-    anything else is rejected rather than resampled.  A malformed line or an
-    invalid byte raises :class:`ParseError` naming its 1-based line.
+    in any spelling Python's ``float`` accepts.  The time stamps must be
+    finite, start at t = 0 and increase in equal steps (deltas within 1e-9
+    relative of their mean); anything else is rejected rather than
+    resampled.  A malformed line or an invalid byte raises
+    :class:`ParseError` naming its 1-based line.
 
     ASCII files cost one scan of the bytes and one ``np.loadtxt`` call,
     whose float parsing dominates.  Memory is the one float64 table it
@@ -146,7 +147,13 @@ def ingest_csv(path) -> IndicatorPair:
         raise NonUniformGrid("time stamps must be strictly increasing")
     if abs(t0) > _GRID_RTOL * h:
         raise DomainError(f"series must start at t = 0, got t0={t0!r}")
-    deviation = np.max([np.abs(np.diff(t[start : stop + 1]) - h).max() for start, stop in blocks(n)])
+    deviation = 0.0
+    for start, stop in blocks(n):
+        block = t[start : stop + 1]
+        finite = np.isfinite(block)
+        if not finite.all():
+            raise DomainError(f"time stamps must be finite, got {float(block[np.argmin(finite)])!r}")
+        deviation = max(deviation, float(np.abs(np.diff(block) - h).max()))
     if deviation > _GRID_RTOL * h:
         raise NonUniformGrid(f"time deltas deviate from uniform step {h!r} beyond tolerance")
     return IndicatorPair(y=SampledSeries(h, y), x=SampledSeries(h, x))

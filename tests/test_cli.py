@@ -212,6 +212,13 @@ class TestDerivCommand:
         # X'(200) = 0.2
         assert float(parse_csv(out)[1][0][1]) == pytest.approx(0.2, abs=1e-3)
 
+    @pytest.mark.parametrize("column", ["x", "y"])
+    def test_column_beside_coeffs_rejected(self, capsys, column):
+        argv = ["deriv", "--coeffs", "0,0,1", "--alpha", "0.5", "--T", "1", "--column", column]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: DomainError: --column selects a column of --input; a polynomial has none\n"
+
     def test_alpha_range_emits_multiple_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, "deriv", "--coeffs", "0,0,1", "--alpha", "0.25:0.75:0.25", "--T", "1"
@@ -418,6 +425,26 @@ class TestErrorMapping:
         assert code == 1
         assert out == ""
         assert err.startswith("error: DomainError: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text,stamp",
+        [
+            ("t,x,y\n0,1,2\nnan,2,5\n2,3,10\n3,4,17\n", "nan"),
+            ("t,x,y\n0,1,2\n1,2,5\n2,3,10\ninf,4,17\n", "inf"),
+        ],
+        ids=["nan_inside", "inf_last"],
+    )
+    def test_non_finite_time_stamp_fails(self, tmp_path, child_env, text, stamp):
+        # In a child run with warnings as errors, so that a numpy warning
+        # before the error would end in a traceback.
+        path = tmp_path / "pair.csv"
+        path.write_text(text)
+        argv = ["indicator", "--input", str(path), "--alpha", "0.5"]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fracalc", *argv], env=child_env, capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: DomainError: time stamps must be finite, got {stamp}\n"
 
     @pytest.mark.parametrize("n", [10**15, 10**30])
     def test_unallocatable_resolution_fails(self, capsys, n):

@@ -35,17 +35,63 @@ def full_length_l1(v, a, h):
     return float((p[:-1] - p[1:]) @ np.diff(v)) * h ** (-a) / gamma(2.0 - a)
 
 
-def exact_weight_sum(v, e):
-    """Order-e L1 sum with cancellation-free weights, summed exactly.
+def exact_terms(v, e):
+    """The terms w_m * d of the order-e L1 sum, with cancellation-free weights.
 
-    m^e - (m-1)^e = -m^e * expm1(e * log1p(-1/m)) has no cancellation, and
-    math.fsum adds the rounded products without further error.
+    m^e - (m-1)^e = -m^e * expm1(e * log1p(-1/m)) has no cancellation: each
+    term is within (3 * LIB + 6u) relative of the exact one.
     """
     d = np.diff(v)
     m = np.arange(d.size, 0, -1, dtype=np.float64)
     with np.errstate(divide="ignore"):
         w = -(m**e) * np.expm1(e * np.log1p(-1.0 / m))
-    return math.fsum((w * d).tolist())
+    return w * d
+
+
+def exact_weight_sum(v, e):
+    """Order-e L1 sum of exact_terms; math.fsum adds them without further error."""
+    return math.fsum(exact_terms(v, e).tolist())
+
+
+# Unit roundoff, and the relative error taken for a library function
+# (numpy's log1p, expm1 and power, and libm's pow): 4 ulps.
+U = 2.0**-53
+LIB = 8 * U
+
+
+def kernel_error_bound(v, e):
+    """Bound on |l1_weighted_sum([v], [e]) - exact_weight_sum(v, e)|.
+
+    From the rounding and truncation of the kernel, to first order in u,
+    for e <= 1.  A block from count M has span s <= delta = log(5/4), so
+    e^s <= 1.25; K is the most steps of an expanded block, B the number of
+    blocks, and the near field holds the last 64 steps.
+
+    - l_j = log1p(-j/M) is within kappa |l_j|, kappa = 1.14u + LIB: the
+      division's u, amplified at most 1.14 times over the span, and log1p.
+    - Rounded powers l^q add at most 2 e s e^(es) (kappa + es u) to the
+      weight sum_q e^q/q! (l_j^q - l_{j+1}^q) (over M^e), which is at least
+      e e^(-es) / m_j, and m_j s <= (K-1) e^s.  The subtractions add u times
+      sum_q e^q/q! |l_j^q - l_{j+1}^q| <= e^(2es) times the weight.  Per
+      weight: 1.57u + 3.91 (K-1)(kappa + 0.23u) = 1.57u + 36.6 (K-1) u.
+    - The block's dot products: (K-1) u, times e^(2 delta) = 1.57.
+    - Truncation: u, by the choice of Q.  Horner's rule in e over Q <= 12
+      terms: 3 Q 1.57 u = 56.3u.  M^e e h: LIB + 2u.  The last step's
+      bottom^e expm1(e log1p(1/bottom)): 3 LIB + 5u.  Adding into the
+      result: (2B + 64) u.  Near-field differences and products: 2u.  The
+      reference's own terms: 3 LIB + 6u.
+    - Near field: each power is within LIB of m^e, so each weight is within
+      2 LIB m^e, an error absolute, not relative to the weight.
+
+    Relative to sum |terms|: (38.2 (K-1) + 2B + 64 + 74) u + 7 LIB, plus
+    the near field's 2 LIB sum m^e |d_m|.
+    """
+    spans = list(_kernels._spans(v.size - 1))
+    k = max((top - bottom for top, bottom in spans), default=1)
+    relative = (38.2 * (k - 1) + 2 * len(spans) + 64 + 74) * U + 7 * LIB
+    d = np.abs(np.diff(v))[-_kernels._NEAR_FIELD :]
+    near = 2 * LIB * math.fsum((np.arange(d.size, 0, -1, dtype=np.float64) ** e * d).tolist())
+    return relative * math.fsum(np.abs(exact_terms(v, e)).tolist()) + near
 
 
 def central_derivative(v, h):
@@ -72,10 +118,13 @@ class TestL1WeightedSum:
     @pytest.mark.parametrize("block", [1, 2, 7, 16_384])
     def test_exponents_do_not_interact(self, monkeypatch, block):
         # Each exponent's row is bit for bit what it is when passed alone:
-        # what keeps alpha_sweep equal to t_indicator.
+        # what keeps alpha_sweep equal to t_indicator.  300 steps take the
+        # near field and at least three expanded blocks; 0.5 and 1.0 are the
+        # exponents for which numpy's power would take a shortcut when alone.
         monkeypatch.setattr(_kernels, "_L1_BLOCK", block)
         rng = np.random.default_rng(11)
-        rows = [rng.normal(size=58).cumsum(), rng.uniform(-1.0, 3.0, 58)]
+        rows = [rng.normal(size=301).cumsum(), rng.uniform(-1.0, 3.0, 301)]
+        assert len(list(_kernels._spans(300))) >= 3
         exponents = [0.01, 0.25, 1.0 - 1e-9, 0.5, 1.0, 0.999]
         together = _kernels.l1_weighted_sum(rows, exponents)
         for e, row in zip(exponents, together):
@@ -85,8 +134,8 @@ class TestL1WeightedSum:
 
     @pytest.mark.parametrize("n,block", [(15, 7), (15, 14), (15, 16_384), (1, 1), (40_000, 16_384)])
     def test_count_zero_raises_no_floating_point_error(self, monkeypatch, n, block):
-        # The block that ends the grid holds m = 0, whose log is -inf: the
-        # kernel must contain that itself, under the strictest settings.
+        # The grid ends at count m = 0, whose log is -inf: no floating-point
+        # error may surface, under the strictest settings.
         monkeypatch.setattr(_kernels, "_L1_BLOCK", block)
         v = np.arange(n + 1, dtype=np.float64) ** 2
         with np.errstate(all="raise"), warnings.catch_warnings():
@@ -98,9 +147,9 @@ class TestL1WeightedSum:
 
     def test_weights_within_a_few_ulps_of_the_powers(self, monkeypatch):
         # A row with one unit step at k sums to the weight of count m = N-k
-        # alone.  m^e - (m-1)^e cancels, so its error is measured in ulps of
-        # m^e: pow gives under 1, the log taken once per block about 1.4,
-        # and exp(e * log m) with the full log m over 10 at these counts.
+        # alone, measured in ulps of m^e, as a difference of powers would
+        # be: pow gives under 1.  The expansion's bound (kernel_error_bound)
+        # is 18.3 (K-1) e / m ulps, under 4 since blocks keep K - 1 <= m/5.
         monkeypatch.setattr(_kernels, "_L1_BLOCK", 1000)
         n = 8000
         steps = np.unique(np.linspace(0, n - 1, 97).astype(np.int64))
@@ -120,6 +169,34 @@ class TestL1WeightedSum:
         got = _kernels.l1_weighted_sum([v], [e])[0, 0]
         want = exact_weight_sum(v, e)
         assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("n", [3, 10, 63, 64, 65, 100, 1000, 20_000, 200_000])
+    @pytest.mark.parametrize("data", ["random_walk", "smooth", "oscillating"])
+    def test_within_the_error_bound(self, n, data):
+        t = np.linspace(0.0, 10.0, n + 1)
+        v = {
+            "random_walk": np.random.default_rng(n).normal(size=n + 1).cumsum(),
+            "smooth": t + np.sin(t) + np.exp(t / 3.0),
+            "oscillating": np.sin(40.0 * t) + 0.01 * t,
+        }[data]
+        exponents = [1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0]
+        got = _kernels.l1_weighted_sum([v], exponents)[:, 0]
+        for e, value in zip(exponents, got.tolist()):
+            assert abs(value - exact_weight_sum(v, e)) <= kernel_error_bound(v, e)
+
+    def test_widest_blocks_at_e_1(self):
+        # Counts 100 -> 80 -> 64: both blocks span log(5/4) exactly, the
+        # widest the span rule allows, and at e = 1 the series coefficients
+        # 1/q! are the largest they get.  Every weight is 1: a row with one
+        # unit step in those blocks sums to 1.
+        n = 100
+        spans = list(_kernels._spans(n))
+        assert spans == [(100, 80), (80, 64)]
+        assert all(math.log(top / bottom) == math.log(1.25) for top, bottom in spans)
+        rows = (np.arange(n + 1) > np.arange(n - 64)[:, None]).astype(np.float64)
+        got = _kernels.l1_weighted_sum(rows, [1.0])[0]
+        for v, value in zip(rows, got.tolist()):
+            assert abs(value - 1.0) <= kernel_error_bound(v, 1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -9,9 +9,11 @@ breaks the bound at sizes that run in a fraction of a second.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fracalc import _kernels, export_csv, ingest_csv, sample
+from fracalc.cli import _grid_tol
 from fracalc.indicators import _evaluate
 from fracalc.series import _loadtxt_table
 
@@ -50,6 +52,15 @@ def test_evaluate_needs_no_memory_that_grows_with_n(fig1):
     pair = fig1.sampled_pair(200_000)
     _, peak = traced_peak(_evaluate, pair, [0.0, 0.5, 1.0], None)
     assert peak <= SLACK
+
+
+def test_demo_tolerance_takes_a_few_blocks(fig1):
+    # demo's default tolerances: the largest step, block by block, with the
+    # value of the full-length max|diff|.
+    series = sample(fig1.y, fig1.t_end, 200_000)
+    tol, peak = traced_peak(_grid_tol, series, 10.0)
+    assert tol == 10.0 * float(np.max(np.abs(np.diff(series.values))))
+    assert peak <= 4 * 8 * BLOCK
 
 
 def test_ingest_holds_one_table(tmp_path, fig2):

@@ -1,4 +1,5 @@
 import codecs
+import math
 import subprocess
 import sys
 import warnings
@@ -126,6 +127,27 @@ class TestIngestCsv:
         with pytest.raises(DomainError):
             ingest_csv(self.write(tmp_path, "t,x,y\n1,1,2\n2,2,4\n3,3,6\n"))
 
+    @pytest.mark.parametrize(
+        "text,stamp",
+        [
+            ("t,x,y\n0,1,2\nnan,2,5\n2,3,10\n3,4,17\n", "nan"),
+            ("t,x,y\n0,1,2\n1,2,5\n2,3,10\ninf,4,17\n", "inf"),
+        ],
+        ids=["nan_inside", "inf_last"],
+    )
+    def test_non_finite_time_stamp_rejected(self, tmp_path, text, stamp):
+        # Under pytest a numpy warning is an error, so this also pins that
+        # no invalid-value warning comes first.
+        with pytest.raises(DomainError, match=f"^time stamps must be finite, got {stamp}$"):
+            ingest_csv(self.write(tmp_path, text))
+
+    def test_non_finite_time_stamp_found_in_any_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("fracalc._kernels._L1_BLOCK", 2)
+        rows = [f"{k},{k},{k}" for k in range(9)]
+        rows[6] = "-inf,6,6"
+        with pytest.raises(DomainError, match="got -inf$"):
+            ingest_csv(self.write(tmp_path, "t,x,y\n" + "\n".join(rows) + "\n"))
+
     def test_byte_order_mark_skipped(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes(codecs.BOM_UTF8 + b"t,x,y\r\n0,1,2\r\n1,2,4\r\n2,3,6\r\n")
@@ -148,9 +170,10 @@ class TestIngestCsv:
 def reference_ingest(path):
     """The line-by-line reader that ingest_csv used before its np.loadtxt path.
 
-    It differs from that reader only in the two documented encoding changes:
-    a leading byte-order mark is skipped, and invalid UTF-8 is a ParseError
-    naming the line of the first bad byte.
+    It differs from that reader only in the two documented encoding changes
+    (a leading byte-order mark is skipped, and invalid UTF-8 is a ParseError
+    naming the line of the first bad byte) and in refusing a non-finite time
+    stamp, which that reader let through.
     """
     data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     lines = data.decode("utf-8", errors="surrogateescape").splitlines()
@@ -182,6 +205,9 @@ def reference_ingest(path):
         raise NonUniformGrid("time stamps must be strictly increasing")
     if abs(t[0]) > 1e-9 * h:
         raise DomainError(f"series must start at t = 0, got t0={t[0]!r}")
+    for stamp in t:
+        if not math.isfinite(stamp):
+            raise DomainError(f"time stamps must be finite, got {stamp!r}")
     if np.max(np.abs(np.diff(t) - h)) > 1e-9 * h:
         raise NonUniformGrid(f"time deltas deviate from uniform step {h!r} beyond tolerance")
     return IndicatorPair(y=SampledSeries(h, np.asarray(y)), x=SampledSeries(h, np.asarray(x)))
