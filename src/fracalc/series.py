@@ -124,8 +124,8 @@ def ingest_csv(path) -> IndicatorPair:
     blanks around names); every later one holds three comma-separated numbers
     in any spelling Python's ``float`` accepts.  The time stamps must be
     finite, start at t = 0 and increase in equal steps (deltas within 1e-9
-    relative of their mean); anything else is rejected rather than
-    resampled.  A malformed line or an invalid byte raises
+    relative of their mean, which must itself be finite); anything else is
+    rejected rather than resampled.  A malformed line or an invalid byte raises
     :class:`ParseError` naming its 1-based line.
 
     ASCII files cost one scan of the bytes and one ``np.loadtxt`` call,
@@ -147,13 +147,18 @@ def ingest_csv(path) -> IndicatorPair:
         raise NonUniformGrid("time stamps must be strictly increasing")
     if abs(t0) > _GRID_RTOL * h:
         raise DomainError(f"series must start at t = 0, got t0={t0!r}")
-    deviation = 0.0
-    for start, stop in blocks(n):
-        block = t[start : stop + 1]
-        finite = np.isfinite(block)
+    for start, stop in blocks(n + 1):
+        finite = np.isfinite(t[start:stop])
         if not finite.all():
-            raise DomainError(f"time stamps must be finite, got {float(block[np.argmin(finite)])!r}")
-        deviation = max(deviation, float(np.abs(np.diff(block) - h).max()))
+            raise DomainError(f"time stamps must be finite, got {float(t[start + np.argmin(finite)])!r}")
+    if not math.isfinite(h):
+        # The stamps are finite, so their span overflowed.
+        raise DomainError(f"step must be finite and > 0, got h={h!r}")
+    deviation = 0.0
+    # A delta that overflows reads as an infinite deviation.
+    with np.errstate(over="ignore"):
+        for start, stop in blocks(n):
+            deviation = max(deviation, float(np.abs(np.diff(t[start : stop + 1]) - h).max()))
     if deviation > _GRID_RTOL * h:
         raise NonUniformGrid(f"time deltas deviate from uniform step {h!r} beyond tolerance")
     return IndicatorPair(y=SampledSeries(h, y), x=SampledSeries(h, x))

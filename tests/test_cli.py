@@ -427,16 +427,22 @@ class TestErrorMapping:
         assert err.startswith("error: DomainError: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "text,stamp",
+        "text,error",
         [
-            ("t,x,y\n0,1,2\nnan,2,5\n2,3,10\n3,4,17\n", "nan"),
-            ("t,x,y\n0,1,2\n1,2,5\n2,3,10\ninf,4,17\n", "inf"),
+            ("t,x,y\n0,1,2\nnan,2,5\n2,3,10\n3,4,17\n", "DomainError: time stamps must be finite, got nan"),
+            ("t,x,y\n0,1,2\n1,2,5\n2,3,10\ninf,4,17\n", "DomainError: time stamps must be finite, got inf"),
+            ("t,x,y\n-1.7e308,1,2\n1.7e308,2,3\n1.75e308,3,4\n", "DomainError: step must be finite and > 0, got h=inf"),
+            (
+                "t,x,y\n0,1,2\n-1.7e308,2,3\n1.7e308,3,4\n",
+                "NonUniformGrid: time deltas deviate from uniform step 8.5e+307 beyond tolerance",
+            ),
         ],
-        ids=["nan_inside", "inf_last"],
+        ids=["nan_inside", "inf_last", "overflowing_span", "overflowing_delta"],
     )
-    def test_non_finite_time_stamp_fails(self, tmp_path, child_env, text, stamp):
+    def test_non_finite_time_stamp_fails(self, tmp_path, child_env, text, error):
         # In a child run with warnings as errors, so that a numpy warning
-        # before the error would end in a traceback.
+        # before the error would end in a traceback.  Stamps near the float
+        # range are finite, but their span or a delta between them is not.
         path = tmp_path / "pair.csv"
         path.write_text(text)
         argv = ["indicator", "--input", str(path), "--alpha", "0.5"]
@@ -444,7 +450,7 @@ class TestErrorMapping:
             [sys.executable, "-W", "error", "-m", "fracalc", *argv], env=child_env, capture_output=True, text=True
         )
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == f"error: DomainError: time stamps must be finite, got {stamp}\n"
+        assert proc.stderr == f"error: {error}\n"
 
     @pytest.mark.parametrize("n", [10**15, 10**30])
     def test_unallocatable_resolution_fails(self, capsys, n):
@@ -648,9 +654,40 @@ class TestRuntimeDependencies:
 
     def test_check_suite_and_json_load_on_demand(self, child_env):
         # Only `check` needs the suite and only --format json the json module.
-        code = "import sys, fracalc.cli\nprint(sorted({'json', 'fracalc.check'} & set(sys.modules)))\n"
-        proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+        # `import fracalc` loads no numpy: each public name outside the errors
+        # is imported from its module on first access.  Only the CLI's entry
+        # sets OPENBLAS_NUM_THREADS, so a library user's process keeps its
+        # BLAS as it was.
+        code = (
+            "import os, sys, fracalc\n"
+            "print('numpy' in sys.modules)\n"
+            "import fracalc.cli\n"
+            "print(sorted({'json', 'fracalc.check'} & set(sys.modules)), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "star = {}\n"
+            "exec('from fracalc import *', star)\n"
+            "print(sorted(set(star) - {'__builtins__'}) == sorted(fracalc.__all__))\n"
+            "names = [n for n in fracalc.__all__ if n != '__version__']\n"
+            "print([n for n in names if star[n] is not getattr(sys.modules[star[n].__module__], n)])\n"
+            "try:\n"
+            "    fracalc.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = {k: v for k, v in child_env.items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        want = "False\n[] None\nTrue\n[]\nmodule 'fracalc' has no attribute 'no_such_name'\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+    @pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
+    def test_entry_runs_blas_on_one_thread_unless_told(self, child_env, preset, want):
+        # fracalc makes no BLAS call (test_kernels.py pins that), so the
+        # entry gives OpenBLAS one thread unless the user chose a number.
+        env = {k: v for k, v in child_env.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = "import os, fracalc.__main__\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
 
 
 class TestCheckCommand:

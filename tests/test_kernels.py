@@ -1,6 +1,8 @@
+import ast
 import math
 import warnings
 from math import gamma
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,3 +303,44 @@ class TestMultivaluedPairs:
         finally:
             _kernels._BLOCK_ELEMENTS = old
         assert got == brute_pairs(x.tolist(), y.tolist(), x_tol, y_tol)
+
+
+_BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot"}
+
+
+def _name(node):
+    """The name a Name, Attribute, Call, import alias or from-import refers to, else ''."""
+    if isinstance(node, ast.Call):
+        return _name(node.func)
+    for kind, field in ((ast.Name, "id"), (ast.Attribute, "attr"), (ast.alias, "name"), (ast.ImportFrom, "module")):
+        if isinstance(node, kind):
+            return getattr(node, field) or ""
+    return ""
+
+
+def _blas_uses(tree):
+    """Each node of ``tree`` that would reach BLAS through numpy, as a string."""
+    for node in ast.walk(tree):
+        name = _name(node)
+        if isinstance(node, ast.MatMult):
+            yield "@"
+        elif isinstance(node, ast.Call) and name in _BLAS_CALLS:
+            yield f"{name}()"
+        elif isinstance(node, ast.Call) and name == "einsum" and any(k.arg == "optimize" for k in node.keywords):
+            yield "einsum(optimize=...)"
+        elif "linalg" in name.split("."):
+            yield "linalg"
+
+
+def test_no_blas_calls():
+    # The CLI's entry gives OpenBLAS one thread (fracalc/__main__.py), which
+    # costs nothing only while no code calls BLAS: numpy routes matrix
+    # products, dot products, linalg and einsum with optimize through it.
+    # A call that brings BLAS in has to revisit that default.
+    package = Path(_kernels.__file__).parent
+    found = {
+        f"{path.name}:{use}"
+        for path in sorted(package.glob("*.py"))
+        for use in _blas_uses(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert not found

@@ -148,6 +148,25 @@ class TestIngestCsv:
         with pytest.raises(DomainError, match="got -inf$"):
             ingest_csv(self.write(tmp_path, "t,x,y\n" + "\n".join(rows) + "\n"))
 
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("t,x,y\n-1.7e308,1,2\n1.7e308,2,3\n1.75e308,3,4\n", DomainError, "step must be finite and > 0, got h=inf"),
+            (
+                "t,x,y\n0,1,2\n-1.7e308,2,3\n1.7e308,3,4\n",
+                NonUniformGrid,
+                "time deltas deviate from uniform step 8.5e+307 beyond tolerance",
+            ),
+        ],
+        ids=["span", "delta"],
+    )
+    def test_overflow_near_float_range_rejected(self, tmp_path, text, error, message):
+        # Under pytest a numpy overflow warning is an error, so this also
+        # pins that none comes first.
+        with pytest.raises(error) as exc_info:
+            ingest_csv(self.write(tmp_path, text))
+        assert str(exc_info.value) == message
+
     def test_byte_order_mark_skipped(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes(codecs.BOM_UTF8 + b"t,x,y\r\n0,1,2\r\n1,2,4\r\n2,3,6\r\n")
@@ -173,7 +192,7 @@ def reference_ingest(path):
     It differs from that reader only in the two documented encoding changes
     (a leading byte-order mark is skipped, and invalid UTF-8 is a ParseError
     naming the line of the first bad byte) and in refusing a non-finite time
-    stamp, which that reader let through.
+    stamp and a step that overflows, which that reader let through.
     """
     data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     lines = data.decode("utf-8", errors="surrogateescape").splitlines()
@@ -208,7 +227,11 @@ def reference_ingest(path):
     for stamp in t:
         if not math.isfinite(stamp):
             raise DomainError(f"time stamps must be finite, got {stamp!r}")
-    if np.max(np.abs(np.diff(t) - h)) > 1e-9 * h:
+    if not math.isfinite(h):
+        raise DomainError(f"step must be finite and > 0, got h={h!r}")
+    with np.errstate(over="ignore"):
+        deviation = np.max(np.abs(np.diff(t) - h))
+    if deviation > 1e-9 * h:
         raise NonUniformGrid(f"time deltas deviate from uniform step {h!r} beyond tolerance")
     return IndicatorPair(y=SampledSeries(h, np.asarray(y)), x=SampledSeries(h, np.asarray(x)))
 
