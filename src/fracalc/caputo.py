@@ -88,8 +88,8 @@ class SampledSeries:
     t = 0 by definition; :func:`fracalc.ingest_csv` rejects files whose
     time stamps start elsewhere rather than shifting them.
 
-    float64 values are held as given, not copied: a strided view, such as
-    a column of a parsed table, stays a view.  Other input is converted
+    float64 values are held as given, not copied: a view, such as the
+    leading rows of a longer array, stays a view.  Other input is converted
     to float64 once.  The array held is marked read-only.
     """
 

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caputo import Polynomial, caputo_poly, caputo_series
-from .indicators import (
-    IndicatorPair,
-    average_indicator,
-    marginal_indicator,
-    t_indicator,
-    t_indicator_time,
-)
+from .indicators import IndicatorPair, t_indicator, t_indicator_time
 from .series import demo_process, sample
 
 __all__ = ["CheckResult", "run_checks"]
@@ -82,7 +76,8 @@ def _check_average_degeneration() -> CheckResult:
         pair = demo.pair()
         for T in rng.uniform(1.0, demo.t_end, 10):
             T = float(T)
-            if t_indicator(pair, 0.0, T) != average_indicator(pair, T):
+            # The average Y(T)/X(T), by Horner on the polynomials.
+            if t_indicator(pair, 0.0, T) != pair.y(T) / pair.x(T):
                 bad += 1
     return CheckResult(
         "average_degeneration", bad == 0, f"{bad} of 20 bit-level mismatches at alpha=0"
@@ -94,7 +89,8 @@ def _check_marginal_degeneration() -> CheckResult:
     numeric = t_indicator(demo.sampled_pair(20000), 1.0)
     err = _rel(numeric, 5.0)
     pair = demo.pair()
-    exact_match = t_indicator(pair, 1.0, 200.0) == marginal_indicator(pair, 200.0)
+    # The marginal Y'(T)/X'(T), on the differentiated polynomials.
+    exact_match = t_indicator(pair, 1.0, 200.0) == pair.y.derivative()(200.0) / pair.x.derivative()(200.0)
     return CheckResult(
         "marginal_degeneration",
         err <= 1e-3 and exact_match,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import codecs
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +34,10 @@ _SPLITLINES_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 # Bytes read per step of the scan that picks the np.loadtxt path.
 _SCAN_CHUNK = 1 << 20
+
+# Lines per np.loadtxt call.  Its table of a chunk, 24 bytes per row, is
+# 96 KiB, small beside x and y; 16384 lines held more and were no faster.
+_LOADTXT_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -72,9 +77,9 @@ _DEMOS = {
 
 
 def demo_process(name: str) -> DemoProcess:
-    """Look up a built-in demo process by name, in any case."""
+    """Look up a built-in demo process by its name, ``fig1`` or ``fig2``."""
     try:
-        return _DEMOS[name.lower()]
+        return _DEMOS[name]
     except KeyError:
         raise DomainError(f"unknown demo process {name!r}; expected one of: {', '.join(_DEMOS)}") from None
 
@@ -128,81 +133,127 @@ def ingest_csv(path) -> IndicatorPair:
     rejected rather than resampled.  A malformed line or an invalid byte raises
     :class:`ParseError` naming its 1-based line.
 
-    ASCII files cost one scan of the bytes and one ``np.loadtxt`` call,
-    whose float parsing dominates.  Memory is the one float64 table it
-    returns, 24 bytes per row: x and y are column views of it, not copies,
-    and the grid check walks t in blocks.  Other files, and files
-    ``np.loadtxt`` refuses, go through a line-by-line parser that is about
-    twice as slow and holds the whole text and a Python float per cell.
-    Both give the same arrays and the same errors.
+    ASCII files cost one scan of the bytes and ``np.loadtxt`` calls of
+    4096 lines each, whose float parsing dominates.  Memory is x and y, 16
+    bytes per row, in two contiguous arrays sized by the line breaks the
+    scan counts; t is checked chunk by chunk and never held whole.  Other
+    files, and files ``np.loadtxt`` refuses, go through a line-by-line
+    parser that is about twice as slow and holds the whole text and a
+    Python float per cell.  Both give the same arrays and the same errors.
     """
     with open(path, "rb") as f:
-        t, x, y = _read_columns(f)
-    if t.size < 3:
-        raise InsufficientData(f"need at least 3 data rows, got {t.size}")
-    n = t.size - 1
-    t0 = float(t[0])
-    h = (float(t[-1]) - t0) / n
-    if h <= 0.0:
-        raise NonUniformGrid("time stamps must be strictly increasing")
-    if abs(t0) > _GRID_RTOL * h:
-        raise DomainError(f"series must start at t = 0, got t0={t0!r}")
-    for start, stop in blocks(n + 1):
-        finite = np.isfinite(t[start:stop])
-        if not finite.all():
-            raise DomainError(f"time stamps must be finite, got {float(t[start + np.argmin(finite)])!r}")
-    if not math.isfinite(h):
-        # The stamps are finite, so their span overflowed.
-        raise DomainError(f"step must be finite and > 0, got h={h!r}")
-    deviation = 0.0
-    # A delta that overflows reads as an infinite deviation.
-    with np.errstate(over="ignore"):
-        for start, stop in blocks(n):
-            deviation = max(deviation, float(np.abs(np.diff(t[start : stop + 1]) - h).max()))
-    if deviation > _GRID_RTOL * h:
-        raise NonUniformGrid(f"time deltas deviate from uniform step {h!r} beyond tolerance")
+        x, y, grid = _read_columns(f)
+    h = grid.step()
     return IndicatorPair(y=SampledSeries(h, y), x=SampledSeries(h, x))
 
 
+class _Grid:
+    """Running summary of the time stamps, fed in file order.
+
+    It keeps what the grid checks read: the row count, the first and last
+    stamps, the first non-finite stamp and the least and greatest delta.
+    """
+
+    def __init__(self):
+        self.rows = 0
+        self.first = self.last = math.nan
+        self.non_finite = None
+        self.dmin, self.dmax = math.inf, -math.inf
+
+    def add(self, t: np.ndarray) -> None:
+        """Take the next stamps, at least one; deltas are kept only while every stamp is finite."""
+        if self.non_finite is None:
+            finite = np.isfinite(t)
+            if not finite.all():
+                self.non_finite = float(t[np.argmin(finite)])
+            else:
+                # A delta that overflows is an infinite one.
+                with np.errstate(over="ignore"):
+                    d = np.diff(t, prepend=self.last) if self.rows else np.diff(t)
+                if d.size:
+                    self.dmin, self.dmax = min(self.dmin, float(d.min())), max(self.dmax, float(d.max()))
+        if not self.rows:
+            self.first = float(t[0])
+        self.last = float(t[-1])
+        self.rows += t.size
+
+    def step(self) -> float:
+        """The uniform step h, once every stamp is in; raises what the grid breaks."""
+        if self.rows < 3:
+            raise InsufficientData(f"need at least 3 data rows, got {self.rows}")
+        h = (self.last - self.first) / (self.rows - 1)
+        if h <= 0.0:
+            raise NonUniformGrid("time stamps must be strictly increasing")
+        if abs(self.first) > _GRID_RTOL * h:
+            raise DomainError(f"series must start at t = 0, got t0={self.first!r}")
+        if self.non_finite is not None:
+            raise DomainError(f"time stamps must be finite, got {self.non_finite!r}")
+        if not math.isfinite(h):
+            # The stamps are finite, so their span overflowed.
+            raise DomainError(f"step must be finite and > 0, got h={h!r}")
+        # max|d - h| over the deltas d, bit for bit: fl(d - h) is monotone in d.
+        if max(self.dmax - h, h - self.dmin) > _GRID_RTOL * h:
+            raise NonUniformGrid(f"time deltas deviate from uniform step {h!r} beyond tolerance")
+        return h
+
+
 def _read_columns(f):
-    """The t, x and y columns of a binary CSV file, as float64 arrays."""
+    """The x and y columns of a binary CSV file, and the summary of its t column."""
     if f.seekable():
-        fast = _loadtxt_safe(f)
+        bound = _loadtxt_rows(f)
         f.seek(0)
-        if fast:
+        if bound is not None:
             text = io.TextIOWrapper(f, encoding="utf-8-sig", newline="")
             try:
-                table = _loadtxt_table(text)
+                columns = _loadtxt_columns(text, bound)
             finally:
                 text.detach()
-            if table is not None:
-                return table.T
+            if columns is not None:
+                return columns
             f.seek(0)
-    return _parse_lines(f.read())
+    t, x, y = _parse_lines(f.read())
+    grid = _Grid()
+    for start, stop in blocks(t.size):
+        grid.add(t[start:stop])
+    return x, y, grid
 
 
-def _loadtxt_safe(f) -> bool:
-    """True when np.loadtxt splits the file into the lines str.splitlines does.
+def _loadtxt_rows(f) -> int | None:
+    """A bound on the data rows, or None unless np.loadtxt splits the file
+    into the lines str.splitlines does.
 
     That holds for ASCII text without the further line breaks of
     ``_SPLITLINES_ONLY``.  np.loadtxt would strip those from field edges as
     blanks: a form feed after the 1 of ``0,1,2`` would read as one row,
-    not as the two lines ``0,1`` and ``,2``.
+    not as the two lines ``0,1`` and ``,2``.  The bound counts the line
+    breaks LF, CR and CR LF; a CR LF split between two reads counts twice.
     """
+    breaks = 0
+    last = b""
     chunk = f.read(_SCAN_CHUNK).removeprefix(codecs.BOM_UTF8)
     while chunk:
         if not chunk.isascii() or any(b in chunk for b in _SPLITLINES_ONLY):
-            return False
+            return None
+        a = np.frombuffer(chunk, np.uint8)
+        lf = a == ord("\n")
+        breaks += int(np.count_nonzero(lf))
+        if b"\r" in chunk:
+            # A CR alone breaks a line; a CR LF was counted at its LF.
+            cr = a == ord("\r")
+            breaks += int(np.count_nonzero(cr)) - int(np.count_nonzero(cr[:-1] & lf[1:]))
+        last = chunk[-1:]
         chunk = f.read(_SCAN_CHUNK)
-    return True
+    # The header takes one line; a last line without a break adds one.
+    return breaks - 1 if last in (b"\n", b"\r") else breaks
 
 
-def _loadtxt_table(text):
-    """Check the header, then parse the rows after it in one np.loadtxt call.
+def _loadtxt_columns(text, bound: int):
+    """Check the header, then parse the rows after it with np.loadtxt in chunks.
 
-    Returns an (rows, 3) float64 array, or None where np.loadtxt refuses the
-    rows, finds another column count or warns (an empty body warns); the
-    line parser then decides.
+    Returns x and y, each a float64 array of the rows, and the grid summary
+    of t, or None where np.loadtxt refuses a chunk, finds another column
+    count or warns; the line parser then decides.  A chunk of blank lines
+    only is skipped.
     """
     line_no = 0
     for line in iter(text.readline, ""):
@@ -212,13 +263,25 @@ def _loadtxt_table(text):
     else:
         raise ParseError("empty file", line=1)
     _check_header(line.rstrip("\r\n"), line_no)
+    x, y = np.empty(bound), np.empty(bound)
+    grid = _Grid()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            table = np.loadtxt(text, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-        except (ValueError, Warning):
-            return None
-    return table if table.shape[1] == 3 else None
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        for first in text:
+            lines = itertools.chain((first,), itertools.islice(text, _LOADTXT_ROWS - 1))
+            try:
+                table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+            except (ValueError, Warning):
+                return None
+            if not table.size:
+                continue
+            if table.shape[1] != 3:
+                return None
+            rows = slice(grid.rows, grid.rows + len(table))
+            x[rows], y[rows] = table[:, 1], table[:, 2]
+            grid.add(table[:, 0])
+    return x[: grid.rows], y[: grid.rows], grid
 
 
 def _check_header(header: str, line: int) -> None:

@@ -4,7 +4,8 @@ Peaks are measured with ``tracemalloc``, which sees numpy's array buffers
 as well as Python objects.  Every bound is the memory the result itself
 needs plus ``SLACK``: sixteen float64 buffers of one block.  The block is
 shrunk here so that a single full-length temporary of N float64 values
-breaks the bound at sizes that run in a fraction of a second.
+breaks the bound at sizes that run in a fraction of a second.  CSV ingest
+parses in chunks of ``np.loadtxt`` rows, so its slack is counted in those.
 """
 
 import tracemalloc
@@ -12,10 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracalc import _kernels, export_csv, ingest_csv, sample
+from fracalc import _kernels, export_csv, ingest_csv, sample, series
 from fracalc.cli import _grid_tol
 from fracalc.indicators import _evaluate
-from fracalc.series import _loadtxt_table
 
 BLOCK = 4096
 SLACK = 16 * 8 * BLOCK
@@ -63,17 +63,19 @@ def test_demo_tolerance_takes_a_few_blocks(fig1):
     assert peak <= 4 * 8 * BLOCK
 
 
-def test_ingest_holds_one_table(tmp_path, fig2):
-    # np.loadtxt over-allocates while it parses, so the floor is its own
-    # peak on the same rows, at least the 24 bytes per row of its table.
+def test_ingest_holds_only_x_and_y(tmp_path, monkeypatch, fig2):
+    # x and y take 16 bytes per row; t is checked chunk by chunk.  Beyond
+    # them, four tables of np.loadtxt's chunk (24 bytes per row) cover the
+    # table, its over-allocation while it parses and the grid check's
+    # temporaries.  The byte scan reads small pieces here, so that its two
+    # pieces held at once stay below that too.
+    monkeypatch.setattr(series, "_SCAN_CHUNK", 8 * BLOCK)
     rows = 100_001
+    sampled = fig2.sampled_pair(rows - 1)
     path = tmp_path / "pair.csv"
-    export_csv(fig2.sampled_pair(rows - 1), path)
-    with open(path, encoding="utf-8") as text:
-        _, floor = traced_peak(_loadtxt_table, text)
+    export_csv(sampled, path)
     pair, peak = traced_peak(ingest_csv, path)
-    assert floor >= 24 * rows
-    assert peak <= floor + SLACK
-    # x and y are columns of that one table, not copies of them.
-    assert pair.x.values.base is not None and pair.x.values.base is pair.y.values.base
-    assert not pair.x.values.flags.writeable and not pair.y.values.flags.writeable
+    assert peak <= 16 * rows + 4 * 24 * series._LOADTXT_ROWS
+    for got, want in ((pair.x.values, sampled.x.values), (pair.y.values, sampled.y.values)):
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and not got.flags.writeable

@@ -45,8 +45,9 @@ class TestDemoProcess:
         assert fig2.x(0.0) == 70.0 and fig2.y(0.0) == 1700.0
 
     def test_lookup_by_name(self, fig1):
-        assert demo_process("Fig1") is fig1
-        assert demo_process("FIG2") is demo_process("fig2")
+        assert demo_process("fig1") is fig1
+        with pytest.raises(DomainError, match=r"^unknown demo process 'FIG2'; expected one of: fig1, fig2$"):
+            demo_process("FIG2")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError, match=r"^unknown demo process 'fig3'; expected one of: fig1, fig2$"):
@@ -342,6 +343,72 @@ class TestIngestMatchesLineParser:
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == "error: InsufficientData: need at least 3 data rows, got 0\n"
+
+
+def _rows(stamps, newline="\n"):
+    return "".join(f"{t!r},{k},{2 * k}{newline}" for k, t in enumerate(stamps))
+
+
+def _shifted(k):
+    # Data rows k .. 2k-1 start the second chunk and end it: only the two
+    # deltas across chunk boundaries are off the step of 1.
+    return "t,x,y\n" + _rows([j + 0.5 if k <= j < 2 * k else float(j) for j in range(22)])
+
+
+def _nan_behind_bad_delta(k):
+    # A bad delta in the first chunk, a NaN in a later one: the NaN is
+    # reported, as the finiteness check comes before the delta check.
+    stamps = [float(j) for j in range(22)]
+    stamps[1], stamps[20] = 1.5, math.nan
+    return "t,x,y\n" + _rows(stamps)
+
+
+def _crlf_and_blank_lines(k):
+    lines = _rows([float(j) for j in range(12)], newline="\r\n").splitlines(keepends=True)
+    return "t,x,y\r\n" + "".join(line + ("\r\n\r\n" if j % 3 == 1 else "") for j, line in enumerate(lines))
+
+
+# Files whose chunks of 1 to 7 lines split at each place the running grid
+# check must join, and the error each gives (None: it reads).  Blank lines
+# are empty: np.loadtxt refuses a line of blanks, which then goes to the
+# line parser.
+_CHUNKED_FILES = {
+    "clean": (lambda k: "t,x,y\n" + _rows([j * (200 / 21) for j in range(22)]), None),
+    "delta_across_boundary": (_shifted, "time deltas deviate from uniform step 1.0 beyond tolerance"),
+    "non_finite_behind_bad_delta": (_nan_behind_bad_delta, "time stamps must be finite, got nan"),
+    "overflowing_delta": (
+        lambda k: "t,x,y\n0,1,2\n-1.7e308,2,3\n1.7e308,3,4\n",
+        "time deltas deviate from uniform step 8.5e+307 beyond tolerance",
+    ),
+    "crlf_and_blank_lines": (_crlf_and_blank_lines, None),
+    "chunk_of_blank_lines": (lambda k: "t,x,y\n" + "\n" * k + _rows(map(float, range(5))) + "\n" * k, None),
+    "header_only": (lambda k: "t,x,y\n", "need at least 3 data rows, got 0"),
+    "header_and_blank_lines": (lambda k: "t,x,y\n" + "\n" * k, "need at least 3 data rows, got 0"),
+}
+
+
+class TestIngestInChunks:
+    @pytest.mark.parametrize("case", _CHUNKED_FILES)
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_same_arrays_and_errors_as_line_parser(self, tmp_path, monkeypatch, case, k):
+        build, message = _CHUNKED_FILES[case]
+        path = tmp_path / "data.csv"
+        path.write_text(build(k), encoding="utf-8", newline="")
+        with monkeypatch.context() as m:
+            m.setattr(series, "_loadtxt_rows", lambda f: None)
+            want = outcome(ingest_csv, path)
+
+        def no_fallback(data):
+            raise AssertionError("line parser used")
+
+        monkeypatch.setattr(series, "_LOADTXT_ROWS", k)
+        monkeypatch.setattr(series, "_parse_lines", no_fallback)
+        got = outcome(ingest_csv, path)
+        assert got == want
+        if message is None:
+            assert isinstance(got[0], str)  # the step, not an error type
+        else:
+            assert got[2] == message
 
 
 class TestRoundTrip:
