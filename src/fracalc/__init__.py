@@ -8,6 +8,8 @@ to the marginal (order 1) value of an economic indicator.
 
 ``import fracalc`` loads neither numpy nor the engines: every public name
 outside :mod:`fracalc.errors` is imported from its module on first access.
+The closed form for polynomials never loads numpy; only code that holds
+samples does.
 """
 
 from importlib import import_module

@@ -13,7 +13,8 @@ Two engines are provided:
 * :func:`caputo_poly` -- exact closed form for polynomials via the power rule
   ``D^alpha t^k = Gamma(k+1)/Gamma(k+1-alpha) * T^(k-alpha)`` for k >= n,
   with ``D^alpha t^k = 0`` for k <= n-1, evaluated for all orders of a call
-  at once.
+  at once in Python floats with ``math``: numpy is not imported on this
+  path, so its bytes depend on libm alone, not on numpy's SIMD level.
 * :func:`caputo_series` -- product-integration quadrature for uniformly
   sampled series, 0 <= alpha < 2.  The L1 scheme replaces f by its
   piecewise-linear interpolant inside the weakly singular integral, giving
@@ -22,18 +23,20 @@ Two engines are provided:
 Both are one-order views of :func:`_derivatives`, the all-orders core that
 every derivative and indicator call goes through.  It alone checks the
 orders (with ``_as_orders``) and the evaluation time, and chooses between
-the closed form and the L1 scheme.
+the closed form and the L1 scheme.  Only the sampled side imports numpy.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._kernels import blocks, l1_weighted_sum
 from .errors import DomainError, InsufficientData
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Polynomial",
@@ -70,8 +73,8 @@ class Polynomial:
         return -1
 
     def __call__(self, t):
-        """Horner evaluation; accepts scalars or numpy arrays."""
-        acc = 0.0 if np.isscalar(t) else np.zeros_like(np.asarray(t, dtype=np.float64))
+        """Horner evaluation; accepts floats or numpy arrays."""
+        acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
@@ -97,6 +100,10 @@ class SampledSeries:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
+        from ._kernels import blocks
+
         h = float(self.h)
         if not (math.isfinite(h) and h > 0.0):
             raise DomainError(f"step must be finite and > 0, got h={self.h!r}")
@@ -120,6 +127,8 @@ class SampledSeries:
         return self.n_steps * self.h
 
     def times(self) -> np.ndarray:
+        import numpy as np
+
         return np.arange(self.values.shape[0]) * self.h
 
     def truncated(self, t: float) -> SampledSeries:
@@ -139,13 +148,16 @@ class SampledSeries:
         return SampledSeries(self.h, self.values[: k + 1])
 
 
-def _as_orders(alphas) -> np.ndarray:
-    """The orders as a float64 array, each checked finite and >= 0."""
-    a = np.array(alphas, dtype=np.float64, ndmin=1)
-    bad = ~(np.isfinite(a) & (a >= 0.0))
-    if bad.any():
-        raise DomainError(f"order must be finite and >= 0, got {a[bad][0].item()!r}")
-    return a
+def _as_orders(alphas) -> list[float]:
+    """The orders, one or a sequence, as a list of floats each checked finite and >= 0."""
+    try:
+        orders = [float(a) for a in alphas]
+    except TypeError:
+        orders = [float(alphas)]
+    for a in orders:
+        if not (math.isfinite(a) and a >= 0.0):
+            raise DomainError(f"order must be finite and >= 0, got {a!r}")
+    return orders
 
 
 def _derivative(p: Polynomial, n: int) -> Polynomial:
@@ -162,19 +174,14 @@ def _derivative(p: Polynomial, n: int) -> Polynomial:
     return p
 
 
-def _map(f, values: np.ndarray) -> np.ndarray:
-    """f of each value, as a float64 array."""
-    return np.fromiter(map(f, values.tolist()), np.float64, values.size)
-
-
 def _derivatives(fs, alphas, T=None):
     """Caputo derivatives of every function at every order: the one evaluation path.
 
     ``fs`` are all polynomials or all sampled series on one grid.  Returns
-    ``(values, alphas, fs, T)``: ``values[i, j]`` is the derivative of
-    ``fs[i]`` at order ``alphas[j]``, ``alphas`` the orders checked by
-    :func:`_as_orders`, and ``fs`` and ``T`` the functions and the time
-    evaluated at.
+    ``(values, alphas, fs, T)``: ``values[i][j]`` is the derivative of
+    ``fs[i]`` at order ``alphas[j]``, one list of floats per function,
+    ``alphas`` the orders checked by :func:`_as_orders`, and ``fs`` and
+    ``T`` the functions and the time evaluated at.
 
     Polynomials take the closed form and need T, finite and > 0, or 0 when
     every order is 0 (plain evaluation).  Series take the L1 scheme; with
@@ -190,7 +197,7 @@ def _derivatives(fs, alphas, T=None):
         if T is None:
             raise DomainError("polynomial input needs an explicit evaluation time T")
         T = float(T)
-        if not (math.isfinite(T) and (T > 0.0 or (T == 0.0 and not alphas.any()))):
+        if not (math.isfinite(T) and (T > 0.0 or (T == 0.0 and not any(alphas)))):
             raise DomainError(f"end time must be finite and > 0, got T={T!r}")
         return _power_rule(fs, alphas, T), alphas, fs, T
     if T is not None:
@@ -198,49 +205,69 @@ def _derivatives(fs, alphas, T=None):
     return _l1_orders(fs, alphas), alphas, fs, fs[0].t_end
 
 
-def _power_rule(polys, alphas: np.ndarray, T: float) -> np.ndarray:
+def _power_rule(polys, alphas: list[float], T: float) -> list[list[float]]:
     """The polynomial branch of :func:`_derivatives`: the closed form at T.
 
-    Row i is ``polys[i]``.  Non-integer orders take the power rule, one
-    array expression per non-zero monomial t^k over the orders below k
-    (t^k is annihilated by the others); Gamma(k+1)/Gamma(k+1-alpha) goes
-    through log-gamma once k + 1 exceeds 170.  Exact integer orders take
-    the classical derivative, order 0 being p(T).
+    Row i is ``polys[i]``.  Non-integer orders take the power rule column by
+    column: per non-zero monomial t^k, one pass over the orders below k
+    (t^k is annihilated by the others) gives Gamma(k+1)/Gamma(k+1-alpha) *
+    T^(k-alpha), which every polynomial shares.  Each coefficient c then
+    multiplies that product, so a subnormal c is rounded once.  Exact integer
+    orders take the classical derivative, order 0 being p(T).
 
     Raises:
         DomainError: a power T^(k-alpha) or a gamma ratio overflows, naming
             the first such order of ``alphas``.
     """
-    out = np.zeros((len(polys), alphas.size))
-    integer = alphas == np.floor(alphas)
-    for m in set(alphas[integer].tolist()):
-        at = alphas == m
+    out = [[0.0] * len(alphas) for _ in polys]
+    integer = {}
+    for j, a in enumerate(alphas):
+        if a.is_integer():
+            integer.setdefault(a, []).append(j)
+    for m, at in integer.items():
         for row, p in zip(out, polys):
-            row[at] = _derivative(p, int(m))(T)
-    frac = np.flatnonzero(~integer)
-    first_overflow = alphas.size
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row, p in zip(out, polys):
-            for k, c in enumerate(p.coeffs):
-                if c == 0.0:
-                    continue
-                at = frac[alphas[frac] < k]
-                if not at.size:
-                    continue
-                a = alphas[at]
-                if k + 1.0 <= _GAMMA_DIRECT_LIMIT:
-                    ratio = math.gamma(k + 1.0) / _map(math.gamma, k + 1.0 - a)
-                else:
-                    ratio = np.exp(math.lgamma(k + 1.0) - _map(math.lgamma, k + 1.0 - a))
-                power = T ** (k - a)
-                over = np.isinf(ratio) | np.isinf(power)
-                if over.any():
-                    first_overflow = min(first_overflow, int(at[over.argmax()]))
-                row[at] += c * ratio * power
-    if first_overflow < alphas.size:
-        a = alphas[first_overflow].item()
-        raise DomainError(f"order-{a!r} derivative overflows at T={T!r}")
+            value = _derivative(p, int(m))(T)
+            for j in at:
+                row[j] = value
+    # Ascending, so the orders below each k are a prefix.
+    frac = sorted((j for j, a in enumerate(alphas) if not a.is_integer()), key=alphas.__getitem__)
+    orders = [alphas[j] for j in frac]
+    sums = [[0.0] * len(frac) for _ in polys]
+    first_overflow = len(alphas)
+    for k in sorted({k for p in polys for k, c in enumerate(p.coeffs) if c != 0.0}):
+        terms = _monomials(k, T, orders[: bisect.bisect_left(orders, k)])
+        # The terms are >= 0, so their sum is nan only where one is.
+        if math.isnan(sum(terms)):
+            first_overflow = min(first_overflow, *(j for j, w in zip(frac, terms) if math.isnan(w)))
+        for p, row in zip(polys, sums):
+            c = p.coeffs[k] if k < len(p.coeffs) else 0.0
+            if c != 0.0:
+                row[: len(terms)] = [v + c * w for v, w in zip(row, terms)]
+    if first_overflow < len(alphas):
+        raise DomainError(f"order-{alphas[first_overflow]!r} derivative overflows at T={T!r}")
+    for row, values in zip(out, sums):
+        for j, v in zip(frac, values):
+            row[j] = v
     return out
+
+
+def _monomials(k: int, T: float, orders: list[float]) -> list[float]:
+    """Gamma(k+1)/Gamma(k+1-alpha) * T^(k-alpha) at each order 0 < alpha < k.
+
+    nan stands for a factor that overflows; the product of two finite
+    factors is never nan.  The gamma ratio goes through log-gamma once
+    k + 1 exceeds 170.
+    """
+    k1, kf = k + 1.0, float(k)
+    try:
+        if k1 <= _GAMMA_DIRECT_LIMIT:
+            g = math.gamma(k1)
+            return [g / math.gamma(k1 - a) * T ** (kf - a) for a in orders]
+        lg = math.lgamma(k1)
+        return [math.exp(lg - math.lgamma(k1 - a)) * T ** (kf - a) for a in orders]
+    except OverflowError:
+        # Find the orders that overflow, one at a time.
+        return [math.nan] if len(orders) == 1 else [w for a in orders for w in _monomials(k, T, [a])]
 
 
 def caputo_poly(p: Polynomial, alpha: float, T: float) -> float:
@@ -250,11 +277,13 @@ def caputo_poly(p: Polynomial, alpha: float, T: float) -> float:
     <= n-1 vanish); exact integer orders return the classical derivative,
     with order 0 meaning p(T), which is also defined at T = 0.
     """
-    return float(_derivatives([p], float(alpha), T)[0][0, 0])
+    return _derivatives([p], float(alpha), T)[0][0][0]
 
 
 def _difference_derivative(series: SampledSeries) -> SampledSeries:
     """Second-order finite-difference estimate of f' on the same grid."""
+    import numpy as np
+
     v = series.values
     h = series.h
     d = np.empty_like(v)
@@ -285,10 +314,10 @@ def caputo_series(series: SampledSeries, alpha: float) -> float:
     backward difference (f(T) - f(T-h))/h.  So a sweep over orders jumps by
     f(0) at alpha = 0 and by O(h) at alpha = 1.
     """
-    return float(_derivatives([series], float(alpha))[0][0, 0])
+    return _derivatives([series], float(alpha))[0][0][0]
 
 
-def _l1_orders(series, alphas: np.ndarray) -> np.ndarray:
+def _l1_orders(series, alphas: list[float]) -> list[list[float]]:
     """The sampled branch of :func:`_derivatives`: the scheme of :func:`caputo_series`.
 
     Row i is ``series[i]``.  The orders in (0, 1) share one blocked kernel
@@ -297,10 +326,14 @@ def _l1_orders(series, alphas: np.ndarray) -> np.ndarray:
     grow with len(alphas) and, beyond those derivatives, the extra memory
     does not grow with N.
     """
+    import numpy as np
+
+    from ._kernels import l1_weighted_sum
+
     n_steps = series[0].n_steps
-    out = np.empty((len(series), alphas.size))
+    out = np.empty((len(series), len(alphas)))
     l1, extended = [], []
-    for i, a in enumerate(alphas.tolist()):
+    for i, a in enumerate(alphas):
         if a >= 2.0:
             raise DomainError(f"numerical engine covers 0 <= alpha < 2, got {a!r}")
         if a == 0.0:
@@ -324,4 +357,4 @@ def _l1_orders(series, alphas: np.ndarray) -> np.ndarray:
         sums = l1_weighted_sum([r.values for r in rows], [1.0 - a for _, a in picked])
         for (i, a), row_sums in zip(picked, sums.tolist()):
             out[:, i] = [v * r.h ** (-a) / math.gamma(2.0 - a) for v, r in zip(row_sums, rows)]
-    return out
+    return out.tolist()

@@ -13,9 +13,6 @@ import math
 import re
 import sys
 
-import numpy as np
-
-from ._kernels import blocks
 from .caputo import Polynomial, SampledSeries, _derivatives
 from .errors import DomainError, FracalcError
 from .indicators import _ratios, alpha_sweep, detect_multivalued
@@ -260,7 +257,7 @@ def _run_deriv(args: argparse.Namespace) -> int:
     else:
         raise DomainError("need --coeffs or --input")
     (values,), *_ = _derivatives([f], args.alphas, T)
-    _emit_results(args, args.alphas, values.tolist())
+    _emit_results(args, args.alphas, values)
     return 0
 
 
@@ -330,6 +327,10 @@ def _run_demo(args: argparse.Namespace) -> int:
 
 def _grid_tol(series: SampledSeries, cells: float) -> float:
     """cells times the largest step of the series, taken block by block."""
+    import numpy as np
+
+    from ._kernels import blocks
+
     v = series.values
     steps = (np.abs(np.diff(v[start : stop + 1])).max() for start, stop in blocks(v.shape[0] - 1))
     return cells * float(max(steps))

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._kernels import blocks, multivalued_pairs
-from .caputo import Polynomial, SampledSeries, _derivative, _derivatives, _map
+from .caputo import Polynomial, SampledSeries, _derivative, _derivatives
 from .errors import DenominatorNearZero, DomainError, EmptySweep, GridMismatch
 
 __all__ = [
@@ -32,6 +30,9 @@ __all__ = [
     "alpha_sweep",
     "detect_multivalued",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Denominators are degenerate below this fraction of their natural scale.
 _REL_THRESHOLD = 1e-12
@@ -68,15 +69,21 @@ class IndicatorPair:
 def _scale_base(x, n: int, T: float) -> float:
     """max|x^(n)| on [0, T]: the order-independent part of the guard scale.
 
-    Polynomials are probed on a fixed grid; sampled series use the n-th
-    divided difference (the samples themselves for n = 0), taken block by
-    block so that no memory grows with N.  The sampled branch of
+    Polynomials are probed on a fixed grid of Python floats, the points of
+    ``np.linspace(0, T, _PROBE_POINTS)`` bit for bit; sampled series use the
+    n-th divided difference (the samples themselves for n = 0), taken block
+    by block so that no memory grows with N.  The sampled branch of
     ``caputo._derivatives`` admits only orders below 2, so n <= 2 and the
     difference has at least one entry.
     """
     if isinstance(x, Polynomial):
         q = _derivative(x, n)
-        return float(np.max(np.abs(q(np.linspace(0.0, T, _PROBE_POINTS)))))
+        step = T / (_PROBE_POINTS - 1)
+        return max(abs(q(t)) for t in [i * step for i in range(_PROBE_POINTS - 1)] + [T])
+    import numpy as np
+
+    from ._kernels import blocks
+
     v, h = x.values, x.h
 
     def block_max(start, stop):
@@ -93,18 +100,16 @@ def _evaluate(pair: IndicatorPair, alphas, T):
 
     The one evaluation path of every indicator: both members go through
     ``caputo._derivatives`` in one call, which checks the orders and T, and
-    each result is an array over the orders.  The guard reads the window
-    the core evaluated.  Its scale bounds |D^alpha x| by
+    each result is a list of floats over the orders.  The guard reads the
+    window the core evaluated.  Its scale bounds |D^alpha x| by
     max|x^(n)| * T^(n-alpha) / Gamma(n-alpha+1), max|x^(n)| for integer
     orders; max|x^(n)| is computed once per distinct n.
     """
     (num, den), alphas, (_, x), T = _derivatives([pair.y, pair.x], alphas, T)
-    floor = np.floor(alphas)
-    n = np.where(alphas == floor, alphas, floor + 1.0)
-    bases = {m: _scale_base(x, int(m), T) for m in set(n.tolist())}
+    n = [a if a.is_integer() else math.floor(a) + 1.0 for a in alphas]
+    bases = {m: _scale_base(x, int(m), T) for m in set(n)}
     # Integer orders get Gamma(1) = T^0 = 1, so their scale is the base itself.
-    e = n - alphas
-    scales = _map(bases.__getitem__, n) * T ** e / _map(math.gamma, e + 1.0)
+    scales = [bases[m] * T ** (m - a) / math.gamma(m - a + 1.0) for m, a in zip(n, alphas)]
     return num, den, scales
 
 
@@ -117,7 +122,7 @@ def _ratios(pair: IndicatorPair, alphas, T) -> list[float]:
 
     Raises DenominatorNearZero at the first degenerate order in list order.
     """
-    num, den, scales = (v.tolist() for v in _evaluate(pair, alphas, T))
+    num, den, scales = _evaluate(pair, alphas, T)
     for d, scale in zip(den, scales):
         if _degenerate(d, scale):
             raise DenominatorNearZero(f"factor derivative is {d!r}, below threshold for scale {scale!r}")
@@ -165,11 +170,11 @@ def t_indicator_time(y: Polynomial | SampledSeries, alpha: float, T: float | Non
     a = float(alpha)
     if a >= 2.0:
         raise DomainError(f"time-factor form requires 0 <= alpha < 2, got {a!r}")
-    d, _, _, T = _derivatives([y], a, T)
+    ((d,),), _, _, T = _derivatives([y], a, T)
     if T == 0.0:
         # Order 0 admits T = 0, where the prefactor T^(alpha-1) is undefined.
         raise DomainError(f"end time must be finite and > 0, got T={T!r}")
-    return math.gamma(2.0 - a) * T ** (a - 1.0) * d.item()
+    return math.gamma(2.0 - a) * T ** (a - 1.0) * d
 
 
 def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> list[float | None]:
@@ -184,8 +189,7 @@ def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> list[flo
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise DomainError("orders must be strictly increasing")
     num, den, scales = _evaluate(pair, alphas, T)
-    degenerate = _degenerate(den, scales)
-    return [None if flag else n / d for n, d, flag in zip(num.tolist(), den.tolist(), degenerate.tolist())]
+    return [None if _degenerate(d, scale) else n / d for n, d, scale in zip(num, den, scales)]
 
 
 def detect_multivalued(
@@ -205,6 +209,8 @@ def detect_multivalued(
     x_tol, y_tol = float(x_tol), float(y_tol)
     if not (math.isfinite(x_tol) and x_tol > 0.0 and math.isfinite(y_tol) and y_tol > 0.0):
         raise DomainError(f"tolerances must be finite and > 0, got x_tol={x_tol!r}, y_tol={y_tol!r}")
+    from ._kernels import multivalued_pairs
+
     IndicatorPair(y=y, x=x)  # raises GridMismatch unless x and y share one grid
     i, j = multivalued_pairs(x.values, y.values, x_tol, y_tol)
     return i * x.h, j * x.h

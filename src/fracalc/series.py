@@ -1,4 +1,7 @@
-"""Time-series construction: demo processes, sampling, CSV ingestion."""
+"""Time-series construction: demo processes, sampling, CSV ingestion.
+
+The demo processes need no numpy; sampling and ingestion import it.
+"""
 
 from __future__ import annotations
 
@@ -8,13 +11,14 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._kernels import blocks
 from .caputo import Polynomial, SampledSeries
 from .errors import DomainError, InsufficientData, NonUniformGrid, ParseError
 from .indicators import IndicatorPair
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DemoProcess",
@@ -87,10 +91,16 @@ def demo_process(name: str) -> DemoProcess:
 def sample(p: Polynomial, t_end: float, n: int) -> SampledSeries:
     """Sample a polynomial uniformly: values[k] = p(k * t_end / n), k = 0..n.
 
-    The samples are computed block by block into the one array returned,
-    so no other memory grows with n.  When the n + 1 samples cannot be
-    allocated the result is a DomainError naming n.
+    The samples are computed block by block in place, by Horner's rule in
+    the array returned, with the block's times in one buffer reused from
+    block to block; so no other memory grows with n, and no block
+    allocates.  When the n + 1 samples cannot be allocated the result is a
+    DomainError naming n.
     """
+    import numpy as np
+
+    from ._kernels import blocks
+
     t_end = float(t_end)
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"end time must be finite and > 0, got T={t_end!r}")
@@ -101,8 +111,17 @@ def sample(p: Polynomial, t_end: float, n: int) -> SampledSeries:
     except (MemoryError, ValueError):
         # numpy raises ValueError for sizes beyond its index range.
         raise DomainError(f"N={n} samples do not fit in memory") from None
-    for start, stop in blocks(n + 1):
-        values[start:stop] = p(np.arange(start, stop) * h)
+    spans = list(blocks(n + 1))
+    index = np.arange(float(spans[0][1]))  # the first block is the longest
+    t = np.empty_like(index)
+    for start, stop in spans:
+        m = stop - start
+        # The block's times, (start + i) * h exactly as np.arange(start, stop) * h.
+        tk = np.multiply(np.add(index[:m], start, out=t[:m]), h, out=t[:m])
+        v = values[start:stop]
+        v.fill(0.0)
+        for c in reversed(p.coeffs):
+            np.add(np.multiply(v, tk, out=v), c, out=v)
     return SampledSeries(h, values)
 
 
@@ -136,10 +155,12 @@ def ingest_csv(path) -> IndicatorPair:
     ASCII files cost one scan of the bytes and ``np.loadtxt`` calls of
     4096 lines each, whose float parsing dominates.  Memory is x and y, 16
     bytes per row, in two contiguous arrays sized by the line breaks the
-    scan counts; t is checked chunk by chunk and never held whole.  Other
-    files, and files ``np.loadtxt`` refuses, go through a line-by-line
-    parser that is about twice as slow and holds the whole text and a
-    Python float per cell.  Both give the same arrays and the same errors.
+    scan counts; t is checked chunk by chunk and never held whole.  A chunk
+    ``np.loadtxt`` refuses, such as one holding a line of blanks, goes to the
+    line parser's rules with its line numbers.  Other files go through a
+    line-by-line parser that is about twice as slow and holds the whole text
+    and a Python float per cell.  Both give the same arrays and the same
+    errors.
     """
     with open(path, "rb") as f:
         x, y, grid = _read_columns(f)
@@ -162,6 +183,8 @@ class _Grid:
 
     def add(self, t: np.ndarray) -> None:
         """Take the next stamps, at least one; deltas are kept only while every stamp is finite."""
+        import numpy as np
+
         if self.non_finite is None:
             finite = np.isfinite(t)
             if not finite.all():
@@ -199,18 +222,17 @@ class _Grid:
 
 def _read_columns(f):
     """The x and y columns of a binary CSV file, and the summary of its t column."""
+    from ._kernels import blocks
+
     if f.seekable():
         bound = _loadtxt_rows(f)
         f.seek(0)
         if bound is not None:
             text = io.TextIOWrapper(f, encoding="utf-8-sig", newline="")
             try:
-                columns = _loadtxt_columns(text, bound)
+                return _loadtxt_columns(text, bound)
             finally:
                 text.detach()
-            if columns is not None:
-                return columns
-            f.seek(0)
     t, x, y = _parse_lines(f.read())
     grid = _Grid()
     for start, stop in blocks(t.size):
@@ -228,6 +250,8 @@ def _loadtxt_rows(f) -> int | None:
     not as the two lines ``0,1`` and ``,2``.  The bound counts the line
     breaks LF, CR and CR LF; a CR LF split between two reads counts twice.
     """
+    import numpy as np
+
     breaks = 0
     last = b""
     chunk = f.read(_SCAN_CHUNK).removeprefix(codecs.BOM_UTF8)
@@ -251,10 +275,12 @@ def _loadtxt_columns(text, bound: int):
     """Check the header, then parse the rows after it with np.loadtxt in chunks.
 
     Returns x and y, each a float64 array of the rows, and the grid summary
-    of t, or None where np.loadtxt refuses a chunk, finds another column
-    count or warns; the line parser then decides.  A chunk of blank lines
-    only is skipped.
+    of t.  A chunk that np.loadtxt refuses, warns on or reads as other than
+    three columns, a chunk of blank lines among them, goes to
+    :func:`_parse_rows`, which decides on its lines alone.
     """
+    import numpy as np
+
     line_no = 0
     for line in iter(text.readline, ""):
         line_no += 1
@@ -267,21 +293,30 @@ def _loadtxt_columns(text, bound: int):
     grid = _Grid()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        for first in text:
-            lines = itertools.chain((first,), itertools.islice(text, _LOADTXT_ROWS - 1))
+        while True:
+            # Lines are read by readline, not by iteration, so that tell works.
+            start = text.tell()
+            first = text.readline()
+            if not first:
+                break
+            chunk = itertools.chain((first,), _lines(text, _LOADTXT_ROWS - 1))
             try:
-                table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+                # Unpacking raises ValueError unless there are three columns.
+                t, xs, ys = np.loadtxt(chunk, delimiter=",", comments=None, dtype=np.float64, ndmin=2, unpack=True)
             except (ValueError, Warning):
-                return None
-            if not table.size:
-                continue
-            if table.shape[1] != 3:
-                return None
-            rows = slice(grid.rows, grid.rows + len(table))
-            x[rows], y[rows] = table[:, 1], table[:, 2]
-            grid.add(table[:, 0])
+                text.seek(start)
+                t, xs, ys = map(np.array, _parse_rows(_lines(text, _LOADTXT_ROWS), line_no + 1))
+            line_no += _LOADTXT_ROWS
+            if t.size:
+                rows = slice(grid.rows, grid.rows + t.size)
+                x[rows], y[rows] = xs, ys
+                grid.add(t)
     return x[: grid.rows], y[: grid.rows], grid
+
+
+def _lines(text, n: int):
+    """The next n lines of ``text`` at most, read one at a time."""
+    return itertools.islice(iter(text.readline, ""), n)
 
 
 def _check_header(header: str, line: int) -> None:
@@ -292,6 +327,8 @@ def _check_header(header: str, line: int) -> None:
 
 def _parse_lines(data: bytes):
     """Line-by-line parse of a whole CSV file; the reference for every error."""
+    import numpy as np
+
     data = data.removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
@@ -301,19 +338,32 @@ def _parse_lines(data: bytes):
         line = len((data[: exc.start].decode("utf-8") + "_").splitlines())
         bad = data[exc.start : exc.end]
         raise ParseError(f"not UTF-8 text ({exc.reason}: {bad!r})", line=line) from None
-    rows = [(i + 1, line) for i, line in enumerate(text.splitlines()) if line.strip()]
-    if not rows:
+    lines = text.splitlines()
+    header = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if header is None:
         raise ParseError("empty file", line=1)
-    _check_header(rows[0][1], rows[0][0])
+    _check_header(lines[header], header + 1)
+    rows = _parse_rows(itertools.islice(lines, header + 1, None), header + 2)
+    return tuple(np.array(column, dtype=np.float64) for column in rows)
+
+
+def _parse_rows(lines, first_line: int) -> tuple[list[float], list[float], list[float]]:
+    """t, x and y of data lines numbered from ``first_line``; blank lines are skipped.
+
+    A line may keep its line break.  Each other line must hold three
+    comma-separated numbers, or a ParseError names it.
+    """
     t, x, y = [], [], []
-    for line_no, line in rows[1:]:
+    for line_no, line in enumerate(lines, first_line):
+        if not line.strip():
+            continue
         cells = line.split(",")
         if len(cells) != 3:
             raise ParseError(f"expected 3 comma-separated values, got {len(cells)}", line=line_no)
         t.append(_parse_float(cells[0].strip(), line_no))
         x.append(_parse_float(cells[1].strip(), line_no))
         y.append(_parse_float(cells[2].strip(), line_no))
-    return np.array(t, dtype=np.float64), np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
+    return t, x, y
 
 
 def export_csv(pair: IndicatorPair, target) -> None:

@@ -172,6 +172,14 @@ class TestCaputoPoly:
         floor = len(cs) * math.ulp(0.0) * max(1.0, T) ** (len(cs) - 1)
         assert abs(got - want) <= 1e-13 * scale + floor
 
+    @pytest.mark.parametrize("cs,alpha", [([0.0, 0.0, 1.5e-323], 0.5), ([0.0] * 5 + [3.5e-323], 2.5)])
+    def test_subnormal_coefficient_rounds_once(self, cs, alpha):
+        # Each term is c * (ratio * power).  The order (c * ratio) * power
+        # rounded c * ratio to a whole subnormal step and then scaled that loss
+        # by T^(k - alpha): 15 steps off here at order 0.5, 77 at order 2.5.
+        got = caputo_poly(Polynomial(tuple(cs)), alpha, 10.0)
+        assert abs(got - ref_caputo_poly(cs, alpha, 10.0)) <= math.ulp(0.0)
+
     def test_square_half_order(self):
         # Gamma(3)/Gamma(2.5) at T=1, frozen from the mpmath oracle.
         got = caputo_poly(monomial(2), 0.5, 1.0)

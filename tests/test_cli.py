@@ -655,13 +655,15 @@ class TestRuntimeDependencies:
     def test_check_suite_and_json_load_on_demand(self, child_env):
         # Only `check` needs the suite and only --format json the json module.
         # `import fracalc` loads no numpy: each public name outside the errors
-        # is imported from its module on first access.  Only the CLI's entry
+        # is imported from its module on first access.  Nor does
+        # `import fracalc.cli`: only code that holds samples imports numpy.  Only the CLI's entry
         # sets OPENBLAS_NUM_THREADS, so a library user's process keeps its
         # BLAS as it was.
         code = (
             "import os, sys, fracalc\n"
             "print('numpy' in sys.modules)\n"
             "import fracalc.cli\n"
+            "print('numpy' in sys.modules)\n"
             "print(sorted({'json', 'fracalc.check'} & set(sys.modules)), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
             "star = {}\n"
             "exec('from fracalc import *', star)\n"
@@ -675,8 +677,30 @@ class TestRuntimeDependencies:
         )
         env = {k: v for k, v in child_env.items() if k != "OPENBLAS_NUM_THREADS"}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        want = "False\n[] None\nTrue\n[]\nmodule 'fracalc' has no attribute 'no_such_name'\n"
+        want = "False\nFalse\n[] None\nTrue\n[]\nmodule 'fracalc' has no attribute 'no_such_name'\n"
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--demo", "fig2", "--alpha", "0:1:0.01", "--T", "385"],
+            ["indicator", "--demo", "fig1", "--alpha", "0.5"],
+            ["deriv", "--coeffs", "1,2,3", "--alpha", "0.5", "--T", "2"],
+        ],
+    )
+    def test_closed_form_runs_without_numpy(self, capsys, child_env, argv):
+        # The polynomial path, from the import to the last row, needs no
+        # numpy: in a child where importing it fails, the bytes are the same.
+        want = run_cli(capsys, *argv)
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from fracalc.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=child_env, capture_output=True, text=True)
+        assert want[0] == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
 
     @pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
     def test_entry_runs_blas_on_one_thread_unless_told(self, child_env, preset, want):

@@ -230,7 +230,7 @@ class TestL1WeightedSum:
             got, *_ = _derivatives(pair, orders)
         finally:
             _kernels._L1_BLOCK = old
-        for a, column in zip(orders, got.T.tolist()):
+        for a, column in zip(orders, zip(*got)):
             for s, value in zip(pair, column):
                 if a < 1.0:
                     want = full_length_l1(s.values, a, h)

@@ -324,7 +324,7 @@ class TestIngestMatchesLineParser:
         def no_fallback(data):
             raise AssertionError("line parser used on a clean file")
 
-        monkeypatch.setattr(series.np, "loadtxt", spy)
+        monkeypatch.setattr(np, "loadtxt", spy)
         monkeypatch.setattr(series, "_parse_lines", no_fallback)
         pair = ingest_csv(path)
         assert len(calls) == 1
@@ -409,6 +409,41 @@ class TestIngestInChunks:
             assert isinstance(got[0], str)  # the step, not an error type
         else:
             assert got[2] == message
+
+
+    @pytest.mark.parametrize("line,error", [(" \t\n", None), ("3.5,four,7\n", "line 6: not a number: 'four'")])
+    def test_only_the_refused_chunk_goes_to_the_line_parser(self, tmp_path, monkeypatch, line, error):
+        # Chunks of 3 lines after the header on line 1: lines 2-4, 5-7, 8-10
+        # and 11.  np.loadtxt refuses line 6, a line of blanks or one that
+        # is not a number.
+        rows = _rows([float(j) for j in range(9)]).splitlines(keepends=True)
+        rows.insert(4, line)
+        path = tmp_path / "data.csv"
+        path.write_text("t,x,y\n" + "".join(rows), encoding="utf-8", newline="")
+        with monkeypatch.context() as m:
+            m.setattr(series, "_loadtxt_rows", lambda f: None)
+            want = outcome(ingest_csv, path)
+        parsed = []
+        real_parse_rows = series._parse_rows
+
+        def spy(lines, first_line):
+            lines = list(lines)
+            parsed.append((first_line, lines))
+            return real_parse_rows(lines, first_line)
+
+        def no_fallback(data):
+            raise AssertionError("whole file sent to the line parser")
+
+        monkeypatch.setattr(series, "_LOADTXT_ROWS", 3)
+        monkeypatch.setattr(series, "_parse_rows", spy)
+        monkeypatch.setattr(series, "_parse_lines", no_fallback)
+        assert outcome(ingest_csv, path) == want
+        first_line = 5
+        assert parsed == [(first_line, rows[first_line - 2 : first_line + 1])]
+        if error is None:
+            assert isinstance(want[0], str)  # the step, not an error type
+        else:
+            assert want == (ParseError, 6, error)
 
 
 class TestRoundTrip:
