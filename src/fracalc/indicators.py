@@ -204,7 +204,9 @@ def detect_multivalued(
     witness at these tolerances, not a proof of single-valuedness.  Both
     tolerances must be finite and > 0.  Cost is O(N log N) plus the number
     of candidate pairs, those whose factor values lie within about x_tol of
-    each other; the result holds 16 bytes per witness.
+    each other.  The result holds 16 bytes per witness, and 32 while the
+    scan's indices become times; beyond the witnesses, the scan needs a few
+    index arrays of N and one block of candidates.
     """
     x_tol, y_tol = float(x_tol), float(y_tol)
     if not (math.isfinite(x_tol) and x_tol > 0.0 and math.isfinite(y_tol) and y_tol > 0.0):

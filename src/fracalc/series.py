@@ -39,6 +39,12 @@ _SPLITLINES_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 # Bytes read per step of the scan that picks the np.loadtxt path.
 _SCAN_CHUNK = 1 << 20
 
+# Bytes of a read whose line breaks are counted at once.  Each comparison
+# makes a bool buffer of this size, so the count holds a few of them, not
+# copies of the read; slices this small also stay in cache, and counted a
+# 50 MB file faster than whole reads did.
+_COUNT_SLICE = 1 << 16
+
 # Lines per np.loadtxt call.  Its table of a chunk, 24 bytes per row, is
 # 96 KiB, small beside x and y; 16384 lines held more and were no faster.
 _LOADTXT_ROWS = 4096
@@ -259,12 +265,16 @@ def _loadtxt_rows(f) -> int | None:
         if not chunk.isascii() or any(b in chunk for b in _SPLITLINES_ONLY):
             return None
         a = np.frombuffer(chunk, np.uint8)
-        lf = a == ord("\n")
-        breaks += int(np.count_nonzero(lf))
-        if b"\r" in chunk:
-            # A CR alone breaks a line; a CR LF was counted at its LF.
-            cr = a == ord("\r")
-            breaks += int(np.count_nonzero(cr)) - int(np.count_nonzero(cr[:-1] & lf[1:]))
+        has_cr = b"\r" in chunk
+        for s in range(0, a.size, _COUNT_SLICE):
+            e = s + _COUNT_SLICE
+            breaks += int(np.count_nonzero(a[s:e] == ord("\n")))
+            if has_cr:
+                # A CR alone breaks a line; a CR LF was counted at its LF,
+                # which may open the next slice of the read.
+                cr = a[s:e] == ord("\r")
+                lf_after = a[s + 1 : e + 1] == ord("\n")
+                breaks += int(np.count_nonzero(cr)) - int(np.count_nonzero(cr[: lf_after.size] & lf_after))
         last = chunk[-1:]
         chunk = f.read(_SCAN_CHUNK)
     # The header takes one line; a last line without a break adds one.

@@ -265,13 +265,22 @@ class TestMultivaluedPairs:
             (0.5803661089568823, 19.13754117251856, 19.717907281475444),
             (-1.956533897050904e16, 2.5252439080338216e16, 5687100109829177.0),
             (-1.0676621989697095e-300, 7.695129704688543e-301, -2.981492285008551e-301),
+            # Also a < fl(b - x_tol): a window starting there would miss it.
+            (-0.24844962539771176, 1.0420432586255162, 0.7935936332278045),
+            (-7517818769901584.0, 1.8779232600891264e16, 1.1261413830989682e16),
+            (-5.728401418201773e-301, 8.46077919018155e-301, 2.732377771979778e-301),
         ],
     )
     def test_match_beyond_rounded_window(self, a, x_tol, b):
         # fl(b - a) <= x_tol although b > fl(a + x_tol), so a window ending
-        # at fl(a + x_tol) would miss the pair.
+        # at fl(a + x_tol) would miss the pair.  Each pair is kept from its
+        # first row: [a, b] finds it in a's upward window, [b, a] in b's
+        # downward one.  Negated, -b < fl(-a - x_tol), so [-a, -b] finds it
+        # at the rounded edge of -a's downward window; [b, a] and [-b, -a]
+        # reach a rounded edge where also a < fl(b - x_tol).
         assert b > a + x_tol and abs(b - a) <= x_tol
-        assert scan_pairs([a, b], [0.0, 1.0], x_tol, 0.5) == [(0, 1)]
+        for x in ([a, b], [b, a], [-a, -b], [-b, -a]):
+            assert scan_pairs(x, [0.0, 1.0], x_tol, 0.5) == [(0, 1)]
 
     @settings(max_examples=200, deadline=None)
     @given(

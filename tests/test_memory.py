@@ -1,4 +1,5 @@
-"""Memory contracts: the samples are the only memory that grows with N.
+"""Memory contracts: besides the samples, only the multivalued witnesses
+take memory that grows with the input.
 
 Peaks are measured with ``tracemalloc``, which sees numpy's array buffers
 as well as Python objects.  Every bound is the memory the result itself
@@ -6,6 +7,8 @@ needs plus ``SLACK``: sixteen float64 buffers of one block.  The block is
 shrunk here so that a single full-length temporary of N float64 values
 breaks the bound at sizes that run in a fraction of a second.  CSV ingest
 parses in chunks of ``np.loadtxt`` rows, so its slack is counted in those.
+The witness scan's sort order and search windows, a few index arrays of
+N, count with the samples.
 """
 
 import tracemalloc
@@ -13,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracalc import _kernels, export_csv, ingest_csv, sample, series
+from fracalc import _kernels, detect_multivalued, export_csv, ingest_csv, sample, series
 from fracalc.cli import _grid_tol
 from fracalc.indicators import _evaluate
 
@@ -24,6 +27,7 @@ SLACK = 16 * 8 * BLOCK
 @pytest.fixture(autouse=True)
 def small_blocks(monkeypatch):
     monkeypatch.setattr(_kernels, "_L1_BLOCK", BLOCK)
+    monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", BLOCK)
 
 
 def traced_peak(f, *args):
@@ -61,6 +65,38 @@ def test_demo_tolerance_takes_a_few_blocks(fig1):
     tol, peak = traced_peak(_grid_tol, series, 10.0)
     assert tol == 10.0 * float(np.max(np.abs(np.diff(series.values))))
     assert peak <= 4 * 8 * BLOCK
+
+
+def test_witness_scan_holds_the_witnesses_and_index_arrays_of_n(fig2):
+    # demo's default tolerances on fig2.  The scan returns int64 indices
+    # (i, j) and detect_multivalued turns them into float64 times (t1, t2),
+    # so all four are held at once: 32 bytes per witness.  Before that, the
+    # scan holds its sort order, the sorted x and the rows' window ends, a
+    # few int64 arrays of N (eight here), the witnesses found so far and one
+    # block's candidates, which SLACK covers.
+    n = 10_000
+    xs, ys = sample(fig2.x, fig2.t_end, n), sample(fig2.y, fig2.t_end, n)
+    x_tol, y_tol = _grid_tol(xs, 1.0), _grid_tol(ys, 10.0)
+    (t1, t2), peak = traced_peak(detect_multivalued, xs, ys, x_tol, y_tol)
+    assert t1.size > 10 * n
+    assert peak <= 32 * t1.size + 8 * 8 * (n + 1) + SLACK
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_line_count_holds_two_reads(tmp_path, fig2, newline):
+    # The scan that bounds the rows of a CSV file holds the read it counts
+    # and, while the next one arrives, that one too.  Counting the line
+    # breaks of a read takes a few small buffers, within SLACK, not copies
+    # of the read: a CR needs more of them than an LF.
+    rows = 40_000
+    path = tmp_path / "pair.csv"
+    export_csv(fig2.sampled_pair(rows - 1), path)
+    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    assert path.stat().st_size > 2 * series._SCAN_CHUNK
+    with open(path, "rb") as f:
+        bound, peak = traced_peak(series._loadtxt_rows, f)
+    assert bound == rows
+    assert peak <= 2 * series._SCAN_CHUNK + SLACK
 
 
 def test_ingest_holds_only_x_and_y(tmp_path, monkeypatch, fig2):

@@ -1,4 +1,5 @@
 import codecs
+import io
 import math
 import subprocess
 import sys
@@ -387,7 +388,33 @@ _CHUNKED_FILES = {
 }
 
 
+def reference_row_bound(data, read):
+    """The row bound of an ASCII file read ``read`` bytes at a time: its LF,
+    CR and CR LF breaks counted read by read, so a CR LF split between two
+    reads counts twice, less the header's line."""
+    reads = [data[k : k + read] for k in range(0, len(data), read)]
+    breaks = sum(r.count(b"\n") + r.count(b"\r") - r.count(b"\r\n") for r in reads)
+    return breaks - 1 if data.endswith((b"\n", b"\r")) else breaks
+
+
 class TestIngestInChunks:
+    @given(
+        data=st.lists(st.sampled_from([b"1", b",", b"\r", b"\n"]), max_size=40).map(b"".join),
+        read=st.sampled_from([1, 2, 3, 5, 64]),
+        count_slice=st.sampled_from([1, 2, 3, 64]),
+    )
+    @example(data=b"1\r\n1\r\n", read=2, count_slice=64)  # a CR LF split between reads
+    @example(data=b"1\r\n1\r\n", read=64, count_slice=2)  # and between slices of a read
+    @settings(max_examples=300, deadline=None)
+    def test_row_bound_counts_breaks_read_by_read(self, data, read, count_slice):
+        old = series._SCAN_CHUNK, series._COUNT_SLICE
+        series._SCAN_CHUNK, series._COUNT_SLICE = read, count_slice
+        try:
+            got = series._loadtxt_rows(io.BytesIO(data))
+        finally:
+            series._SCAN_CHUNK, series._COUNT_SLICE = old
+        assert got == reference_row_bound(data, read)
+
     @pytest.mark.parametrize("case", _CHUNKED_FILES)
     @pytest.mark.parametrize("k", [1, 2, 3, 7])
     def test_same_arrays_and_errors_as_line_parser(self, tmp_path, monkeypatch, case, k):
