@@ -325,6 +325,10 @@ def _l1_orders(series, alphas: list[float]) -> list[list[float]]:
     finite-difference derivatives, so the work over the samples does not
     grow with len(alphas) and, beyond those derivatives, the extra memory
     does not grow with N.
+
+    Raises:
+        DomainError: h^(-alpha) or a value overflows, naming the first
+            such order of ``alphas``.
     """
     import numpy as np
 
@@ -339,8 +343,10 @@ def _l1_orders(series, alphas: list[float]) -> list[list[float]]:
         if a == 0.0:
             out[:, i] = [s.values[-1] for s in series]
         elif a == 1.0:
-            out[:, i] = [(3.0 * s.values[-1] - 4.0 * s.values[-2] + s.values[-3]) / (2.0 * s.h)
-                         for s in series]
+            # In Python floats, where an overflow gives inf without a warning.
+            for row, s in enumerate(series):
+                v0, v1, v2 = s.values[-3:].tolist()
+                out[row, i] = (3.0 * v2 - 4.0 * v1 + v0) / (2.0 * s.h)
         elif a < 1.0:
             l1.append((i, a))
         elif n_steps < 4:
@@ -356,5 +362,12 @@ def _l1_orders(series, alphas: list[float]) -> list[list[float]]:
             continue
         sums = l1_weighted_sum([r.values for r in rows], [1.0 - a for _, a in picked])
         for (i, a), row_sums in zip(picked, sums.tolist()):
-            out[:, i] = [v * r.h ** (-a) / math.gamma(2.0 - a) for v, r in zip(row_sums, rows)]
+            try:
+                out[:, i] = [v * r.h ** (-a) / math.gamma(2.0 - a) for v, r in zip(row_sums, rows)]
+            except OverflowError:
+                out[:, i] = math.inf  # h^(-alpha), common to the rows, overflows
+    overflow = ~np.isfinite(out).all(axis=0)
+    if overflow.any():
+        a = alphas[int(overflow.argmax())]
+        raise DomainError(f"order-{a!r} derivative overflows at h={series[0].h!r}")
     return out.tolist()

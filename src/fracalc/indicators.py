@@ -204,15 +204,22 @@ def detect_multivalued(
     witness at these tolerances, not a proof of single-valuedness.  Both
     tolerances must be finite and > 0.  Cost is O(N log N) plus the number
     of candidate pairs, those whose factor values lie within about x_tol of
-    each other.  The result holds 16 bytes per witness, and 32 while the
-    scan's indices become times; beyond the witnesses, the scan needs a few
-    index arrays of N and one block of candidates.
+    each other.  The result holds 16 bytes per witness: the times are
+    written over the scan's indices, one block at a time.  Beyond the
+    witnesses, the scan needs a few index arrays of N and one block of
+    candidates.
     """
     x_tol, y_tol = float(x_tol), float(y_tol)
     if not (math.isfinite(x_tol) and x_tol > 0.0 and math.isfinite(y_tol) and y_tol > 0.0):
         raise DomainError(f"tolerances must be finite and > 0, got x_tol={x_tol!r}, y_tol={y_tol!r}")
-    from ._kernels import multivalued_pairs
+    import numpy as np
+
+    from ._kernels import blocks, multivalued_pairs
 
     IndicatorPair(y=y, x=x)  # raises GridMismatch unless x and y share one grid
-    i, j = multivalued_pairs(x.values, y.values, x_tol, y_tol)
-    return i * x.h, j * x.h
+    indices = multivalued_pairs(x.values, y.values, x_tol, y_tol)
+    for k in indices:
+        t = k.view(np.float64)
+        for start, stop in blocks(k.size):
+            np.multiply(k[start:stop], x.h, out=t[start:stop])
+    return tuple(k.view(np.float64) for k in indices)

@@ -23,6 +23,10 @@ from oracle import lin_comb, ref_caputo_poly, ref_caputo_quad, rel_err
 coeff_lists = st.lists(st.floats(-10.0, 10.0), min_size=0, max_size=6)
 
 
+# Samples 1e-320 apart, where the derivatives of order 0.99 and 1 overflow.
+TINY_STEP = SampledSeries(1e-320, [2.0, 3.0, 5.0, 9.0])
+
+
 def monomial(k):
     return Polynomial((0.0,) * k + (1.0,))
 
@@ -294,6 +298,18 @@ class TestCaputoL1:
         e512 = abs(caputo_series(sample(p, 1.0, 512), 0.5) - exact)
         e1024 = abs(caputo_series(sample(p, 1.0, 1024), 0.5) - exact)
         assert e512 / e1024 >= 2**1.3
+
+    @pytest.mark.parametrize("alpha", [0.99, 1.0])
+    def test_overflow_is_domain_error(self, alpha):
+        # The test run would turn a numpy warning before the error into a failure.
+        with pytest.raises(DomainError, match=rf"^order-{alpha!r} derivative overflows at h=1e-320$"):
+            caputo_series(TINY_STEP, alpha)
+
+    @pytest.mark.parametrize("alphas,first", [([0.5, 1.0, 0.99], 1.0), ([0.5, 0.99, 1.0], 0.99)])
+    def test_overflow_names_first_order(self, alphas, first):
+        # Order 0.5 is finite, about 5.8e160.
+        with pytest.raises(DomainError, match=rf"^order-{first!r} derivative overflows"):
+            _derivatives([TINY_STEP], alphas)
 
     @pytest.mark.parametrize("alpha", [2.0, -0.5])
     def test_order_outside_unit_interval_rejected(self, alpha):

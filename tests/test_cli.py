@@ -151,6 +151,28 @@ class TestIndicatorCommand:
         assert values["average"] == pytest.approx(1200.0 / 70.0, rel=1e-9)
         assert values["t_indicator"] == pytest.approx(5.0, abs=1e-2)
 
+    @pytest.mark.parametrize("bad_line", [None, 41])
+    def test_pipe_reads_as_the_file(self, tmp_path, child_env, fig1, bad_line):
+        # /dev/stdin on a pipe cannot seek, so the line parser reads it; the
+        # output, or the ParseError naming the bad line, is the file's.
+        path = tmp_path / "fig1.csv"
+        export_csv(fig1.sampled_pair(200), path)
+        if bad_line is not None:
+            lines = path.read_text().splitlines(keepends=True)
+            lines[bad_line - 1] = "1,zzz,4\n"
+            path.write_text("".join(lines))
+
+        def run(source, data=None):
+            argv = [sys.executable, "-W", "error", "-m", "fracalc", "indicator", "--input", source, "--alpha", "0.5"]
+            return subprocess.run(argv, input=data, env=child_env, capture_output=True)
+
+        piped, direct = run("/dev/stdin", path.read_bytes()), run(str(path))
+        assert (piped.returncode, piped.stdout, piped.stderr) == (direct.returncode, direct.stdout, direct.stderr)
+        if bad_line is None:
+            assert direct.stdout.startswith(b"kind,alpha,value\n") and direct.stderr == b""
+        else:
+            assert (direct.stdout, direct.stderr) == (b"", b"error: ParseError: line 41: not a number: 'zzz'\n")
+
     def test_analytic_demo_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "indicator", "--demo", "fig1", "--alpha", "0.5", "--T", "200",
@@ -395,6 +417,18 @@ class TestErrorMapping:
         code, out, err = run_cli(capsys, "deriv", "--coeffs", "0,0,1", "--alpha", "0.25:0.75:0.25", "--T", "1e250")
         assert (code, out) == (1, "")
         assert err == "error: DomainError: order-0.25 derivative overflows at T=1e+250\n"
+
+    @pytest.mark.parametrize(
+        "command,alpha,order", [("deriv", "0.99", "0.99"), ("indicator", "0.99", "1.0"), ("indicator", "0.5", "1.0")]
+    )
+    def test_overflow_on_samples_names_first_order(self, capsys, tmp_path, command, alpha, order):
+        # Samples 1e-320 apart: h^-0.99 and the three-point difference of the
+        # marginal, which `indicator` takes first, overflow without a warning.
+        path = tmp_path / "tiny.csv"
+        path.write_text("t,x,y\n0,1,2\n1e-320,2,3\n2e-320,4,5\n3e-320,5,9\n")
+        code, out, err = run_cli(capsys, command, "--input", str(path), "--alpha", alpha)
+        assert (code, out) == (1, "")
+        assert err == f"error: DomainError: order-{order} derivative overflows at h=1e-320\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(

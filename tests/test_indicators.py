@@ -87,18 +87,6 @@ class TestMarginalIndicator:
 
 
 class TestTIndicator:
-    def test_order_zero_is_average_bitwise(self, fig1, fig2):
-        rng = np.random.default_rng(7)
-        for demo in (fig1, fig2):
-            pair = demo.pair()
-            for T in rng.uniform(1.0, demo.t_end, 10):
-                T = float(T)
-                assert t_indicator(pair, 0.0, T) == average_indicator(pair, T)
-
-    def test_order_one_is_marginal_exactly_for_polynomials(self, fig1):
-        pair = fig1.pair()
-        assert t_indicator(pair, 1.0, 200.0) == marginal_indicator(pair, 200.0)
-
     def test_order_one_sampled_close_to_marginal(self, fig1):
         got = t_indicator(fig1.sampled_pair(20000), 1.0)
         assert rel_err(got, 5.0) <= 1e-3

@@ -69,8 +69,8 @@ def test_demo_tolerance_takes_a_few_blocks(fig1):
 
 def test_witness_scan_holds_the_witnesses_and_index_arrays_of_n(fig2):
     # demo's default tolerances on fig2.  The scan returns int64 indices
-    # (i, j) and detect_multivalued turns them into float64 times (t1, t2),
-    # so all four are held at once: 32 bytes per witness.  Before that, the
+    # (i, j) and detect_multivalued writes the float64 times (t1, t2) over
+    # them block by block: 16 bytes per witness.  Before that, the
     # scan holds its sort order, the sorted x and the rows' window ends, a
     # few int64 arrays of N (eight here), the witnesses found so far and one
     # block's candidates, which SLACK covers.
@@ -79,7 +79,7 @@ def test_witness_scan_holds_the_witnesses_and_index_arrays_of_n(fig2):
     x_tol, y_tol = _grid_tol(xs, 1.0), _grid_tol(ys, 10.0)
     (t1, t2), peak = traced_peak(detect_multivalued, xs, ys, x_tol, y_tol)
     assert t1.size > 10 * n
-    assert peak <= 32 * t1.size + 8 * 8 * (n + 1) + SLACK
+    assert peak <= 16 * t1.size + 8 * 8 * (n + 1) + SLACK
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
