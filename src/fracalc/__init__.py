@@ -6,14 +6,12 @@ series.  On top of them sits the indicator layer, a one-parameter family of
 indicator/factor ratios that spans the spectrum from the average (order 0)
 to the marginal (order 1) value of an economic indicator.
 
-``import fracalc`` loads neither numpy nor the engines: every public name
-outside :mod:`fracalc.errors` is imported from its module on first access.
-The closed form for polynomials never loads numpy; only code that holds
-samples does.
+``import fracalc`` loads the engines but not numpy: no module imports it
+at module level, and only functions that hold samples import it.  The
+closed form for polynomials never loads numpy.
 """
 
-from importlib import import_module
-
+from .caputo import Polynomial, SampledSeries, caputo_poly, caputo_series
 from .errors import (
     DenominatorNearZero,
     DomainError,
@@ -24,6 +22,16 @@ from .errors import (
     NonUniformGrid,
     ParseError,
 )
+from .indicators import (
+    IndicatorPair,
+    alpha_sweep,
+    average_indicator,
+    detect_multivalued,
+    marginal_indicator,
+    t_indicator,
+    t_indicator_time,
+)
+from .series import DemoProcess, demo_process, export_csv, ingest_csv, sample
 
 __version__ = "0.1.0"
 
@@ -59,34 +67,3 @@ __all__ = [
     "ParseError",
     "EmptySweep",
 ]
-
-# The submodule that defines each public name not imported above.
-_LAZY = {
-    "Polynomial": "caputo",
-    "SampledSeries": "caputo",
-    "caputo_poly": "caputo",
-    "caputo_series": "caputo",
-    "IndicatorPair": "indicators",
-    "alpha_sweep": "indicators",
-    "average_indicator": "indicators",
-    "detect_multivalued": "indicators",
-    "marginal_indicator": "indicators",
-    "t_indicator": "indicators",
-    "t_indicator_time": "indicators",
-    "DemoProcess": "series",
-    "demo_process": "series",
-    "export_csv": "series",
-    "ingest_csv": "series",
-    "sample": "series",
-}
-
-
-def __getattr__(name):
-    """Import a public name from its submodule on first access (PEP 562)."""
-    try:
-        module = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value

@@ -38,6 +38,11 @@ def blocks(size):
     return ((start, min(start + _L1_BLOCK, size)) for start in range(0, size, _L1_BLOCK))
 
 
+def max_abs_difference(v, n):
+    """max|diff(v, n)|, the largest n-th difference of v (v itself for n = 0), taken block by block."""
+    return float(np.max([np.abs(np.diff(v[start : stop + n], n)).max() for start, stop in blocks(len(v) - n)]))
+
+
 def _spans(n):
     """(top, bottom) counts of each expanded block, from n down to the near field.
 

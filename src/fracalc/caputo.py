@@ -280,17 +280,23 @@ def caputo_poly(p: Polynomial, alpha: float, T: float) -> float:
     return _derivatives([p], float(alpha), T)[0][0][0]
 
 
-def _difference_derivative(series: SampledSeries) -> SampledSeries:
-    """Second-order finite-difference estimate of f' on the same grid."""
+def _difference_derivative(series: SampledSeries) -> SampledSeries | None:
+    """Second-order finite-difference estimate of f' on the same grid; None where a value overflows."""
     import numpy as np
 
     v = series.values
     h = series.h
     d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return SampledSeries(h, d)
+    # An overflow gives inf (or nan, from inf - inf) without a warning, and
+    # the series refuses it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+        d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+        d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    try:
+        return SampledSeries(h, d)
+    except DomainError:
+        return None
 
 
 def caputo_series(series: SampledSeries, alpha: float) -> float:
@@ -356,7 +362,11 @@ def _l1_orders(series, alphas: list[float]) -> list[list[float]]:
             extended.append((i, a - 1.0))
     passes = [(l1, series)]
     if extended:
-        passes.append((extended, [_difference_derivative(s) for s in series]))
+        derivatives = [_difference_derivative(s) for s in series]
+        if None in derivatives:
+            out[:, [i for i, _ in extended]] = math.inf
+        else:
+            passes.append((extended, derivatives))
     for picked, rows in passes:
         if not picked:
             continue

@@ -327,13 +327,9 @@ def _run_demo(args: argparse.Namespace) -> int:
 
 def _grid_tol(series: SampledSeries, cells: float) -> float:
     """cells times the largest step of the series, taken block by block."""
-    import numpy as np
+    from ._kernels import max_abs_difference
 
-    from ._kernels import blocks
-
-    v = series.values
-    steps = (np.abs(np.diff(v[start : stop + 1])).max() for start, stop in blocks(v.shape[0] - 1))
-    return cells * float(max(steps))
+    return cells * max_abs_difference(series.values, 1)
 
 
 def _run_check(args: argparse.Namespace) -> int:

@@ -67,32 +67,23 @@ class IndicatorPair:
 
 
 def _scale_base(x, n: int, T: float) -> float:
-    """max|x^(n)| on [0, T]: the order-independent part of the guard scale.
+    """The order-independent part of the guard scale.
 
-    Polynomials are probed on a fixed grid of Python floats, the points of
-    ``np.linspace(0, T, _PROBE_POINTS)`` bit for bit; sampled series use the
-    n-th divided difference (the samples themselves for n = 0), taken block
-    by block so that no memory grows with N.  The sampled branch of
-    ``caputo._derivatives`` admits only orders below 2, so n <= 2 and the
-    difference has at least one entry.
+    For polynomials, max|x^(n)| on [0, T], probed on a fixed grid of Python
+    floats, the points of ``np.linspace(0, T, _PROBE_POINTS)`` bit for bit.
+    For sampled series, max|diff(v, n)|, the n-th difference left undivided
+    (the samples themselves for n = 0) and taken block by block, so that no
+    memory grows with N.  The sampled branch of ``caputo._derivatives``
+    admits only orders below 2, so n <= 2 and the difference has at least
+    one entry.
     """
     if isinstance(x, Polynomial):
         q = _derivative(x, n)
         step = T / (_PROBE_POINTS - 1)
         return max(abs(q(t)) for t in [i * step for i in range(_PROBE_POINTS - 1)] + [T])
-    import numpy as np
+    from ._kernels import max_abs_difference
 
-    from ._kernels import blocks
-
-    v, h = x.values, x.h
-
-    def block_max(start, stop):
-        d = v[start : stop + n]
-        for _ in range(n):
-            d = np.diff(d) / h
-        return np.abs(d).max()
-
-    return float(np.max([block_max(*b) for b in blocks(v.shape[0] - n)]))
+    return max_abs_difference(x.values, n)
 
 
 def _evaluate(pair: IndicatorPair, alphas, T):
@@ -103,13 +94,22 @@ def _evaluate(pair: IndicatorPair, alphas, T):
     each result is a list of floats over the orders.  The guard reads the
     window the core evaluated.  Its scale bounds |D^alpha x| by
     max|x^(n)| * T^(n-alpha) / Gamma(n-alpha+1), max|x^(n)| for integer
-    orders; max|x^(n)| is computed once per distinct n.
+    orders; the base of ``_scale_base`` is computed once per distinct n.
+
+    On N samples of step h, max|x^(n)| is max|diff(v, n)| * h^-n, and with
+    T = N h the step enters once: h^-n T^(n-alpha) = N^(n-alpha) h^-alpha.
+    h^-alpha is taken as four factors h^(-alpha/4), none of which
+    overflows or underflows for alpha < 2 and any finite step, and the base
+    is multiplied first, so the scale is inf only where it overflows itself.
     """
     (num, den), alphas, (_, x), T = _derivatives([pair.y, pair.x], alphas, T)
     n = [a if a.is_integer() else math.floor(a) + 1.0 for a in alphas]
     bases = {m: _scale_base(x, int(m), T) for m in set(n)}
-    # Integer orders get Gamma(1) = T^0 = 1, so their scale is the base itself.
-    scales = [bases[m] * T ** (m - a) / math.gamma(m - a + 1.0) for m, a in zip(n, alphas)]
+    if isinstance(x, Polynomial):
+        # Integer orders get Gamma(1) = T^0 = 1, so their scale is the base itself.
+        return num, den, [bases[m] * T ** (m - a) / math.gamma(m - a + 1.0) for m, a in zip(n, alphas)]
+    N, roots = x.n_steps, [x.h ** (-a / 4.0) for a in alphas]
+    scales = [bases[m] * N ** (m - a) * r * r * r * r / math.gamma(m - a + 1.0) for m, a, r in zip(n, alphas, roots)]
     return num, den, scales
 
 

@@ -23,8 +23,8 @@ from oracle import lin_comb, ref_caputo_poly, ref_caputo_quad, rel_err
 coeff_lists = st.lists(st.floats(-10.0, 10.0), min_size=0, max_size=6)
 
 
-# Samples 1e-320 apart, where the derivatives of order 0.99 and 1 overflow.
-TINY_STEP = SampledSeries(1e-320, [2.0, 3.0, 5.0, 9.0])
+# Samples 1e-320 apart, where the derivatives of order 0.99, 1 and 1.5 overflow.
+TINY_STEP = SampledSeries(1e-320, [2.0, 3.0, 5.0, 9.0, 9.0])
 
 
 def monomial(k):
@@ -299,15 +299,17 @@ class TestCaputoL1:
         e1024 = abs(caputo_series(sample(p, 1.0, 1024), 0.5) - exact)
         assert e512 / e1024 >= 2**1.3
 
-    @pytest.mark.parametrize("alpha", [0.99, 1.0])
+    @pytest.mark.parametrize("alpha", [0.99, 1.0, 1.5])
     def test_overflow_is_domain_error(self, alpha):
         # The test run would turn a numpy warning before the error into a failure.
         with pytest.raises(DomainError, match=rf"^order-{alpha!r} derivative overflows at h=1e-320$"):
             caputo_series(TINY_STEP, alpha)
 
-    @pytest.mark.parametrize("alphas,first", [([0.5, 1.0, 0.99], 1.0), ([0.5, 0.99, 1.0], 0.99)])
+    @pytest.mark.parametrize(
+        "alphas,first", [([0.5, 1.0, 0.99], 1.0), ([0.5, 0.99, 1.0], 0.99), ([0.5, 1.5, 0.99], 1.5)]
+    )
     def test_overflow_names_first_order(self, alphas, first):
-        # Order 0.5 is finite, about 5.8e160.
+        # Order 0.5 is finite, about 2.9e160.
         with pytest.raises(DomainError, match=rf"^order-{first!r} derivative overflows"):
             _derivatives([TINY_STEP], alphas)
 
@@ -399,3 +401,47 @@ class TestCaputoSeriesDispatch:
     def test_cap_at_two(self, alpha):
         with pytest.raises(DomainError):
             caputo_series(sample(monomial(2), 1.0, 256), alpha)
+
+
+def _recording(monkeypatch, name):
+    """Replace math.<name> with a wrapper that records its arguments."""
+    seen = []
+    real = getattr(math, name)
+
+    def wrapper(z):
+        seen.append(z)
+        return real(z)
+
+    monkeypatch.setattr(math, name, wrapper)
+    return seen
+
+
+class TestGammaErrors:
+    """The closed form never hands math.gamma or math.lgamma a pole or a non-finite number."""
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -17.0])
+    def test_poles_raise(self, z, monkeypatch):
+        with pytest.raises(ValueError):
+            math.gamma(z)
+        # D^alpha t^3 with 3 + 1 - alpha = z: the integer order takes the
+        # classical derivative, which is zero, and never reaches the pole.
+        seen = _recording(monkeypatch, "gamma")
+        assert caputo_poly(monomial(3), 4.0 - z, 2.0) == 0.0
+        assert z not in seen
+
+    @pytest.mark.parametrize("z", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, z, monkeypatch):
+        seen = _recording(monkeypatch, "gamma")
+        with pytest.raises(DomainError):
+            caputo_poly(monomial(3), z, 1.0)
+        assert seen == []
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, -0.5])
+    def test_non_positive_rejected(self, z, monkeypatch):
+        # D^alpha t^200 takes the log-gamma branch; with 200 + 1 - alpha = z
+        # the order exceeds the degree, so the monomial is annihilated and
+        # log-gamma only sees the positive argument of the order-0.5 term.
+        seen = _recording(monkeypatch, "lgamma")
+        assert caputo_poly(monomial(200), 201.0 - z, 1.0) == 0.0
+        assert caputo_poly(monomial(200), 0.5, 1.0) > 0.0
+        assert seen and min(seen) > 0.0

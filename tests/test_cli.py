@@ -419,13 +419,15 @@ class TestErrorMapping:
         assert err == "error: DomainError: order-0.25 derivative overflows at T=1e+250\n"
 
     @pytest.mark.parametrize(
-        "command,alpha,order", [("deriv", "0.99", "0.99"), ("indicator", "0.99", "1.0"), ("indicator", "0.5", "1.0")]
+        "command,alpha,order",
+        [("deriv", "0.99", "0.99"), ("indicator", "0.99", "1.0"), ("indicator", "0.5", "1.0"), ("deriv", "1.5", "1.5")],
     )
     def test_overflow_on_samples_names_first_order(self, capsys, tmp_path, command, alpha, order):
-        # Samples 1e-320 apart: h^-0.99 and the three-point difference of the
-        # marginal, which `indicator` takes first, overflow without a warning.
+        # Samples 1e-320 apart: h^-0.99, the three-point difference of the
+        # marginal, which `indicator` takes first, and order 1.5's differences
+        # over 2h overflow without a warning.
         path = tmp_path / "tiny.csv"
-        path.write_text("t,x,y\n0,1,2\n1e-320,2,3\n2e-320,4,5\n3e-320,5,9\n")
+        path.write_text("t,x,y\n0,1,2\n1e-320,2,3\n2e-320,4,5\n3e-320,5,9\n4e-320,7,9\n")
         code, out, err = run_cli(capsys, command, "--input", str(path), "--alpha", alpha)
         assert (code, out) == (1, "")
         assert err == f"error: DomainError: order-{order} derivative overflows at h=1e-320\n"
@@ -688,9 +690,9 @@ class TestRuntimeDependencies:
 
     def test_check_suite_and_json_load_on_demand(self, child_env):
         # Only `check` needs the suite and only --format json the json module.
-        # `import fracalc` loads no numpy: each public name outside the errors
-        # is imported from its module on first access.  Nor does
-        # `import fracalc.cli`: only code that holds samples imports numpy.  Only the CLI's entry
+        # Neither `import fracalc`, which imports every public name from its
+        # module, nor `import fracalc.cli` loads numpy: no module imports it
+        # at module level, only code that holds samples.  Only the CLI's entry
         # sets OPENBLAS_NUM_THREADS, so a library user's process keeps its
         # BLAS as it was.
         code = (

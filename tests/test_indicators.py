@@ -12,8 +12,10 @@ from fracalc import (
     GridMismatch,
     IndicatorPair,
     Polynomial,
+    SampledSeries,
     alpha_sweep,
     average_indicator,
+    caputo_series,
     detect_multivalued,
     marginal_indicator,
     sample,
@@ -201,6 +203,20 @@ class TestAlphaSweep:
         y = Polynomial((0.0, 1.0, 1.0))
         values = alpha_sweep(IndicatorPair(y=y, x=x), [0.25, 0.5, 0.75], 1.0)
         assert [v is None for v in values] == [False, True, False]
+
+    def test_guard_scale_on_tiny_steps(self):
+        # The guard takes max|diff(v, n)| undivided and h once: max|diff(x)| / h
+        # overflows at h = 1e-320, where D^0.5 x is 2.4e160, and h^-1.5 alone
+        # at h = 1e-300, where the scale at order 1.5 is about 1e250.
+        x = SampledSeries(1e-320, [1.0, 2.0, 4.0, 5.0])
+        y = SampledSeries(1e-320, [2.0, 3.0, 5.0, 9.0])
+        want = caputo_series(y, 0.5) / caputo_series(x, 0.5)
+        assert alpha_sweep(IndicatorPair(y=y, x=x), [0.0, 0.5]) == [1.8, want]
+        s = SampledSeries(1e-300, [0.0, 1e-200, 3e-200, 6e-200, 10e-200, 15e-200])
+        assert alpha_sweep(IndicatorPair(y=s, x=s), [0.0, 1.2, 1.5]) == [1.0, 1.0, 1.0]
+        # A constant factor's base is 0: degenerate at every order above 0.
+        c = SampledSeries(1e-320, [3.0] * 6)
+        assert alpha_sweep(IndicatorPair(y=c, x=c), [0.0, 0.5, 1.0, 1.5, 1.9]) == [1.0, None, None, None, None]
 
 
 class TestOneEvaluationPath:

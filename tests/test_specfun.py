@@ -1,12 +1,10 @@
-"""The standard-library gamma behind the closed form, and its poles.
+"""The standard-library gamma behind the closed form.
 
 ``caputo_poly`` and the indicator guard take Gamma from ``math.gamma`` and
-``math.lgamma``.  The value tests hold those to the accuracy the power
-rule needs, against the mpmath oracle.  The error tests check that the
-package never hands them a pole, a non-positive log-gamma argument or a
-non-finite number: integer orders take the classical derivative, orders
-above a monomial's degree annihilate it, and non-finite orders are
-rejected before any gamma is evaluated.
+``math.lgamma``.  These tests hold those to the accuracy the power rule
+needs, against the mpmath oracle, at arguments the oracle tests of
+``caputo_poly`` do not reach.  What the package hands them is tested in
+``test_caputo.py``.
 """
 
 import math
@@ -14,15 +12,10 @@ from math import gamma
 from math import lgamma as log_gamma
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracalc import DomainError, Polynomial, caputo_poly
 from oracle import ref_gamma, ref_log_gamma, rel_err
-
-CUBE = Polynomial((0.0, 0.0, 0.0, 1.0))
-DEGREE_200 = Polynomial((0.0,) * 200 + (1.0,))
 
 
 class TestGammaValues:
@@ -31,9 +24,6 @@ class TestGammaValues:
 
     def test_half_is_sqrt_pi(self):
         assert rel_err(gamma(0.5), math.sqrt(math.pi)) <= 1e-10
-
-    def test_five_is_factorial_four(self):
-        assert gamma(5.0) == 24.0
 
     def test_integer_factorials(self):
         for k in range(1, 21):
@@ -69,38 +59,6 @@ class TestGammaInvariants:
         assert abs(gamma(z + 1.0) - z * gamma(z)) / abs(gamma(z + 1.0)) <= 1e-10
 
 
-def _recording(monkeypatch, name):
-    """Replace math.<name> with a wrapper that records its arguments."""
-    seen = []
-    real = getattr(math, name)
-
-    def wrapper(z):
-        seen.append(z)
-        return real(z)
-
-    monkeypatch.setattr(math, name, wrapper)
-    return seen
-
-
-class TestGammaErrors:
-    @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -17.0])
-    def test_poles_raise(self, z, monkeypatch):
-        with pytest.raises(ValueError):
-            gamma(z)
-        # D^alpha t^3 with 3 + 1 - alpha = z: the integer order takes the
-        # classical derivative, which is zero, and never reaches the pole.
-        seen = _recording(monkeypatch, "gamma")
-        assert caputo_poly(CUBE, 4.0 - z, 2.0) == 0.0
-        assert z not in seen
-
-    @pytest.mark.parametrize("z", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_rejected(self, z, monkeypatch):
-        seen = _recording(monkeypatch, "gamma")
-        with pytest.raises(DomainError):
-            caputo_poly(CUBE, z, 1.0)
-        assert seen == []
-
-
 class TestLogGamma:
     def test_at_one_and_two(self):
         assert log_gamma(1.0) == 0.0
@@ -119,13 +77,3 @@ class TestLogGamma:
 
     def test_large_argument_does_not_overflow(self):
         assert rel_err(log_gamma(300.0), ref_log_gamma(300.0)) <= 1e-12
-
-    @pytest.mark.parametrize("z", [0.0, -1.0, -0.5])
-    def test_non_positive_rejected(self, z, monkeypatch):
-        # D^alpha t^200 takes the log-gamma branch; with 200 + 1 - alpha = z
-        # the order exceeds the degree, so the monomial is annihilated and
-        # log-gamma only sees the positive argument of the order-0.5 term.
-        seen = _recording(monkeypatch, "lgamma")
-        assert caputo_poly(DEGREE_200, 201.0 - z, 1.0) == 0.0
-        assert caputo_poly(DEGREE_200, 0.5, 1.0) > 0.0
-        assert seen and min(seen) > 0.0
