@@ -7,7 +7,7 @@ indicator/factor ratios that spans the spectrum from the average (order 0)
 to the marginal (order 1) value of an economic indicator.
 
 ``import fracalc`` loads the engines but not numpy: no module imports it
-at module level, and only functions that hold samples import it.  The
+at module level, and only functions that work on samples import it.  The
 closed form for polynomials never loads numpy.
 """
 
@@ -25,9 +25,7 @@ from .errors import (
 from .indicators import (
     IndicatorPair,
     alpha_sweep,
-    average_indicator,
     detect_multivalued,
-    marginal_indicator,
     t_indicator,
     t_indicator_time,
 )
@@ -46,8 +44,6 @@ __all__ = [
     "caputo_poly",
     "caputo_series",
     # indicators
-    "average_indicator",
-    "marginal_indicator",
     "t_indicator",
     "t_indicator_time",
     "alpha_sweep",

@@ -21,10 +21,13 @@ _WINDOW_ULPS = 4.0
 
 # Grid steps per block of the L1 sum at most: the block's differences, log
 # counts and weight buffers (a few hundred KB) stay in cache while the
-# block's moments are taken.  Every other pass over the samples (sampling,
-# the ingest grid check, the finiteness check, the degeneracy guard's scale
-# and the demo tolerances) walks blocks of the same size, so none of them
-# needs memory that grows with N.
+# block's moments are taken.  Every other pass over the samples (the ingest
+# grid check, the finiteness check, the degeneracy guard's scale and the
+# demo tolerances) walks blocks of the same size.  A polynomial sampled on a
+# grid holds no samples: each of these passes computes a block where it
+# reads it (``SampledSeries._blocks``), into buffers it reuses.  So none of
+# them needs memory that grows with N, and on a polynomial nothing does
+# until a caller asks for ``values``.
 _L1_BLOCK = 16_384
 
 # The last steps of the grid, whose counts m = N-k are at most this, keep
@@ -38,9 +41,28 @@ def blocks(size):
     return ((start, min(start + _L1_BLOCK, size)) for start in range(0, size, _L1_BLOCK))
 
 
-def max_abs_difference(v, n):
-    """max|diff(v, n)|, the largest n-th difference of v (v itself for n = 0), taken block by block."""
-    return float(np.max([np.abs(np.diff(v[start : stop + n], n)).max() for start, stop in blocks(len(v) - n)]))
+def max_abs_differences(series, orders):
+    """max|diff(v, n)| for each n of ``orders``: the largest n-th differences
+    of the series' samples v (v itself for n = 0), in one pass over v, block by block.
+    """
+    top = max(orders)
+    bounds = [(start, stop + top) for start, stop in blocks(series.n_steps + 1 - top)]
+    maxima = {n: [] for n in orders}
+    spare = np.empty(0)
+    for d in series._blocks(bounds):
+        for q in range(top + 1):
+            if q:
+                if d.flags.writeable:
+                    # A polynomial's block: the differences overwrite it.
+                    out = d[:-1]
+                else:
+                    spare = spare if spare.size >= d.size else np.empty(d.size)
+                    out = spare[: d.size - 1]
+                d = np.subtract(d[1:], d[:-1], out=out)
+            if q in maxima:
+                # max|d| from the extremes of d, nan where d holds one.
+                maxima[q].append(max(abs(float(d.max())), abs(float(d.min()))))
+    return [float(np.max(maxima[n])) for n in orders]
 
 
 def _spans(n):
@@ -68,8 +90,9 @@ def _terms(span):
 def l1_weighted_sum(rows, exponents):
     """L1 sums of every row at every exponent; the pass over the samples serves all exponents.
 
-    ``rows`` holds series of equal length N + 1 (a 2-D array or a sequence
-    of 1-D arrays).  Entry [i, j] of the returned (len(exponents), len(rows))
+    ``rows`` holds series of equal length N + 1: a 2-D array, or a sequence
+    of 1-D arrays or of ``SampledSeries``, which are read through their
+    block accessor.  Entry [i, j] of the returned (len(exponents), len(rows))
     array is
 
         sum_k ((N-k)^e_i - (N-1-k)^e_i) * (rows[j][k+1] - rows[j][k]),  k = 0..N-1.
@@ -127,11 +150,11 @@ def l1_weighted_sum(rows, exponents):
 
     Cost: about Q <= 12 passes over the N steps, plus O(Q) work per exponent
     per block and ``_NEAR_FIELD`` powers per exponent.  Extra memory beside
-    the result is O(rows * block), never O(N).
+    the result is O(rows * block), never O(N).  Each block of a row is read
+    once, the K + 1 samples whose K steps it takes.
     """
-    rows = [np.asarray(r, dtype=np.float64) for r in rows]
     exponents = [float(x) for x in exponents]
-    n = rows[0].shape[0] - 1
+    n = rows[0].n_steps if hasattr(rows[0], "_blocks") else len(rows[0]) - 1
     e = np.array(exponents).reshape(-1, 1)
     out = np.zeros((e.size, len(rows)))
     size = min(n, max(_L1_BLOCK, _NEAR_FIELD))
@@ -139,10 +162,17 @@ def l1_weighted_sum(rows, exponents):
     steps = np.arange(size, dtype=np.float64)
     ell, weight, power = np.empty(size), np.empty(size), np.empty(size + 1)
     upper = [n**x for x in exponents]
-    for top, bottom in _spans(n):
-        k, start = top - bottom, n - top
-        for i, r in enumerate(rows):
-            np.subtract(r[start + 1 : start + k + 1], r[start : start + k], out=d[i, :k])
+    spans = list(_spans(n))
+    near = min(n, _NEAR_FIELD)
+    # Each row's blocks in the order the loops below take them: the expanded
+    # blocks, then the near field.
+    bounds = [(n - top, n - bottom + 1) for top, bottom in spans] + [(n - near, n + 1)]
+    reads = [_blocks_of(r, bounds) for r in rows]
+    for top, bottom in spans:
+        k = top - bottom
+        for i, read in enumerate(reads):
+            v = next(read)
+            np.subtract(v[1:], v[:-1], out=d[i, :k])
         if k > 1:
             ell_k = np.log1p(np.divide(steps[:k], -top, out=ell[:k]), out=ell[:k])
             moments = np.empty((_terms(-ell_k[-1]), len(rows)))
@@ -162,16 +192,24 @@ def l1_weighted_sum(rows, exponents):
         last = [p * math.expm1(x * step) for p, x in zip(lower, exponents)]
         out += np.array(last).reshape(-1, 1) * d[:, k - 1]
         upper = lower
-    top = min(n, _NEAR_FIELD)
-    for i, r in enumerate(rows):
-        np.subtract(r[n - top + 1 :], r[n - top : n], out=d[i, :top])
-    counts, p = np.arange(top, -1, -1, dtype=np.float64), power[: top + 1]
+    for i, read in enumerate(reads):
+        v = next(read)
+        np.subtract(v[1:], v[:-1], out=d[i, :near])
+    counts, p = np.arange(near, -1, -1, dtype=np.float64), power[: near + 1]
     for i, x in enumerate(exponents):
         np.power(counts, x, out=p)
         p[0] = upper[i]
-        w = np.subtract(p[:-1], p[1:], out=weight[:top])
-        out[i] += np.einsum("ij,j->i", d[:, :top], w)
+        w = np.subtract(p[:-1], p[1:], out=weight[:near])
+        out[i] += np.einsum("ij,j->i", d[:, :near], w)
     return out
+
+
+def _blocks_of(row, bounds):
+    """row[start:stop] for each (start, stop) of ``bounds``: a series' block accessor, or slices of an array."""
+    if hasattr(row, "_blocks"):
+        return row._blocks(bounds)
+    row = np.asarray(row, dtype=np.float64)
+    return (row[start:stop] for start, stop in bounds)
 
 
 def multivalued_pairs(x, y, x_tol, y_tol):

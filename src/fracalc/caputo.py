@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -83,7 +84,6 @@ class Polynomial:
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
 
-@dataclass(frozen=True, eq=False)
 class SampledSeries:
     """Uniform samples values[k] = f(k*h), k = 0..N, anchored at t = 0.
 
@@ -91,45 +91,128 @@ class SampledSeries:
     t = 0 by definition; :func:`fracalc.ingest_csv` rejects files whose
     time stamps start elsewhere rather than shifting them.
 
-    float64 values are held as given, not copied: a view, such as the
-    leading rows of a longer array, stays a view.  Other input is converted
-    to float64 once.  The array held is marked read-only.
+    A series built from an array stores it.  float64 values are held as
+    given, not copied: a view, such as the leading rows of a longer array,
+    stays a view.  Other input is converted to float64 once.  The array held
+    is marked read-only.
+
+    A polynomial sampled by :func:`fracalc.sample` is held as its
+    coefficients, h and N instead.  Each pass over it computes the samples
+    one block at a time where it reads them (``_blocks``), so the numeric
+    engine holds none of them.  ``values`` is the whole read-only array in
+    either form; a polynomial's is computed on first access and then kept.
     """
 
-    h: float
-    values: np.ndarray
+    __slots__ = ("_h", "_n", "_coeffs", "_values")
 
-    def __post_init__(self):
+    def __init__(self, h: float, values) -> None:
+        import numpy as np
+
+        h = _step(h)
+        v = np.asarray(values, dtype=np.float64)
+        if v.ndim != 1:
+            raise DomainError("values must be one-dimensional")
+        self._hold(h, v.shape[0] - 1, None, v)
+        v.flags.writeable = False
+
+    @classmethod
+    def _of_polynomial(cls, p: Polynomial, h: float, n: int) -> SampledSeries:
+        """The samples p(k*h), k = 0..n, held as p's coefficients."""
+        s = cls.__new__(cls)
+        s._hold(_step(h), n, p.coeffs, None)
+        return s
+
+    def _hold(self, h: float, n: int, coeffs, values) -> None:
+        """Take the series' fields, checking that there are 3 samples or more, all finite.
+
+        A polynomial whose Horner steps are bounded below half the float
+        range on [0, N*h] needs no pass over its samples (see ``_bounded``).
+        """
+        if n < 2:
+            raise InsufficientData(f"need at least 3 samples (N >= 2), got {n + 1}")
+        self._h, self._n, self._coeffs, self._values = h, n, coeffs, values
+        if values is None and _bounded(coeffs, n * h):
+            return
         import numpy as np
 
         from ._kernels import blocks
 
-        h = float(self.h)
-        if not (math.isfinite(h) and h > 0.0):
-            raise DomainError(f"step must be finite and > 0, got h={self.h!r}")
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise DomainError("values must be one-dimensional")
-        if v.shape[0] < 3:
-            raise InsufficientData(f"need at least 3 samples (N >= 2), got {v.shape[0]}")
-        if not all(np.isfinite(v[start:stop]).all() for start, stop in blocks(v.shape[0])):
-            raise DomainError("all sample values must be finite")
-        v.flags.writeable = False
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "values", v)
+        finite = np.empty(0, dtype=bool)
+        for v in self._blocks(blocks(n + 1)):
+            if v.size > finite.size:
+                finite = np.empty(v.size, dtype=bool)
+            if not np.isfinite(v, out=finite[: v.size]).all():
+                raise DomainError("all sample values must be finite")
+
+    @property
+    def h(self) -> float:
+        return self._h
 
     @property
     def n_steps(self) -> int:
-        return self.values.shape[0] - 1
+        return self._n
 
     @property
     def t_end(self) -> float:
-        return self.n_steps * self.h
+        return self._n * self._h
+
+    @property
+    def values(self) -> np.ndarray:
+        """The N + 1 samples as one read-only float64 array."""
+        if self._values is None:
+            import numpy as np
+
+            from ._kernels import blocks
+
+            v = np.empty(self._n + 1)
+            for _ in self._blocks(blocks(v.size), out=v):
+                pass
+            v.flags.writeable = False
+            self._values = v
+        return self._values
+
+    def _blocks(self, bounds, out=None):
+        """The block accessor: values[start:stop] for each (start, stop) of ``bounds``, in order.
+
+        Every pass that reads the samples a block at a time reads them here.
+        Stored samples give read-only views.  A polynomial's samples are
+        computed by Horner's rule at the times (start + i) * h, the
+        arithmetic :func:`fracalc.sample` defines them by, into
+        ``out[start:stop]`` when ``out`` is given.  Otherwise they go to
+        buffers reused from block to block: such a block is valid until the
+        next one is taken, the reader may overwrite it, and a pass holds
+        three buffers of its longest block, whatever N.
+        """
+        if self._values is not None:
+            for start, stop in bounds:
+                yield self._values[start:stop]
+            return
+        import numpy as np
+
+        # Horner's rule from 0 begins with 0 * t + c, which is c + 0.0 for
+        # the times here, all finite and >= 0.
+        *rest, top = self._coeffs or (0.0,)
+        rest.reverse()
+        index = np.empty(0)
+        for start, stop in bounds:
+            m = stop - start
+            if m > index.size:
+                index, t = np.arange(float(m)), np.empty(m)
+                v = np.empty(m) if out is None else None
+            tk = np.multiply(np.add(index[:m], start, out=t[:m]), self._h, out=t[:m])
+            vk = v[:m] if out is None else out[start:stop]
+            vk.fill(top + 0.0)
+            # An overflow gives inf or nan without a warning, and the
+            # finiteness check of the series refuses it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for c in rest:
+                    np.add(np.multiply(vk, tk, out=vk), c, out=vk)
+            yield vk
 
     def times(self) -> np.ndarray:
         import numpy as np
 
-        return np.arange(self.values.shape[0]) * self.h
+        return np.arange(self._n + 1) * self._h
 
     def truncated(self, t: float) -> SampledSeries:
         """Restrict to [0, t]; t must be finite and land on the grid (within 1e-9 relative)."""
@@ -145,7 +228,34 @@ class SampledSeries:
             raise DomainError(f"t={t!r} is beyond the sampled range [0, {self.t_end!r}]")
         if k == self.n_steps:
             return self
-        return SampledSeries(self.h, self.values[: k + 1])
+        # The leading samples of a checked series need no second check.
+        s = SampledSeries.__new__(SampledSeries)
+        s._h, s._n, s._coeffs = self._h, k, self._coeffs
+        s._values = None if self._values is None else self._values[: k + 1]
+        return s
+
+
+def _step(h) -> float:
+    """h as a float, checked finite and > 0."""
+    step = float(h)
+    if not (math.isfinite(step) and step > 0.0):
+        raise DomainError(f"step must be finite and > 0, got h={h!r}")
+    return step
+
+
+def _bounded(coeffs, t_end: float) -> bool:
+    """Whether Horner's rule on these coefficients stays finite at every t in [0, t_end].
+
+    Each Horner step on [0, t] is at most sum |c_k| max(1, t)^k in exact
+    arithmetic, and rounding raises it by a factor (1 + 2^-53)^(2 * degree)
+    at most, far below 2; so a bound below half the float range suffices.
+    """
+    m = max(1.0, t_end)
+    try:
+        bound = sum(abs(c) * m**k for k, c in enumerate(coeffs))
+    except OverflowError:
+        return False
+    return bound < sys.float_info.max / 2.0
 
 
 def _as_orders(alphas) -> list[float]:
@@ -281,7 +391,10 @@ def caputo_poly(p: Polynomial, alpha: float, T: float) -> float:
 
 
 def _difference_derivative(series: SampledSeries) -> SampledSeries | None:
-    """Second-order finite-difference estimate of f' on the same grid; None where a value overflows."""
+    """Second-order finite-difference estimate of f' on the same grid; None where a value overflows.
+
+    It reads the whole ``values`` array, so a polynomial's samples are built.
+    """
     import numpy as np
 
     v = series.values
@@ -329,8 +442,10 @@ def _l1_orders(series, alphas: list[float]) -> list[list[float]]:
     Row i is ``series[i]``.  The orders in (0, 1) share one blocked kernel
     pass over the samples, and those in (1, 2) one pass over the
     finite-difference derivatives, so the work over the samples does not
-    grow with len(alphas) and, beyond those derivatives, the extra memory
-    does not grow with N.
+    grow with len(alphas).  Both passes read the series a block at a time
+    (``SampledSeries._blocks``).  The derivatives are whole arrays, built
+    from ``values``; without orders in (1, 2) the extra memory does not
+    grow with N, and a polynomial's samples are never held.
 
     Raises:
         DomainError: h^(-alpha) or a value overflows, naming the first
@@ -341,17 +456,18 @@ def _l1_orders(series, alphas: list[float]) -> list[list[float]]:
     from ._kernels import l1_weighted_sum
 
     n_steps = series[0].n_steps
+    # The last three samples of each series, for orders 0 and 1.
+    ends = [next(s._blocks([(n_steps - 2, n_steps + 1)])).tolist() for s in series]
     out = np.empty((len(series), len(alphas)))
     l1, extended = [], []
     for i, a in enumerate(alphas):
         if a >= 2.0:
             raise DomainError(f"numerical engine covers 0 <= alpha < 2, got {a!r}")
         if a == 0.0:
-            out[:, i] = [s.values[-1] for s in series]
+            out[:, i] = [v2 for _, _, v2 in ends]
         elif a == 1.0:
             # In Python floats, where an overflow gives inf without a warning.
-            for row, s in enumerate(series):
-                v0, v1, v2 = s.values[-3:].tolist()
+            for row, (s, (v0, v1, v2)) in enumerate(zip(series, ends)):
                 out[row, i] = (3.0 * v2 - 4.0 * v1 + v0) / (2.0 * s.h)
         elif a < 1.0:
             l1.append((i, a))
@@ -370,7 +486,7 @@ def _l1_orders(series, alphas: list[float]) -> list[list[float]]:
     for picked, rows in passes:
         if not picked:
             continue
-        sums = l1_weighted_sum([r.values for r in rows], [1.0 - a for _, a in picked])
+        sums = l1_weighted_sum(rows, [1.0 - a for _, a in picked])
         for (i, a), row_sums in zip(picked, sums.tolist()):
             try:
                 out[:, i] = [v * r.h ** (-a) / math.gamma(2.0 - a) for v, r in zip(row_sums, rows)]

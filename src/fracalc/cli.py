@@ -327,9 +327,9 @@ def _run_demo(args: argparse.Namespace) -> int:
 
 def _grid_tol(series: SampledSeries, cells: float) -> float:
     """cells times the largest step of the series, taken block by block."""
-    from ._kernels import max_abs_difference
+    from ._kernels import max_abs_differences
 
-    return cells * max_abs_difference(series.values, 1)
+    return cells * max_abs_differences(series, [1])[0]
 
 
 def _run_check(args: argparse.Namespace) -> int:

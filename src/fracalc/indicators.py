@@ -23,8 +23,6 @@ from .errors import DenominatorNearZero, DomainError, EmptySweep, GridMismatch
 
 __all__ = [
     "IndicatorPair",
-    "average_indicator",
-    "marginal_indicator",
     "t_indicator",
     "t_indicator_time",
     "alpha_sweep",
@@ -66,24 +64,24 @@ class IndicatorPair:
         raise DomainError("indicator and factor must share one representation kind")
 
 
-def _scale_base(x, n: int, T: float) -> float:
-    """The order-independent part of the guard scale.
+def _scale_bases(x, counts: list[int], T: float) -> list[float]:
+    """The order-independent part of the guard scale, for each derivative count n of ``counts``.
 
     For polynomials, max|x^(n)| on [0, T], probed on a fixed grid of Python
     floats, the points of ``np.linspace(0, T, _PROBE_POINTS)`` bit for bit.
     For sampled series, max|diff(v, n)|, the n-th difference left undivided
-    (the samples themselves for n = 0) and taken block by block, so that no
-    memory grows with N.  The sampled branch of ``caputo._derivatives``
-    admits only orders below 2, so n <= 2 and the difference has at least
-    one entry.
+    (the samples themselves for n = 0), for every n in one blocked pass over
+    the samples, so that no memory grows with N.  The sampled branch of
+    ``caputo._derivatives`` admits only orders below 2, so n <= 2 and the
+    difference has at least one entry.
     """
     if isinstance(x, Polynomial):
-        q = _derivative(x, n)
         step = T / (_PROBE_POINTS - 1)
-        return max(abs(q(t)) for t in [i * step for i in range(_PROBE_POINTS - 1)] + [T])
-    from ._kernels import max_abs_difference
+        points = [i * step for i in range(_PROBE_POINTS - 1)] + [T]
+        return [max(abs(q(t)) for t in points) for q in (_derivative(x, n) for n in counts)]
+    from ._kernels import max_abs_differences
 
-    return max_abs_difference(x.values, n)
+    return max_abs_differences(x, counts)
 
 
 def _evaluate(pair: IndicatorPair, alphas, T):
@@ -94,7 +92,8 @@ def _evaluate(pair: IndicatorPair, alphas, T):
     each result is a list of floats over the orders.  The guard reads the
     window the core evaluated.  Its scale bounds |D^alpha x| by
     max|x^(n)| * T^(n-alpha) / Gamma(n-alpha+1), max|x^(n)| for integer
-    orders; the base of ``_scale_base`` is computed once per distinct n.
+    orders; the bases of ``_scale_bases`` are computed once per call for
+    all distinct n.
 
     On N samples of step h, max|x^(n)| is max|diff(v, n)| * h^-n, and with
     T = N h the step enters once: h^-n T^(n-alpha) = N^(n-alpha) h^-alpha.
@@ -104,7 +103,8 @@ def _evaluate(pair: IndicatorPair, alphas, T):
     """
     (num, den), alphas, (_, x), T = _derivatives([pair.y, pair.x], alphas, T)
     n = [a if a.is_integer() else math.floor(a) + 1.0 for a in alphas]
-    bases = {m: _scale_base(x, int(m), T) for m in set(n)}
+    distinct = sorted(set(n))
+    bases = dict(zip(distinct, _scale_bases(x, [int(m) for m in distinct], T)))
     if isinstance(x, Polynomial):
         # Integer orders get Gamma(1) = T^0 = 1, so their scale is the base itself.
         return num, den, [bases[m] * T ** (m - a) / math.gamma(m - a + 1.0) for m, a in zip(n, alphas)]
@@ -129,27 +129,14 @@ def _ratios(pair: IndicatorPair, alphas, T) -> list[float]:
     return [n / d for n, d in zip(num, den)]
 
 
-def average_indicator(pair: IndicatorPair, T: float | None = None) -> float:
-    """Y(T)/X(T), the ratio of indicator to factor at time T."""
-    return _ratios(pair, [0.0], T)[0]
-
-
-def marginal_indicator(pair: IndicatorPair, T: float | None = None) -> float:
-    """(dY/dT)/(dX/dT), the parametric rate of the indicator in the factor.
-
-    Polynomial pairs differentiate exactly; sampled pairs use one-sided
-    second-order finite differences at the window end.
-    """
-    return _ratios(pair, [1.0], T)[0]
-
-
 def t_indicator(pair: IndicatorPair, alpha: float, T: float | None = None) -> float:
     """Ratio of Caputo derivatives of common order alpha at time T.
 
-    Degenerates to :func:`average_indicator` at alpha = 0 and to
-    :func:`marginal_indicator` at alpha = 1 (bit-identically: the same
-    evaluation paths are taken).  Neither endpoint is the limit of the
-    orders next to it.  As alpha -> 0+, D^alpha f(T) tends to f(T) - f(0),
+    Degenerates to the average Y(T)/X(T) at alpha = 0 and to the marginal
+    (dY/dT)/(dX/dT) at alpha = 1: polynomial pairs differentiate exactly,
+    sampled pairs use one-sided second-order finite differences at the
+    window end.  Neither endpoint is the limit of the orders next to it.
+    As alpha -> 0+, D^alpha f(T) tends to f(T) - f(0),
     so the ratio tends to (Y(T) - Y(0)) / (X(T) - X(0)): for the fig1 pair
     at T = 200, where X(200) = X(0), order 1e-9 gives about -1.0e10, a
     correct value the guard does not flag.  As alpha -> 1-, the numeric L1

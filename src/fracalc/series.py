@@ -1,6 +1,7 @@
 """Time-series construction: demo processes, sampling, CSV ingestion.
 
-The demo processes need no numpy; sampling and ingestion import it.
+Ingestion imports numpy; the demo processes and sampling import it only
+where they compute samples.
 """
 
 from __future__ import annotations
@@ -97,38 +98,28 @@ def demo_process(name: str) -> DemoProcess:
 def sample(p: Polynomial, t_end: float, n: int) -> SampledSeries:
     """Sample a polynomial uniformly: values[k] = p(k * t_end / n), k = 0..n.
 
-    The samples are computed block by block in place, by Horner's rule in
-    the array returned, with the block's times in one buffer reused from
-    block to block; so no other memory grows with n, and no block
-    allocates.  When the n + 1 samples cannot be allocated the result is a
+    The series holds p's coefficients, not the samples.  A pass over it
+    computes them a block at a time, by Horner's rule at the times
+    (start + i) * h, where it reads them; ``values`` builds the whole
+    array, the same bits, for a caller that needs it.  So sampling takes no
+    memory that grows with n, and the numeric engine never builds the
+    array.  When the n + 1 samples could not be allocated the result is a
     DomainError naming n.
     """
-    import numpy as np
-
-    from ._kernels import blocks
+    import mmap
 
     t_end = float(t_end)
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"end time must be finite and > 0, got T={t_end!r}")
     n = _steps(n)
-    h = t_end / n
     try:
-        values = np.empty(n + 1)
-    except (MemoryError, ValueError):
-        # numpy raises ValueError for sizes beyond its index range.
+        # Maps the samples' bytes and unmaps them untouched: the system
+        # refuses a size it could not hold, and a mapping that is never
+        # written costs no memory.
+        mmap.mmap(-1, 8 * (n + 1)).close()
+    except (OSError, OverflowError):
         raise DomainError(f"N={n} samples do not fit in memory") from None
-    spans = list(blocks(n + 1))
-    index = np.arange(float(spans[0][1]))  # the first block is the longest
-    t = np.empty_like(index)
-    for start, stop in spans:
-        m = stop - start
-        # The block's times, (start + i) * h exactly as np.arange(start, stop) * h.
-        tk = np.multiply(np.add(index[:m], start, out=t[:m]), h, out=t[:m])
-        v = values[start:stop]
-        v.fill(0.0)
-        for c in reversed(p.coeffs):
-            np.add(np.multiply(v, tk, out=v), c, out=v)
-    return SampledSeries(h, values)
+    return SampledSeries._of_polynomial(p, t_end / n, n)
 
 
 def _steps(n) -> int:

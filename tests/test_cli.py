@@ -10,12 +10,10 @@ from fracalc import (
     DomainError,
     Polynomial,
     alpha_sweep,
-    average_indicator,
     caputo_poly,
     caputo_series,
     export_csv,
     ingest_csv,
-    marginal_indicator,
     sample,
     t_indicator,
     t_indicator_time,
@@ -198,7 +196,7 @@ class TestIndicatorCommand:
         code, out, _ = run_cli(capsys, "indicator", *source, "--alpha", alpha, "--T", "120")
         assert code == 0
         a = float(alpha)
-        want = [average_indicator(pair, 120.0), marginal_indicator(pair, 120.0), t_indicator(pair, a, 120.0)]
+        want = [t_indicator(pair, 0.0, 120.0), t_indicator(pair, 1.0, 120.0), t_indicator(pair, a, 120.0)]
         assert [float(row[2]) for row in parse_csv(out)[1]] == want
 
     def test_alpha_range_rejected(self, capsys):
@@ -620,8 +618,8 @@ class TestOutputBytes:
         got = run_cli(capsys, "indicator", "--demo", "fig1", "--alpha", "0.5", "--T", "200", "--format", "json")
         pair = fig1.pair()
         rows = [
-            ("average", 0.0, average_indicator(pair, 200.0)),
-            ("marginal", 1.0, marginal_indicator(pair, 200.0)),
+            ("average", 0.0, t_indicator(pair, 0.0, 200.0)),
+            ("marginal", 1.0, t_indicator(pair, 1.0, 200.0)),
             ("t_indicator", 0.5, t_indicator(pair, 0.5, 200.0)),
         ]
         want = (

@@ -14,10 +14,8 @@ from fracalc import (
     Polynomial,
     SampledSeries,
     alpha_sweep,
-    average_indicator,
     caputo_series,
     detect_multivalued,
-    marginal_indicator,
     sample,
     t_indicator,
     t_indicator_time,
@@ -44,47 +42,47 @@ class TestPairValidation:
 
 class TestAverageIndicator:
     def test_fig1_at_end(self, fig1):
-        got = average_indicator(fig1.pair(), 200.0)
+        got = t_indicator(fig1.pair(), 0.0, 200.0)
         assert got == 1200.0 / 70.0  # X(200)=70, Y(200)=1200
 
     def test_fig1_at_zero_time(self, fig1):
-        assert average_indicator(fig1.pair(), 0.0) == 20.0  # 1400/70
+        assert t_indicator(fig1.pair(), 0.0, 0.0) == 20.0  # 1400/70
 
     def test_identical_components_give_one(self):
         p = Polynomial((1.0, 2.0, 3.0))
-        assert average_indicator(IndicatorPair(y=p, x=p), 1.7) == 1.0
+        assert t_indicator(IndicatorPair(y=p, x=p), 0.0, 1.7) == 1.0
 
     def test_sampled_matches_polynomial(self, fig1):
-        got = average_indicator(fig1.sampled_pair(2000))
+        got = t_indicator(fig1.sampled_pair(2000), 0.0)
         assert rel_err(got, 1200.0 / 70.0) <= 1e-12
 
     def test_zero_factor_raises(self):
         pair = IndicatorPair(y=Polynomial((1.0,)), x=Polynomial((-1.0, 1.0)))
         with pytest.raises(DenominatorNearZero):
-            average_indicator(pair, 1.0)  # x(1) = 0
+            t_indicator(pair, 0.0, 1.0)  # x(1) = 0
 
     def test_polynomial_pair_needs_time(self, fig1):
         with pytest.raises(DomainError):
-            average_indicator(fig1.pair())
+            t_indicator(fig1.pair(), 0.0)
 
 
 class TestMarginalIndicator:
     def test_fig1_at_end(self, fig1):
         # Y'(200)/X'(200) = 1/0.2
-        assert marginal_indicator(fig1.pair(), 200.0) == 5.0
+        assert t_indicator(fig1.pair(), 1.0, 200.0) == 5.0
 
     def test_fig1_at_stationary_factor(self, fig1):
         # X'(100) = 0.002*100 - 0.2 = 0
         with pytest.raises(DenominatorNearZero):
-            marginal_indicator(fig1.pair(), 100.0)
+            t_indicator(fig1.pair(), 1.0, 100.0)
 
     def test_proportional_dependence(self):
         x = Polynomial((1.0, 2.0, 0.5))
         pair = IndicatorPair(y=Polynomial(lin_comb((3.0, x.coeffs))), x=x)
-        assert rel_err(marginal_indicator(pair, 2.0), 3.0) <= 1e-12
+        assert rel_err(t_indicator(pair, 1.0, 2.0), 3.0) <= 1e-12
 
     def test_sampled_matches_exact(self, fig1):
-        got = marginal_indicator(fig1.sampled_pair(20000))
+        got = t_indicator(fig1.sampled_pair(20000), 1.0)
         assert rel_err(got, 5.0) <= 1e-3
 
 
@@ -287,7 +285,21 @@ class TestOrderLimits:
         want = ref_caputo_poly(fig1.y.coeffs, 1e-9, 200.0) / ref_caputo_poly(fig1.x.coeffs, 1e-9, 200.0)
         assert rel_err(got, want) <= 1e-5
         assert abs(got + 1.0e10) <= 1e7
-        assert average_indicator(fig1.pair(), 200.0) == 1200.0 / 70.0
+        assert t_indicator(fig1.pair(), 0.0, 200.0) == 1200.0 / 70.0
+
+    @pytest.mark.parametrize("engine", ["analytic", "numeric"])
+    def test_near_zero_order_tends_to_ratio_of_changes(self, fig1, engine):
+        # Where X(T) != X(0) the limit is finite: (Y(T) - Y(0)) / (X(T) - X(0)),
+        # -225 / -7.5 = 30 at T = 150, not the average Y(T)/X(T) = 18.8.
+        # Both engines are O(a) away from it at order a.
+        T = 150.0
+        want = (fig1.y(T) - fig1.y(0.0)) / (fig1.x(T) - fig1.x(0.0))
+        assert want == 30.0
+        if engine == "analytic":
+            got = t_indicator(fig1.pair(), 1e-9, T)
+        else:
+            got = t_indicator(fig1.sampled_pair(2000, T), 1e-9)
+        assert rel_err(got, want) <= 1e-7
 
     def test_near_one_order_tends_to_backward_difference(self, fig1):
         # Numeric L1 tends to the first-order backward difference as a -> 1-,

@@ -1,5 +1,9 @@
-"""Memory contracts: besides the samples, only the multivalued witnesses
+"""Memory contracts: besides stored samples, only the multivalued witnesses
 take memory that grows with the input.
+
+A polynomial sampled on a grid holds no samples: each pass computes them a
+block at a time, so the numeric engine on a polynomial holds none, and only
+``values`` builds them.  Ingested CSV files store x and y.
 
 Peaks are measured with ``tracemalloc``, which sees numpy's array buffers
 as well as Python objects.  Every bound is the memory the result itself
@@ -17,7 +21,7 @@ import numpy as np
 import pytest
 
 from fracalc import _kernels, detect_multivalued, export_csv, ingest_csv, sample, series
-from fracalc.cli import _grid_tol
+from fracalc.cli import _grid_tol, main
 from fracalc.indicators import _evaluate
 
 BLOCK = 4096
@@ -46,15 +50,32 @@ def traced_peak(f, *args):
 
 
 def test_sample_holds_only_the_samples(fig1):
+    # sample() keeps the coefficients; values builds the samples alone.
     n = 200_000
     series, peak = traced_peak(sample, fig1.y, fig1.t_end, n)
-    assert series.values.nbytes == 8 * (n + 1)
+    assert peak <= SLACK
+    values, peak = traced_peak(lambda: series.values)
+    assert values.nbytes == 8 * (n + 1)
     assert peak <= 8 * (n + 1) + SLACK
 
 
 def test_evaluate_needs_no_memory_that_grows_with_n(fig1):
     pair = fig1.sampled_pair(200_000)
     _, peak = traced_peak(_evaluate, pair, [0.0, 0.5, 1.0], None)
+    assert peak <= SLACK
+
+
+def test_sampled_polynomial_pair_holds_no_samples(fig1):
+    # Sampling, the finiteness check, the kernel, the end values and the
+    # guard's scale: none of them builds the samples.
+    _, peak = traced_peak(lambda: _evaluate(fig1.sampled_pair(200_000), [0.0, 0.5, 1.0], None))
+    assert peak <= SLACK
+
+
+def test_numeric_sweep_command_holds_no_samples(capsys):
+    argv = ["sweep", "--demo", "fig1", "--engine", "numeric", "--N", "200000", "--alpha", "0:1:0.5", "--T", "350"]
+    code, peak = traced_peak(main, argv)
+    assert code == 0 and capsys.readouterr().out.count("\n") == 4
     assert peak <= SLACK
 
 

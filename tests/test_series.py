@@ -19,12 +19,15 @@ from fracalc import (
     ParseError,
     Polynomial,
     SampledSeries,
+    _kernels,
+    alpha_sweep,
     demo_process,
     export_csv,
     ingest_csv,
     sample,
     series,
 )
+from fracalc.caputo import _derivatives
 
 
 class TestDemoProcess:
@@ -61,6 +64,49 @@ class TestDemoProcess:
 
 
 class TestSample:
+    # Multiples of 12, so that T = 3/4 and 5/6 of the horizon lie on the
+    # grid; N + 1 is a multiple of neither block.
+    N = 40_008
+
+    @pytest.mark.parametrize("block", [1000, 16_384])
+    @pytest.mark.parametrize("name,T", [("fig1", None), ("fig1", 150.0), ("fig2", None), ("fig2", 200.0)])
+    @pytest.mark.parametrize(
+        "orders", [[0.0, 0.3, 0.5, 0.99, 1.0], [1.25, 1.5, 1.99], [0.0, 0.5, 1.0, 1.5]], ids=["to1", "above1", "mixed"]
+    )
+    def test_polynomial_form_equals_stored_samples(self, monkeypatch, block, name, T, orders):
+        # A sampled polynomial computes its samples where a pass reads them.
+        # It gives the bits of the stored samples it stands for, which are
+        # p(k h) on the whole grid; each pair is fresh, so that no earlier
+        # call has built its values.
+        monkeypatch.setattr(_kernels, "_L1_BLOCK", block)
+        d = demo_process(name)
+        ref = d.sampled_pair(self.N)
+        grid = np.arange(self.N + 1) * (d.t_end / self.N)
+        assert ref.x.values.tobytes() == d.x(grid).tobytes()
+        assert ref.y.values.tobytes() == d.y(grid).tobytes()
+        stored = IndicatorPair(*(SampledSeries(s.h, np.array(s.values)) for s in (ref.y, ref.x)))
+        if T is not None:
+            k = round(T / ref.x.h)
+            assert d.sampled_pair(self.N).x.truncated(T).values.tobytes() == ref.x.values[: k + 1].tobytes()
+        pair = d.sampled_pair(self.N)
+        assert _derivatives([pair.y, pair.x], orders, T)[0] == _derivatives([stored.y, stored.x], orders, T)[0]
+        assert alpha_sweep(d.sampled_pair(self.N), orders, T) == alpha_sweep(stored, orders, T)
+
+    @pytest.mark.parametrize("coeffs,t_end", [((1e308, 0.0, 0.0, 1e-300), 1e200), ((1e308, 1e308, 1e308), 10.0)])
+    def test_samples_checked_where_the_coefficients_bound_nothing(self, coeffs, t_end):
+        # Both bounds sum |c_k| max(1, t)^k exceed half the float range, so
+        # the samples themselves are checked: the first are finite, the
+        # second overflow, which is a DomainError and no warning.
+        p = Polynomial(coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if t_end > 10.0:
+                s = sample(p, t_end, 100)
+                assert s.values.tobytes() == p(np.arange(101) * (t_end / 100)).tobytes()
+            else:
+                with pytest.raises(DomainError, match="^all sample values must be finite$"):
+                    sample(p, t_end, 100)
+
     def test_identity_three_points(self):
         s = sample(Polynomial((0.0, 1.0)), 1.0, 2)
         np.testing.assert_array_equal(s.values, [0.0, 0.5, 1.0])
