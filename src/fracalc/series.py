@@ -123,11 +123,16 @@ def sample(p: Polynomial, t_end: float, n: int) -> SampledSeries:
 
 
 def _steps(n) -> int:
-    """n as the int number of sampling steps, checked to be at least 2."""
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"need n >= 2 sampling steps, got {n}")
-    return n
+    """n as the int number of sampling steps, checked to be integral and at least 2."""
+    try:
+        steps = int(n)
+    except (TypeError, ValueError, OverflowError):
+        steps = None
+    if steps is None or steps != n:
+        raise DomainError(f"need an integral number of sampling steps, got n={n!r}")
+    if steps < 2:
+        raise DomainError(f"need n >= 2 sampling steps, got {steps}")
+    return steps
 
 
 def _parse_float(cell: str, line: int) -> float:
@@ -149,15 +154,13 @@ def ingest_csv(path) -> IndicatorPair:
     rejected rather than resampled.  A malformed line or an invalid byte raises
     :class:`ParseError` naming its 1-based line.
 
-    ASCII files cost one scan of the bytes and ``np.loadtxt`` calls of
-    4096 lines each, whose float parsing dominates.  Memory is x and y, 16
-    bytes per row, in two contiguous arrays sized by the line breaks the
-    scan counts; t is checked chunk by chunk and never held whole.  A chunk
-    ``np.loadtxt`` refuses, such as one holding a line of blanks, goes to the
-    line parser's rules with its line numbers.  Other files go through a
-    line-by-line parser that is about twice as slow and holds the whole text
-    and a Python float per cell.  Both give the same arrays and the same
-    errors.
+    Every input is parsed by ``np.loadtxt`` calls of 4096 lines each, whose
+    float parsing dominates.  Memory is x and y, 16 bytes per row, in two
+    arrays sized by a bound on the rows; t is checked chunk by chunk.  A
+    chunk ``np.loadtxt`` refuses, such as a line of blanks, goes to a line
+    parser with the same results.  An ASCII file is scanned once for its line
+    count.  A pipe is held as its bytes; other text (non-ASCII, or with breaks
+    np.loadtxt misses) is decoded and rewritten with LF breaks first.
     """
     with open(path, "rb") as f:
         x, y, grid = _read_columns(f)
@@ -219,27 +222,30 @@ class _Grid:
 
 def _read_columns(f):
     """The x and y columns of a binary CSV file, and the summary of its t column."""
-    from ._kernels import blocks
-
-    if f.seekable():
-        bound = _loadtxt_rows(f)
-        f.seek(0)
-        if bound is not None:
-            text = io.TextIOWrapper(f, encoding="utf-8-sig", newline="")
-            try:
-                return _loadtxt_columns(text, bound)
-            finally:
-                text.detach()
-    t, x, y = _parse_lines(f.read())
-    grid = _Grid()
-    for start, stop in blocks(t.size):
-        grid.add(t[start:stop])
-    return x, y, grid
+    if not f.seekable():
+        # A pipe cannot be read twice: its bytes are held and read as a file.
+        f = io.BytesIO(f.read())
+    bound = _loadtxt_rows(f)
+    f.seek(0)
+    encoding = "utf-8-sig"
+    if bound is None:
+        # With one LF between its str.splitlines lines, the text breaks
+        # only where readline and np.loadtxt break it.  _decode skipped the
+        # byte-order mark, so a second one stays text.
+        text = "\n".join(_decode(f.read()).splitlines())
+        f = io.BytesIO(text.encode())
+        bound = text.count("\n") + 1
+        encoding = "utf-8"
+    text = io.TextIOWrapper(f, encoding=encoding, newline="")
+    try:
+        return _loadtxt_columns(text, bound)
+    finally:
+        text.detach()
 
 
 def _loadtxt_rows(f) -> int | None:
     """A bound on the data rows, or None unless np.loadtxt splits the file
-    into the lines str.splitlines does.
+    into the lines str.splitlines does, so that the file must be rewritten.
 
     That holds for ASCII text without the further line breaks of
     ``_SPLITLINES_ONLY``.  np.loadtxt would strip those from field edges as
@@ -326,26 +332,17 @@ def _check_header(header: str, line: int) -> None:
         raise ParseError(f"expected header 't,x,y', got {header!r}", line=line)
 
 
-def _parse_lines(data: bytes):
-    """Line-by-line parse of a whole CSV file; the reference for every error."""
-    import numpy as np
-
+def _decode(data: bytes) -> str:
+    """The UTF-8 text of a file's bytes less one leading byte-order mark; a bad byte is a ParseError."""
     data = data.removeprefix(codecs.BOM_UTF8)
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # The bytes before the bad one decode.  It lies on their last line,
         # or on a new one if they end with a break; the "_" stands for it.
         line = len((data[: exc.start].decode("utf-8") + "_").splitlines())
         bad = data[exc.start : exc.end]
         raise ParseError(f"not UTF-8 text ({exc.reason}: {bad!r})", line=line) from None
-    lines = text.splitlines()
-    header = next((i for i, line in enumerate(lines) if line.strip()), None)
-    if header is None:
-        raise ParseError("empty file", line=1)
-    _check_header(lines[header], header + 1)
-    rows = _parse_rows(itertools.islice(lines, header + 1, None), header + 2)
-    return tuple(np.array(column, dtype=np.float64) for column in rows)
 
 
 def _parse_rows(lines, first_line: int) -> tuple[list[float], list[float], list[float]]:

@@ -149,27 +149,43 @@ class TestIndicatorCommand:
         assert values["average"] == pytest.approx(1200.0 / 70.0, rel=1e-9)
         assert values["t_indicator"] == pytest.approx(5.0, abs=1e-2)
 
-    @pytest.mark.parametrize("bad_line", [None, 41])
-    def test_pipe_reads_as_the_file(self, tmp_path, child_env, fig1, bad_line):
-        # /dev/stdin on a pipe cannot seek, so the line parser reads it; the
-        # output, or the ParseError naming the bad line, is the file's.
+    @pytest.mark.parametrize(
+        "edit,stderr",
+        [
+            pytest.param(None, b"", id="None"),
+            pytest.param(lambda line: b"1,zzz,4\n", b"error: ParseError: line 41: not a number: 'zzz'\n", id="41"),
+            pytest.param(lambda line: line.replace(b",", "\xa0,\xa0".encode(), 1), b"", id="nbsp"),
+            pytest.param(
+                lambda line: b"\xff" + line,
+                b"error: ParseError: line 41: not UTF-8 text (invalid start byte: b'\\xff')\n",
+                id="not_utf8",
+            ),
+        ],
+    )
+    def test_pipe_reads_as_the_file(self, tmp_path, child_env, fig1, edit, stderr):
+        # /dev/stdin on a pipe cannot seek, so its bytes are held and then
+        # parsed as the file's are; a non-ASCII file is rewritten with LF
+        # breaks first either way.  The output, or the ParseError naming the
+        # bad line, is the file's; a cell padded by U+00A0 reads as without.
         path = tmp_path / "fig1.csv"
         export_csv(fig1.sampled_pair(200), path)
-        if bad_line is not None:
-            lines = path.read_text().splitlines(keepends=True)
-            lines[bad_line - 1] = "1,zzz,4\n"
-            path.write_text("".join(lines))
 
         def run(source, data=None):
             argv = [sys.executable, "-W", "error", "-m", "fracalc", "indicator", "--input", source, "--alpha", "0.5"]
             return subprocess.run(argv, input=data, env=child_env, capture_output=True)
 
+        clean = run(str(path))
+        if edit is not None:
+            lines = path.read_bytes().splitlines(keepends=True)
+            lines[40] = edit(lines[40])
+            path.write_bytes(b"".join(lines))
         piped, direct = run("/dev/stdin", path.read_bytes()), run(str(path))
         assert (piped.returncode, piped.stdout, piped.stderr) == (direct.returncode, direct.stdout, direct.stderr)
-        if bad_line is None:
-            assert direct.stdout.startswith(b"kind,alpha,value\n") and direct.stderr == b""
+        assert direct.stderr == stderr
+        if stderr:
+            assert direct.stdout == b""
         else:
-            assert (direct.stdout, direct.stderr) == (b"", b"error: ParseError: line 41: not a number: 'zzz'\n")
+            assert direct.stdout.startswith(b"kind,alpha,value\n") and direct.stdout == clean.stdout
 
     def test_analytic_demo_json(self, capsys):
         code, out, _ = run_cli(

@@ -81,10 +81,6 @@ class TestMarginalIndicator:
         pair = IndicatorPair(y=Polynomial(lin_comb((3.0, x.coeffs))), x=x)
         assert rel_err(t_indicator(pair, 1.0, 2.0), 3.0) <= 1e-12
 
-    def test_sampled_matches_exact(self, fig1):
-        got = t_indicator(fig1.sampled_pair(20000), 1.0)
-        assert rel_err(got, 5.0) <= 1e-3
-
 
 class TestTIndicator:
     def test_order_one_sampled_close_to_marginal(self, fig1):

@@ -3,7 +3,8 @@ take memory that grows with the input.
 
 A polynomial sampled on a grid holds no samples: each pass computes them a
 block at a time, so the numeric engine on a polynomial holds none, and only
-``values`` builds them.  Ingested CSV files store x and y.
+``values`` builds them.  Ingested CSV files store x and y; a pipe also
+holds its bytes.
 
 Peaks are measured with ``tracemalloc``, which sees numpy's array buffers
 as well as Python objects.  Every bound is the memory the result itself
@@ -15,6 +16,8 @@ The witness scan's sort order and search windows, a few index arrays of
 N, count with the samples.
 """
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -136,3 +139,24 @@ def test_ingest_holds_only_x_and_y(tmp_path, monkeypatch, fig2):
     for got, want in ((pair.x.values, sampled.x.values), (pair.y.values, sampled.y.values)):
         assert got.tobytes() == want.tobytes()
         assert got.flags.c_contiguous and not got.flags.writeable
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_piped_ingest_holds_the_bytes_x_and_y(tmp_path, monkeypatch, fig2):
+    # A pipe cannot be read twice, so its bytes are held; then it is parsed
+    # as a file is, with the same memory as above besides them.
+    monkeypatch.setattr(series, "_SCAN_CHUNK", 8 * BLOCK)
+    rows = 100_001
+    sampled = fig2.sampled_pair(rows - 1)
+    path, fifo = tmp_path / "pair.csv", tmp_path / "pair.fifo"
+    export_csv(sampled, path)
+    data = path.read_bytes()
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        pair, peak = traced_peak(ingest_csv, fifo)
+    finally:
+        writer.join()
+    assert peak <= len(data) + 16 * rows + 4 * 24 * series._LOADTXT_ROWS + SLACK
+    assert pair.y.values.tobytes() == sampled.y.values.tobytes()

@@ -124,6 +124,16 @@ class TestSample:
         with pytest.raises(DomainError):
             sample(Polynomial((1.0,)), t_end, n)
 
+    @pytest.mark.parametrize("n", [2.5, float("inf"), float("nan"), "7", None])
+    def test_non_integral_step_count_rejected(self, fig1, n):
+        with pytest.raises(DomainError, match=rf"^need an integral number of sampling steps, got n={n!r}$"):
+            sample(Polynomial((1.0,)), 1.0, n)
+        with pytest.raises(DomainError, match="integral"):
+            fig1.sampled_pair(n)
+
+    def test_integral_float_step_count_accepted(self):
+        assert sample(Polynomial((1.0,)), 1.0, 1e6).n_steps == 10**6
+
 
 class TestIngestCsv:
     def write(self, tmp_path, text, name="data.csv"):
@@ -350,6 +360,8 @@ class TestIngestMatchesLineParser:
     @example(b"t,x,y\n0,1,2\n \n1,2,3\n2,3,4\n")
     @example(b"\xef\xbb\xbft,x,y\r\n0,1,2\r\n1,2,3\r\n2,3,4\r\n")
     @example(b"t,x,y\n0,1,2\n1,\xff2,4\n2,3,6\n")
+    @example(codecs.BOM_UTF8 * 2 + b"t,x,y\n0,1,2\n1,2,3\n2,3,4\n")  # only the first is skipped
+    @example("t,x,y\r\n0,1,2\r\n1,2\x85,3\r\n2,3,4\r\n".encode())  # NEL breaks the line
     @example(b"t,x,y\n")
     @example(b"")
     @settings(deadline=None, max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -368,11 +380,11 @@ class TestIngestMatchesLineParser:
             calls.append(args)
             return real_loadtxt(*args, **kwargs)
 
-        def no_fallback(data):
-            raise AssertionError("line parser used on a clean file")
+        def no_decode(data):
+            raise AssertionError("clean file decoded whole")
 
         monkeypatch.setattr(np, "loadtxt", spy)
-        monkeypatch.setattr(series, "_parse_lines", no_fallback)
+        monkeypatch.setattr(series, "_decode", no_decode)
         pair = ingest_csv(path)
         assert len(calls) == 1
         np.testing.assert_array_equal(pair.x.values, fig1.sampled_pair(50).x.values)
@@ -467,15 +479,13 @@ class TestIngestInChunks:
         build, message = _CHUNKED_FILES[case]
         path = tmp_path / "data.csv"
         path.write_text(build(k), encoding="utf-8", newline="")
-        with monkeypatch.context() as m:
-            m.setattr(series, "_loadtxt_rows", lambda f: None)
-            want = outcome(ingest_csv, path)
+        want = outcome(reference_ingest, path)
 
-        def no_fallback(data):
-            raise AssertionError("line parser used")
+        def no_decode(data):
+            raise AssertionError("ASCII file decoded whole")
 
         monkeypatch.setattr(series, "_LOADTXT_ROWS", k)
-        monkeypatch.setattr(series, "_parse_lines", no_fallback)
+        monkeypatch.setattr(series, "_decode", no_decode)
         got = outcome(ingest_csv, path)
         assert got == want
         if message is None:
@@ -493,9 +503,7 @@ class TestIngestInChunks:
         rows.insert(4, line)
         path = tmp_path / "data.csv"
         path.write_text("t,x,y\n" + "".join(rows), encoding="utf-8", newline="")
-        with monkeypatch.context() as m:
-            m.setattr(series, "_loadtxt_rows", lambda f: None)
-            want = outcome(ingest_csv, path)
+        want = outcome(reference_ingest, path)
         parsed = []
         real_parse_rows = series._parse_rows
 
@@ -504,12 +512,12 @@ class TestIngestInChunks:
             parsed.append((first_line, lines))
             return real_parse_rows(lines, first_line)
 
-        def no_fallback(data):
-            raise AssertionError("whole file sent to the line parser")
+        def no_decode(data):
+            raise AssertionError("ASCII file decoded whole")
 
         monkeypatch.setattr(series, "_LOADTXT_ROWS", 3)
         monkeypatch.setattr(series, "_parse_rows", spy)
-        monkeypatch.setattr(series, "_parse_lines", no_fallback)
+        monkeypatch.setattr(series, "_decode", no_decode)
         assert outcome(ingest_csv, path) == want
         first_line = 5
         assert parsed == [(first_line, rows[first_line - 2 : first_line + 1])]
