@@ -31,11 +31,12 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections.abc import Mapping
 
 from .errors import DomainError, InsufficientData
 
+# True only for a static type checker: typing is not imported at run time.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -53,35 +54,69 @@ _GAMMA_DIRECT_LIMIT = 170.0
 _GRID_SNAP_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
 class Polynomial:
-    """Polynomial sum(coeffs[k] * t^k); an empty tuple is the zero polynomial."""
+    """Polynomial sum(coeffs[k] * t^k); an empty tuple is the zero polynomial.
 
-    coeffs: tuple[float, ...] = ()
+    ``coeffs`` is a sequence of real numbers, held as a read-only tuple of
+    finite floats.
+    """
 
-    def __post_init__(self):
-        cs = tuple(float(c) for c in self.coeffs)
-        if any(not math.isfinite(c) for c in cs):
-            raise DomainError("polynomial coefficients must be finite")
-        object.__setattr__(self, "coeffs", cs)
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs=()) -> None:
+        self._coeffs = _coefficients(coeffs)
+
+    @property
+    def coeffs(self) -> tuple[float, ...]:
+        return self._coeffs
 
     @property
     def degree(self) -> int:
         """Index of the last non-zero coefficient; -1 for the zero polynomial."""
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[k] != 0.0:
+        for k in range(len(self._coeffs) - 1, -1, -1):
+            if self._coeffs[k] != 0.0:
                 return k
         return -1
 
     def __call__(self, t):
         """Horner evaluation; accepts floats or numpy arrays."""
         acc = 0.0
-        for c in reversed(self.coeffs):
+        for c in reversed(self._coeffs):
             acc = acc * t + c
         return acc
 
     def derivative(self) -> Polynomial:
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
+        return Polynomial(tuple(k * c for k, c in enumerate(self._coeffs) if k >= 1))
+
+
+def _coefficients(coeffs) -> tuple[float, ...]:
+    """coeffs as a tuple of floats, checked to be a sequence of finite real numbers.
+
+    A sequence is sized and indexed by position, as a tuple, a list or a
+    one-dimensional numpy array is: text, a mapping, a set, an iterator or
+    a number is not.  Each entry converts with ``float``, as ints and numpy
+    scalars do, but text, which ``float`` would parse, is refused.
+    """
+    if (
+        isinstance(coeffs, (str, bytes, bytearray, Mapping))
+        or not (hasattr(coeffs, "__len__") and hasattr(coeffs, "__getitem__"))
+        or getattr(coeffs, "ndim", 1) != 1
+    ):
+        raise DomainError(f"polynomial coefficients must be a sequence of real numbers, got {type(coeffs).__name__}")
+    cs = tuple(map(_real, coeffs))
+    if any(not math.isfinite(c) for c in cs):
+        raise DomainError("polynomial coefficients must be finite")
+    return cs
+
+
+def _real(c) -> float:
+    """One coefficient as a float; text and what ``float`` refuses are a DomainError."""
+    if not isinstance(c, (str, bytes, bytearray)):
+        try:
+            return float(c)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"polynomial coefficients must be real numbers, got {c!r}")
 
 
 class SampledSeries:

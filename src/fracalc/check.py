@@ -10,8 +10,6 @@ The acceptance tests assert these results by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .caputo import Polynomial, caputo_poly, caputo_series
@@ -29,11 +27,25 @@ _FIG1_T_INDICATOR_HALF_200 = -5.0
 _IDENTITY = Polynomial((0.0, 1.0))
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+    """One check's outcome: its name, whether it passed and a line of detail, all read-only."""
+
+    __slots__ = ("_name", "_passed", "_detail")
+
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        self._name, self._passed, self._detail = name, passed, detail
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @property
+    def passed(self) -> bool:
+        return self._passed
+
+    @property
+    def detail(self) -> str:
+        return self._detail
 
 
 def _rel(got: float, want: float) -> float:

@@ -37,11 +37,6 @@ _MAX_RANGE_DECIMALS = 400
 _DECIMAL = re.compile(r"([+-]?)(\d*)\.?(\d*)(?:[eE]([+-]?\d+))?")
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips to the same double."""
-    return repr(float(x))
-
-
 def _parse_alpha_spec(text: str) -> tuple[float, ...]:
     """A single order 'A' or an inclusive range 'START:STOP:STEP'.
 
@@ -198,7 +193,8 @@ def _emit_results(args: argparse.Namespace, alphas, values, kinds=None) -> None:
     value, which is not a number in CSV and invalid in RFC 8259 JSON, is
     refused.  A degenerate order has the value None: an empty CSV cell, a
     JSON null marked degenerate.  ``kinds``, when given, names each row and
-    comes first in it.
+    comes first in it.  Every order and value is a Python float, whose repr
+    is the shortest decimal that round-trips to it.
     """
     for a, v in zip(alphas, values):
         if v is not None and not math.isfinite(v):
@@ -209,7 +205,7 @@ def _emit_results(args: argparse.Namespace, alphas, values, kinds=None) -> None:
             rows = [{"kind": k, **r} for k, r in zip(kinds, rows)]
         text = _json_doc(args, {"results": rows})
     else:
-        lines = [f"{_fmt(a)},{'' if v is None else _fmt(v)}" for a, v in zip(alphas, values)]
+        lines = [f"{a!r}," if v is None else f"{a!r},{v!r}" for a, v in zip(alphas, values)]
         if kinds is not None:
             lines = [f"{k},{line}" for k, line in zip(kinds, lines)]
         text = _csv_doc("alpha,value" if kinds is None else "kind,alpha,value", lines)
@@ -306,20 +302,21 @@ def _run_demo(args: argparse.Namespace) -> int:
     else:
         text = _csv_doc(
             "x,y",
-            [f"{_fmt(xv)},{_fmt(yv)}" for xv, yv in zip(xs.values.tolist(), ys.values.tolist())],
+            [f"{xv!r},{yv!r}" for xv, yv in zip(xs.values.tolist(), ys.values.tolist())],
         )
     _emit(text, args.output)
 
     report = [
         f"multivalued dependence ({args.demo}): {t1.size} witness pair(s) "
-        f"at x_tol={_fmt(x_tol)}, y_tol={_fmt(y_tol)}"
+        f"at x_tol={x_tol!r}, y_tol={y_tol!r}"
     ]
     if t1.size:
+        # The witness times as Python floats, so the polynomials' values are too.
         a, b = float(t1[0]), float(t2[0])
         report.append(
-            f"  e.g. t1={_fmt(a)}, t2={_fmt(b)}: "
-            f"X {_fmt(float(d.x(a)))} ~= {_fmt(float(d.x(b)))} "
-            f"but Y {_fmt(float(d.y(a)))} vs {_fmt(float(d.y(b)))}"
+            f"  e.g. t1={a!r}, t2={b!r}: "
+            f"X {d.x(a)!r} ~= {d.x(b)!r} "
+            f"but Y {d.y(a)!r} vs {d.y(b)!r}"
         )
     _report("\n".join(report) + "\n", data_went_to_file=args.output is not None)
     return 0

@@ -15,8 +15,6 @@ discretization, so shared quadrature error partially cancels in the ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .caputo import Polynomial, SampledSeries, _derivative, _derivatives
 from .errors import DenominatorNearZero, DomainError, EmptySweep, GridMismatch
@@ -29,6 +27,8 @@ __all__ = [
     "detect_multivalued",
 ]
 
+# True only for a static type checker: typing is not imported at run time.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -39,29 +39,33 @@ _REL_THRESHOLD = 1e-12
 _PROBE_POINTS = 513
 
 
-@dataclass(frozen=True)
 class IndicatorPair:
-    """Indicator y and factor x on a common time interval.
+    """Indicator y and factor x on a common time interval; both are read-only.
 
     Both components must share one representation: two polynomials, or two
     sampled series on the identical grid.
     """
 
-    y: Polynomial | SampledSeries
-    x: Polynomial | SampledSeries
+    __slots__ = ("_y", "_x")
 
-    def __post_init__(self):
-        y, x = self.y, self.x
-        if isinstance(y, Polynomial) and isinstance(x, Polynomial):
-            return
+    def __init__(self, y: Polynomial | SampledSeries, x: Polynomial | SampledSeries) -> None:
         if isinstance(y, SampledSeries) and isinstance(x, SampledSeries):
             if y.n_steps != x.n_steps or not math.isclose(y.h, x.h, rel_tol=1e-12):
                 raise GridMismatch(
                     f"indicator and factor grids differ: "
                     f"(h={y.h!r}, N={y.n_steps}) vs (h={x.h!r}, N={x.n_steps})"
                 )
-            return
-        raise DomainError("indicator and factor must share one representation kind")
+        elif not (isinstance(y, Polynomial) and isinstance(x, Polynomial)):
+            raise DomainError("indicator and factor must share one representation kind")
+        self._y, self._x = y, x
+
+    @property
+    def y(self) -> Polynomial | SampledSeries:
+        return self._y
+
+    @property
+    def x(self) -> Polynomial | SampledSeries:
+        return self._x
 
 
 def _scale_bases(x, counts: list[int], T: float) -> list[float]:
@@ -113,8 +117,9 @@ def _evaluate(pair: IndicatorPair, alphas, T):
     return num, den, scales
 
 
-def _degenerate(den, scale):
-    return abs(den) <= _REL_THRESHOLD * scale
+def _degenerate(den, scales) -> list[bool]:
+    """The guard at every order: whether |den| is at most _REL_THRESHOLD times its scale."""
+    return [abs(d) <= _REL_THRESHOLD * s for d, s in zip(den, scales)]
 
 
 def _ratios(pair: IndicatorPair, alphas, T) -> list[float]:
@@ -123,9 +128,10 @@ def _ratios(pair: IndicatorPair, alphas, T) -> list[float]:
     Raises DenominatorNearZero at the first degenerate order in list order.
     """
     num, den, scales = _evaluate(pair, alphas, T)
-    for d, scale in zip(den, scales):
-        if _degenerate(d, scale):
-            raise DenominatorNearZero(f"factor derivative is {d!r}, below threshold for scale {scale!r}")
+    degenerate = _degenerate(den, scales)
+    if True in degenerate:
+        i = degenerate.index(True)
+        raise DenominatorNearZero(f"factor derivative is {den[i]!r}, below threshold for scale {scales[i]!r}")
     return [n / d for n, d in zip(num, den)]
 
 
@@ -176,7 +182,7 @@ def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> list[flo
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise DomainError("orders must be strictly increasing")
     num, den, scales = _evaluate(pair, alphas, T)
-    return [None if _degenerate(d, scale) else n / d for n, d, scale in zip(num, den, scales)]
+    return [None if bad else n / d for n, d, bad in zip(num, den, _degenerate(den, scales))]
 
 
 def detect_multivalued(

@@ -11,13 +11,13 @@ import io
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .caputo import Polynomial, SampledSeries
 from .errors import DomainError, InsufficientData, NonUniformGrid, ParseError
 from .indicators import IndicatorPair
 
+# True only for a static type checker: typing is not imported at run time.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -51,18 +51,31 @@ _COUNT_SLICE = 1 << 16
 _LOADTXT_ROWS = 4096
 
 
-@dataclass(frozen=True)
 class DemoProcess:
     """A built-in demonstration process: polynomial factor x and indicator y.
 
     Both demo factors are non-monotone in time, so the same factor value
     recurs with different indicator values: y is multivalued in x even
-    though both are single-valued in t.
+    though both are single-valued in t.  x, y and the default end time
+    t_end are read-only.
     """
 
-    x: Polynomial
-    y: Polynomial
-    t_end: float
+    __slots__ = ("_x", "_y", "_t_end")
+
+    def __init__(self, x: Polynomial, y: Polynomial, t_end: float) -> None:
+        self._x, self._y, self._t_end = x, y, t_end
+
+    @property
+    def x(self) -> Polynomial:
+        return self._x
+
+    @property
+    def y(self) -> Polynomial:
+        return self._y
+
+    @property
+    def t_end(self) -> float:
+        return self._t_end
 
     def pair(self) -> IndicatorPair:
         return IndicatorPair(y=self.y, x=self.x)

@@ -78,6 +78,29 @@ class TestPolynomial:
     def test_derivative(self):
         assert Polynomial((1.0, 2.0, 3.0)).derivative().coeffs == (2.0, 6.0)
 
+    # Each of these once iterated into coefficients: '123' as 1 + 2t + 3t^2,
+    # b'12' as its byte values 49 + 50t, a dict as its keys.
+    @pytest.mark.parametrize("coeffs", ["123", b"12", {1: 2}, 5], ids=["str", "bytes", "dict", "int"])
+    def test_not_a_sequence_of_numbers_rejected(self, coeffs):
+        with pytest.raises(DomainError, match="must be a sequence of real numbers"):
+            Polynomial(coeffs)
+
+    @pytest.mark.parametrize("entry", ["2", b"2"], ids=["str", "bytes"])
+    def test_text_entry_rejected(self, entry):
+        with pytest.raises(DomainError, match="must be real numbers"):
+            Polynomial((1.0, entry))
+
+    def test_ints_and_numpy_scalars_accepted(self):
+        p = Polynomial([1, np.int64(2), np.float32(0.5), np.float64(3.0)])
+        assert p.coeffs == (1.0, 2.0, 0.5, 3.0) and all(type(c) is float for c in p.coeffs)
+        assert Polynomial(np.array([1.0, 2.0])).coeffs == (1.0, 2.0)
+
+    def test_coeffs_are_read_only(self):
+        p = Polynomial((1.0, 2.0))
+        with pytest.raises(AttributeError):
+            p.coeffs = (3.0,)
+        assert p.coeffs == (1.0, 2.0)
+
 
 class TestSampledSeries:
     def test_basic_properties(self):

@@ -18,6 +18,7 @@ from fracalc import (
     t_indicator,
     t_indicator_time,
 )
+from fracalc import cli
 from fracalc.cli import _parse_alpha_spec, main
 
 
@@ -687,6 +688,69 @@ class TestOutputBytes:
         assert got == (0, want, self.DEMO_REPORT)
 
 
+class TestCellsArePythonFloats:
+    """Rows are written with one repr per cell, which is the shortest
+    round-trip decimal only for a Python float: a numpy float64 prints as
+    ``np.float64(...)`` under numpy 2.  So every order and value that reaches
+    the writer must be a float itself."""
+
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        calls = []
+        emit = cli._emit_results
+
+        def record(args, alphas, values, kinds=None):
+            calls.append((list(alphas), list(values)))
+            return emit(args, alphas, values, kinds)
+
+        monkeypatch.setattr(cli, "_emit_results", record)
+        return calls
+
+    @pytest.fixture
+    def csv_path(self, fig1, tmp_path):
+        path = tmp_path / "pair.csv"
+        export_csv(fig1.sampled_pair(200), path)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # X'(100) = 0 for fig1, so this sweep is degenerate at order 1.
+            ("sweep", "--demo", "fig1", "--alpha", "0:2:0.5", "--T", "100"),
+            ("sweep", "--demo", "fig2", "--engine", "numeric", "--N", "300", "--alpha", "0:1.5:0.25", "--T", "385"),
+            ("sweep", "--input", "{csv}", "--alpha", "0:1:0.5"),
+            ("indicator", "--demo", "fig1", "--alpha", "0.5"),
+            ("indicator", "--demo", "fig2", "--engine", "numeric", "--N", "300", "--alpha", "0.25"),
+            ("indicator", "--input", "{csv}", "--alpha", "1.5"),
+            ("deriv", "--input", "{csv}", "--alpha", "0:1.5:0.5"),
+            ("deriv", "--input", "{csv}", "--column", "x", "--alpha", "0.75"),
+            ("deriv", "--coeffs", "0,0,1", "--alpha", "0:2:0.5", "--T", "2"),
+            ("deriv", "--coeffs", "0,0,1", "--engine", "numeric", "--alpha", "0:1.5:0.5", "--T", "2"),
+        ],
+    )
+    def test_results(self, capsys, emitted, csv_path, argv):
+        code, out, err = run_cli(capsys, *(a.format(csv=csv_path) for a in argv))
+        assert (code, err) == (0, "")
+        ((alphas, values),) = emitted
+        assert all(type(a) is float for a in alphas)
+        assert all(type(v) is float for v in values if v is not None)
+
+    def test_demo_rows(self, capsys, monkeypatch):
+        rows = []
+        csv_doc = cli._csv_doc
+
+        def record(header, lines):
+            rows.extend(lines)
+            return csv_doc(header, lines)
+
+        monkeypatch.setattr(cli, "_csv_doc", record)
+        code, out, err = run_cli(capsys, "demo", "fig2", "--N", "500")
+        assert code == 0 and err.startswith("multivalued dependence (fig2): ")
+        assert len(rows) == 501
+        cells = [cell for row in rows for cell in row.split(",")]
+        assert all(repr(float(cell)) == cell for cell in cells)
+
+
 class TestRuntimeDependencies:
     def test_runs_with_numpy_alone(self, child_env):
         # pyproject.toml lists numpy as the only run-time dependency; the test
@@ -708,13 +772,18 @@ class TestRuntimeDependencies:
         # module, nor `import fracalc.cli` loads numpy: no module imports it
         # at module level, only code that holds samples.  Only the CLI's entry
         # sets OPENBLAS_NUM_THREADS, so a library user's process keeps its
-        # BLAS as it was.
+        # BLAS as it was.  Nor does either load dataclasses, inspect or
+        # typing, which cost start-up time; they count only if the import
+        # added them, since a site-packages .pth file may load typing first.
         code = (
-            "import os, sys, fracalc\n"
+            "import os, sys\n"
+            "before = set(sys.modules)\n"
+            "import fracalc\n"
             "print('numpy' in sys.modules)\n"
             "import fracalc.cli\n"
             "print('numpy' in sys.modules)\n"
             "print(sorted({'json', 'fracalc.check'} & set(sys.modules)), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))\n"
             "star = {}\n"
             "exec('from fracalc import *', star)\n"
             "print(sorted(set(star) - {'__builtins__'}) == sorted(fracalc.__all__))\n"
@@ -727,7 +796,7 @@ class TestRuntimeDependencies:
         )
         env = {k: v for k, v in child_env.items() if k != "OPENBLAS_NUM_THREADS"}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        want = "False\nFalse\n[] None\nTrue\n[]\nmodule 'fracalc' has no attribute 'no_such_name'\n"
+        want = "False\nFalse\n[] None\n[]\nTrue\n[]\nmodule 'fracalc' has no attribute 'no_such_name'\n"
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
     @pytest.mark.parametrize(

@@ -39,6 +39,12 @@ class TestPairValidation:
         with pytest.raises(GridMismatch):
             IndicatorPair(y=sample(IDENTITY, 1.0, 8), x=sample(IDENTITY, 1.0, 16))
 
+    def test_members_are_read_only(self):
+        pair = IndicatorPair(IDENTITY, IDENTITY)
+        with pytest.raises(AttributeError):
+            pair.x = sample(IDENTITY, 1.0, 8)
+        assert pair.y is pair.x is IDENTITY
+
 
 class TestAverageIndicator:
     def test_fig1_at_end(self, fig1):

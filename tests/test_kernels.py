@@ -353,3 +353,18 @@ def test_no_blas_calls():
         for use in _blas_uses(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert not found
+
+
+def test_no_dataclasses_or_typing_imports():
+    # `import fracalc.cli` is part of every command's start-up: dataclasses
+    # brings in inspect, ast, dis and tokenize, and decorating a class
+    # compiles its methods at import.  Type-only imports sit under a
+    # module-level `TYPE_CHECKING = False` and annotations stay strings.
+    package = Path(_kernels.__file__).parent
+    found = {
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.alias, ast.ImportFrom)) and _name(node).split(".")[0] in {"dataclasses", "typing"}
+    }
+    assert not found

@@ -57,6 +57,11 @@ class TestDemoProcess:
         with pytest.raises(DomainError, match=r"^unknown demo process 'fig3'; expected one of: fig1, fig2$"):
             demo_process("fig3")
 
+    def test_fields_are_read_only(self, fig1):
+        with pytest.raises(AttributeError):
+            fig1.t_end = 300.0
+        assert fig1.t_end == 200.0
+
     def test_sampled_pair_takes_a_horizon(self, fig1):
         pair = fig1.sampled_pair(100, 350.0)
         assert (fig1.sampled_pair(100).y.t_end, pair.y.t_end) == (200.0, 350.0)
