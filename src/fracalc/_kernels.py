@@ -21,13 +21,13 @@ _WINDOW_ULPS = 4.0
 
 # Grid steps per block of the L1 sum at most: the block's differences, log
 # counts and weight buffers (a few hundred KB) stay in cache while the
-# block's moments are taken.  Every other pass over the samples (the ingest
-# grid check, the finiteness check, the degeneracy guard's scale and the
-# demo tolerances) walks blocks of the same size.  A polynomial sampled on a
-# grid holds no samples: each of these passes computes a block where it
-# reads it (``SampledSeries._blocks``), into buffers it reuses.  So none of
-# them needs memory that grows with N, and on a polynomial nothing does
-# until a caller asks for ``values``.
+# block's moments are taken.  Every other pass over the samples (the
+# finiteness check, the degeneracy guard's scale, the demo tolerances and
+# ``values``) walks blocks of the same size.  Each pass, this one included,
+# reads a series through ``SampledSeries._blocks``, which computes a
+# polynomial's samples block by block, into buffers it reuses.  So none of
+# the passes needs memory that grows with N, and on a polynomial nothing
+# does until a caller asks for ``values``.
 _L1_BLOCK = 16_384
 
 # The last steps of the grid, whose counts m = N-k are at most this, keep
@@ -90,12 +90,11 @@ def _terms(span):
 def l1_weighted_sum(rows, exponents):
     """L1 sums of every row at every exponent; the pass over the samples serves all exponents.
 
-    ``rows`` holds series of equal length N + 1: a 2-D array, or a sequence
-    of 1-D arrays or of ``SampledSeries``, which are read through their
-    block accessor.  Entry [i, j] of the returned (len(exponents), len(rows))
-    array is
+    ``rows`` holds ``SampledSeries`` of equal length N + 1, with samples v_j,
+    each read a block at a time.  Entry [i, j] of the returned
+    (len(exponents), len(rows)) array is
 
-        sum_k ((N-k)^e_i - (N-1-k)^e_i) * (rows[j][k+1] - rows[j][k]),  k = 0..N-1.
+        sum_k ((N-k)^e_i - (N-1-k)^e_i) * (v_j[k+1] - v_j[k]),  k = 0..N-1.
 
     The exponents must lie in (0, 1], as those of the sampled branch of
     ``caputo._derivatives`` always do: the number of terms below is fixed
@@ -154,7 +153,7 @@ def l1_weighted_sum(rows, exponents):
     once, the K + 1 samples whose K steps it takes.
     """
     exponents = [float(x) for x in exponents]
-    n = rows[0].n_steps if hasattr(rows[0], "_blocks") else len(rows[0]) - 1
+    n = rows[0].n_steps
     e = np.array(exponents).reshape(-1, 1)
     out = np.zeros((e.size, len(rows)))
     size = min(n, max(_L1_BLOCK, _NEAR_FIELD))
@@ -167,7 +166,7 @@ def l1_weighted_sum(rows, exponents):
     # Each row's blocks in the order the loops below take them: the expanded
     # blocks, then the near field.
     bounds = [(n - top, n - bottom + 1) for top, bottom in spans] + [(n - near, n + 1)]
-    reads = [_blocks_of(r, bounds) for r in rows]
+    reads = [r._blocks(bounds) for r in rows]
     for top, bottom in spans:
         k = top - bottom
         for i, read in enumerate(reads):
@@ -202,14 +201,6 @@ def l1_weighted_sum(rows, exponents):
         w = np.subtract(p[:-1], p[1:], out=weight[:near])
         out[i] += np.einsum("ij,j->i", d[:, :near], w)
     return out
-
-
-def _blocks_of(row, bounds):
-    """row[start:stop] for each (start, stop) of ``bounds``: a series' block accessor, or slices of an array."""
-    if hasattr(row, "_blocks"):
-        return row._blocks(bounds)
-    row = np.asarray(row, dtype=np.float64)
-    return (row[start:stop] for start, stop in bounds)
 
 
 def multivalued_pairs(x, y, x_tol, y_tol):

@@ -103,20 +103,20 @@ def _coefficients(coeffs) -> tuple[float, ...]:
         or getattr(coeffs, "ndim", 1) != 1
     ):
         raise DomainError(f"polynomial coefficients must be a sequence of real numbers, got {type(coeffs).__name__}")
-    cs = tuple(map(_real, coeffs))
+    cs = tuple(_real(c, "polynomial coefficients") for c in coeffs)
     if any(not math.isfinite(c) for c in cs):
         raise DomainError("polynomial coefficients must be finite")
     return cs
 
 
-def _real(c) -> float:
-    """One coefficient as a float; text and what ``float`` refuses are a DomainError."""
+def _real(c, what: str) -> float:
+    """One number of ``what`` as a float; text and what ``float`` refuses are a DomainError."""
     if not isinstance(c, (str, bytes, bytearray)):
         try:
             return float(c)
         except (TypeError, ValueError):
             pass
-    raise DomainError(f"polynomial coefficients must be real numbers, got {c!r}")
+    raise DomainError(f"{what} must be real numbers, got {c!r}")
 
 
 class SampledSeries:
@@ -128,8 +128,8 @@ class SampledSeries:
 
     A series built from an array stores it.  float64 values are held as
     given, not copied: a view, such as the leading rows of a longer array,
-    stays a view.  Other input is converted to float64 once.  The array held
-    is marked read-only.
+    stays a view.  Other real numbers are converted to float64 once; text
+    is refused.  The array held is marked read-only.
 
     A polynomial sampled by :func:`fracalc.sample` is held as its
     coefficients, h and N instead.  Each pass over it computes the samples
@@ -144,7 +144,13 @@ class SampledSeries:
         import numpy as np
 
         h = _step(h)
-        v = np.asarray(values, dtype=np.float64)
+        if isinstance(values, (str, bytes, bytearray)):
+            raise DomainError(f"sample values must be real numbers, got {values!r}")
+        v = np.asarray(values)
+        if v.dtype.kind not in "biuf":
+            # Text, complex numbers and other objects go entry by entry.
+            v = np.array([_real(c, "sample values") for c in v.ravel().tolist()]).reshape(v.shape)
+        v = v.astype(np.float64, copy=False)
         if v.ndim != 1:
             raise DomainError("values must be one-dimensional")
         self._hold(h, v.shape[0] - 1, None, v)
@@ -200,23 +206,23 @@ class SampledSeries:
             from ._kernels import blocks
 
             v = np.empty(self._n + 1)
-            for _ in self._blocks(blocks(v.size), out=v):
-                pass
+            bounds = list(blocks(v.size))
+            for (start, stop), block in zip(bounds, self._blocks(bounds)):
+                v[start:stop] = block
             v.flags.writeable = False
             self._values = v
         return self._values
 
-    def _blocks(self, bounds, out=None):
+    def _blocks(self, bounds):
         """The block accessor: values[start:stop] for each (start, stop) of ``bounds``, in order.
 
-        Every pass that reads the samples a block at a time reads them here.
-        Stored samples give read-only views.  A polynomial's samples are
-        computed by Horner's rule at the times (start + i) * h, the
-        arithmetic :func:`fracalc.sample` defines them by, into
-        ``out[start:stop]`` when ``out`` is given.  Otherwise they go to
-        buffers reused from block to block: such a block is valid until the
-        next one is taken, the reader may overwrite it, and a pass holds
-        three buffers of its longest block, whatever N.
+        Every pass that reads the samples a block at a time reads them here,
+        ``values`` included.  Stored samples give read-only views.  A
+        polynomial's samples are computed by Horner's rule at the times
+        (start + i) * h, the arithmetic :func:`fracalc.sample` defines them
+        by, into buffers reused from block to block: such a block is valid
+        until the next one is taken, the reader may overwrite it, and a pass
+        holds three buffers of its longest block, whatever N.
         """
         if self._values is not None:
             for start, stop in bounds:
@@ -232,10 +238,9 @@ class SampledSeries:
         for start, stop in bounds:
             m = stop - start
             if m > index.size:
-                index, t = np.arange(float(m)), np.empty(m)
-                v = np.empty(m) if out is None else None
+                index, t, v = np.arange(float(m)), np.empty(m), np.empty(m)
             tk = np.multiply(np.add(index[:m], start, out=t[:m]), self._h, out=t[:m])
-            vk = v[:m] if out is None else out[start:stop]
+            vk = v[:m]
             vk.fill(top + 0.0)
             # An overflow gives inf or nan without a warning, and the
             # finiteness check of the series refuses it.
@@ -294,11 +299,14 @@ def _bounded(coeffs, t_end: float) -> bool:
 
 
 def _as_orders(alphas) -> list[float]:
-    """The orders, one or a sequence, as a list of floats each checked finite and >= 0."""
+    """The orders, one real number or a sequence of them, as a list of floats each checked finite and >= 0."""
+    if isinstance(alphas, (str, bytes, bytearray)):
+        alphas = [alphas]
     try:
-        orders = [float(a) for a in alphas]
+        # A float is its own float: the CLI's orders skip the call.
+        orders = [a if type(a) is float else _real(a, "orders") for a in alphas]
     except TypeError:
-        orders = [float(alphas)]
+        orders = [_real(alphas, "orders")]
     for a in orders:
         if not (math.isfinite(a) and a >= 0.0):
             raise DomainError(f"order must be finite and >= 0, got {a!r}")
@@ -422,7 +430,7 @@ def caputo_poly(p: Polynomial, alpha: float, T: float) -> float:
     <= n-1 vanish); exact integer orders return the classical derivative,
     with order 0 meaning p(T), which is also defined at T = 0.
     """
-    return _derivatives([p], float(alpha), T)[0][0][0]
+    return _derivatives([p], [alpha], T)[0][0][0]
 
 
 def _difference_derivative(series: SampledSeries) -> SampledSeries | None:
@@ -468,7 +476,7 @@ def caputo_series(series: SampledSeries, alpha: float) -> float:
     backward difference (f(T) - f(T-h))/h.  So a sweep over orders jumps by
     f(0) at alpha = 0 and by O(h) at alpha = 1.
     """
-    return _derivatives([series], float(alpha))[0][0][0]
+    return _derivatives([series], [alpha])[0][0][0]
 
 
 def _l1_orders(series, alphas: list[float]) -> list[list[float]]:

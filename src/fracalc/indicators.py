@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .caputo import Polynomial, SampledSeries, _derivative, _derivatives
+from .caputo import Polynomial, SampledSeries, _as_orders, _derivative, _derivatives, _real
 from .errors import DenominatorNearZero, DomainError, EmptySweep, GridMismatch
 
 __all__ = [
@@ -150,7 +150,7 @@ def t_indicator(pair: IndicatorPair, alpha: float, T: float | None = None) -> fl
     uses the second-order three-point difference: an O(h) jump (4.9975
     against 5.0 for fig1 sampled with N = 2000).
     """
-    return _ratios(pair, [float(alpha)], T)[0]
+    return _ratios(pair, [alpha], T)[0]
 
 
 def t_indicator_time(y: Polynomial | SampledSeries, alpha: float, T: float | None = None) -> float:
@@ -160,7 +160,7 @@ def t_indicator_time(y: Polynomial | SampledSeries, alpha: float, T: float | Non
     ``t_indicator`` against X(t) = t with the factor derivative folded in
     analytically; alpha must stay below 2 so the prefactor is finite.
     """
-    a = float(alpha)
+    a = _real(alpha, "orders")
     if a >= 2.0:
         raise DomainError(f"time-factor form requires 0 <= alpha < 2, got {a!r}")
     ((d,),), _, _, T = _derivatives([y], a, T)
@@ -176,7 +176,7 @@ def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> list[flo
     A near-zero factor derivative at one order gives None there instead of
     aborting the sweep; every other error propagates.
     """
-    alphas = [float(a) for a in alphas]
+    alphas = _as_orders(alphas)
     if not alphas:
         raise EmptySweep("no order values given")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
@@ -209,7 +209,9 @@ def detect_multivalued(
 
     from ._kernels import blocks, multivalued_pairs
 
-    IndicatorPair(y=y, x=x)  # raises GridMismatch unless x and y share one grid
+    IndicatorPair(y=y, x=x)  # raises unless x and y are of one kind, series on one grid
+    if not isinstance(x, SampledSeries):
+        raise DomainError("only sampled series can be scanned for witnesses")
     indices = multivalued_pairs(x.values, y.values, x_tol, y_tol)
     for k in indices:
         t = k.view(np.float64)

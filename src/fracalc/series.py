@@ -37,14 +37,11 @@ _GRID_RTOL = 1e-9
 # ASCII bytes that str.splitlines treats as line breaks besides \n and \r.
 _SPLITLINES_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
-# Bytes read per step of the scan that picks the np.loadtxt path.
-_SCAN_CHUNK = 1 << 20
-
-# Bytes of a read whose line breaks are counted at once.  Each comparison
-# makes a bool buffer of this size, so the count holds a few of them, not
-# copies of the read; slices this small also stay in cache, and counted a
-# 50 MB file faster than whole reads did.
-_COUNT_SLICE = 1 << 16
+# Bytes read per step of the scan that picks the np.loadtxt path; each read's
+# breaks are counted whole, and its bool buffers stay in cache.  On an AMD
+# EPYC a 1e6-row file scanned in 7.3 ms (LF) and 15.4 ms (CR LF) at 128 KiB,
+# in 21 ms with CR LF at 256 KiB and in 8.5 ms with LF at 64 KiB.
+_SCAN_CHUNK = 1 << 17
 
 # Lines per np.loadtxt call.  Its table of a chunk, 24 bytes per row, is
 # 96 KiB, small beside x and y; 16384 lines held more and were no faster.
@@ -264,7 +261,8 @@ def _loadtxt_rows(f) -> int | None:
     ``_SPLITLINES_ONLY``.  np.loadtxt would strip those from field edges as
     blanks: a form feed after the 1 of ``0,1,2`` would read as one row,
     not as the two lines ``0,1`` and ``,2``.  The bound counts the line
-    breaks LF, CR and CR LF; a CR LF split between two reads counts twice.
+    breaks LF, CR and CR LF of each read of ``_SCAN_CHUNK`` bytes; a CR LF
+    split between two reads counts twice, which a bound allows.
     """
     import numpy as np
 
@@ -275,16 +273,11 @@ def _loadtxt_rows(f) -> int | None:
         if not chunk.isascii() or any(b in chunk for b in _SPLITLINES_ONLY):
             return None
         a = np.frombuffer(chunk, np.uint8)
-        has_cr = b"\r" in chunk
-        for s in range(0, a.size, _COUNT_SLICE):
-            e = s + _COUNT_SLICE
-            breaks += int(np.count_nonzero(a[s:e] == ord("\n")))
-            if has_cr:
-                # A CR alone breaks a line; a CR LF was counted at its LF,
-                # which may open the next slice of the read.
-                cr = a[s:e] == ord("\r")
-                lf_after = a[s + 1 : e + 1] == ord("\n")
-                breaks += int(np.count_nonzero(cr)) - int(np.count_nonzero(cr[: lf_after.size] & lf_after))
+        breaks += int(np.count_nonzero(a == ord("\n")))
+        if b"\r" in chunk:
+            # A CR alone breaks a line; a CR LF was counted at its LF.
+            cr = a == ord("\r")
+            breaks += int(np.count_nonzero(cr)) - int(np.count_nonzero(cr[:-1] & (a[1:] == ord("\n"))))
         last = chunk[-1:]
         chunk = f.read(_SCAN_CHUNK)
     # The header takes one line; a last line without a break adds one.

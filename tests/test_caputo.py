@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from fracalc import (
     caputo_series,
     sample,
     t_indicator,
+    t_indicator_time,
 )
 from fracalc.caputo import _derivatives, _difference_derivative
 from fracalc.indicators import IndicatorPair, _evaluate
@@ -58,6 +61,19 @@ class TestFracOrder:
             with pytest.raises(DomainError, match="order must be finite and >= 0"):
                 call()
 
+    @pytest.mark.parametrize("alpha", ["0.5", b"0.5", [0.5]], ids=["str", "bytes", "list"])
+    def test_non_number_orders_rejected(self, alpha):
+        # float() once parsed the text, so "0.5" was taken as the order 0.5.
+        p, s = monomial(2), sample(monomial(2), 1.0, 16)
+        for call in (
+            lambda: caputo_poly(p, alpha, 1.0),
+            lambda: caputo_series(s, alpha),
+            lambda: t_indicator(IndicatorPair(y=s, x=s), alpha),
+            lambda: t_indicator_time(s, alpha),
+        ):
+            with pytest.raises(DomainError, match=f"^orders must be real numbers, got {re.escape(repr(alpha))}$"):
+                call()
+
 
 class TestPolynomial:
     def test_zero_polynomial(self):
@@ -89,6 +105,10 @@ class TestPolynomial:
     def test_text_entry_rejected(self, entry):
         with pytest.raises(DomainError, match="must be real numbers"):
             Polynomial((1.0, entry))
+
+    def test_non_finite_coefficient_rejected(self):
+        with pytest.raises(DomainError, match="^polynomial coefficients must be finite$"):
+            Polynomial((1.0, math.inf))
 
     def test_ints_and_numpy_scalars_accepted(self):
         p = Polynomial([1, np.int64(2), np.float32(0.5), np.float64(3.0)])
@@ -126,6 +146,32 @@ class TestSampledSeries:
         with pytest.raises(DomainError):
             SampledSeries(1.0, [0.0, float("nan"), 2.0])
 
+    # Text once parsed into samples; complex numbers and mappings raised a
+    # bare TypeError.
+    @pytest.mark.parametrize(
+        "values,shown",
+        [
+            (["1", "2", "3"], "'1'"),
+            ("123", "'123'"),
+            (b"123", "b'123'"),
+            ([1.0, 2j, 3.0], "(1+0j)"),
+            (np.array([1.0, 2j, 3.0]), "(1+0j)"),
+            ({0: 1.0, 1: 2.0, 2: 3.0}, "{0: 1.0, 1: 2.0, 2: 3.0}"),
+        ],
+        ids=["str_entries", "str", "bytes", "complex", "complex_array", "dict"],
+    )
+    def test_not_real_numbers_rejected(self, values, shown):
+        with pytest.raises(DomainError, match=f"^sample values must be real numbers, got {re.escape(shown)}$"):
+            SampledSeries(1.0, values)
+
+    def test_ints_and_fractions_accepted(self):
+        s = SampledSeries(1.0, [1, Fraction(1, 3), 2**70])
+        assert s.values.tolist() == [1.0, 1.0 / 3.0, 2.0**70]
+
+    def test_two_dimensional_values_rejected(self):
+        with pytest.raises(DomainError, match="^values must be one-dimensional$"):
+            SampledSeries(1.0, np.zeros((3, 3)))
+
     def test_truncated_on_grid(self):
         s = SampledSeries(0.25, np.arange(9.0))
         t = s.truncated(1.0)
@@ -140,6 +186,11 @@ class TestSampledSeries:
         s = SampledSeries(0.25, np.arange(9.0))
         with pytest.raises(DomainError):
             s.truncated(9.0)
+
+    def test_truncated_below_three_samples_rejected(self):
+        s = SampledSeries(0.25, np.arange(9.0))
+        with pytest.raises(InsufficientData, match=r"^truncation to t=0\.25 leaves fewer than 3 samples$"):
+            s.truncated(0.25)
 
 
 class TestCaputoPoly:

@@ -394,6 +394,28 @@ class TestErrorMapping:
         assert out == ""
         assert err.startswith("error: DomainError: ") and err.count("\n") == 1
 
+    # The file is never opened: each check comes before the read.
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("sweep", "--demo", "fig1", "--alpha", "0:1"), "alpha range must be START:STOP:STEP, got '0:1'"),
+            (
+                ("indicator", "--input", "missing.csv", "--engine", "analytic", "--alpha", "0.5"),
+                "CSV input is sampled data; use the numeric engine",
+            ),
+            (("sweep", "--alpha", "0.5"), "need --input PATH or --demo fig1|fig2"),
+            (("deriv", "--coeffs", "1,2"), "deriv needs --alpha"),
+            (
+                ("deriv", "--input", "missing.csv", "--engine", "analytic", "--alpha", "0.5"),
+                "analytic engine needs --coeffs",
+            ),
+            (("sweep", "--demo", "fig1"), "sweep needs --alpha (a value or START:STOP:STEP)"),
+        ],
+        ids=["short_range", "analytic_csv", "no_input", "deriv_no_alpha", "deriv_analytic_csv", "sweep_no_alpha"],
+    )
+    def test_argument_errors_name_the_fix(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"error: DomainError: {message}\n")
+
     def test_trailing_time_option_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["indicator", "--demo", "fig1", "--alpha", "0.5", "--T"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,17 @@ class TestAlphaSweep:
         with pytest.raises(DomainError):
             alpha_sweep(fig1.pair(), [0.5, 0.5], 200.0)
 
+    # "05" once swept the orders 0 and 5, b"05" the orders 48 and 53, and
+    # "0.5" raised a bare ValueError.
+    @pytest.mark.parametrize(
+        "alphas,shown",
+        [("05", "'05'"), (b"05", "b'05'"), ("0.5", "'0.5'"), (["0.5"], "'0.5'"), ([0.5, 1j], "1j")],
+        ids=["str", "bytes", "str_number", "str_entry", "complex_entry"],
+    )
+    def test_not_real_orders_rejected(self, fig1, alphas, shown):
+        with pytest.raises(DomainError, match=f"^orders must be real numbers, got {re.escape(shown)}$"):
+            alpha_sweep(fig1.pair(), alphas, 100.0)
+
     def test_degenerate_entry_is_marked_not_fatal(self):
         # D^0.5 x vanishes at T=1 for x = t^2 - (4/3) t, by construction:
         # Gamma(3)/Gamma(2.5) = (4/3)/Gamma(1.5).
@@ -333,6 +345,11 @@ class TestDetectMultivalued:
         ys = sample(Polynomial((3.0,)), 200.0, 100)
         t1, t2 = detect_multivalued(xs, ys, 1.0, 1e-9)
         assert t1.size == t2.size == 0
+
+    def test_polynomials_rejected(self, fig1):
+        # They once reached `values`, which a Polynomial does not have.
+        with pytest.raises(DomainError, match="^only sampled series can be scanned for witnesses$"):
+            detect_multivalued(fig1.x, fig1.y, 1.0, 1.0)
 
     def test_grid_mismatch_rejected(self, fig1):
         with pytest.raises(GridMismatch, match="^indicator and factor grids differ: "):

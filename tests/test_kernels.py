@@ -62,7 +62,7 @@ LIB = 8 * U
 
 
 def kernel_error_bound(v, e):
-    """Bound on |l1_weighted_sum([v], [e]) - exact_weight_sum(v, e)|.
+    """Bound on |l1_weighted_sum(series(v), [e]) - exact_weight_sum(v, e)|.
 
     From the rounding and truncation of the kernel, to first order in u,
     for e <= 1.  A block from count M has span s <= delta = log(5/4), so
@@ -96,6 +96,11 @@ def kernel_error_bound(v, e):
     return relative * math.fsum(np.abs(exact_terms(v, e)).tolist()) + near
 
 
+def series(*rows):
+    """Each array as a series; the kernel reads the samples, not the step."""
+    return [SampledSeries(1.0, v) for v in rows]
+
+
 def central_derivative(v, h):
     """The finite-difference derivative series the scheme for 1 < a < 2 uses."""
     d = np.empty_like(v)
@@ -109,12 +114,12 @@ class TestL1WeightedSum:
     def test_hand_computed_case(self):
         # f = t^2 on {0, 1, 2}: diffs (1, 3); weights (sqrt(2)-1, 1) at e=0.5.
         want = (math.sqrt(2.0) - 1.0) * 1.0 + 1.0 * 3.0
-        got = _kernels.l1_weighted_sum([np.array([0.0, 1.0, 4.0])], [0.5])
+        got = _kernels.l1_weighted_sum(series(np.array([0.0, 1.0, 4.0])), [0.5])
         assert got.shape == (1, 1)
         assert math.isclose(got[0, 0], want, rel_tol=1e-14)
 
     def test_constant_input_is_zero(self):
-        got = _kernels.l1_weighted_sum([np.full(50, 3.7), np.full(50, -2.0)], [0.25, 0.75])
+        got = _kernels.l1_weighted_sum(series(np.full(50, 3.7), np.full(50, -2.0)), [0.25, 0.75])
         assert got.shape == (2, 2) and (got == 0.0).all()
 
     @pytest.mark.parametrize("block", [1, 2, 7, 16_384])
@@ -125,7 +130,7 @@ class TestL1WeightedSum:
         # exponents for which numpy's power would take a shortcut when alone.
         monkeypatch.setattr(_kernels, "_L1_BLOCK", block)
         rng = np.random.default_rng(11)
-        rows = [rng.normal(size=301).cumsum(), rng.uniform(-1.0, 3.0, 301)]
+        rows = series(rng.normal(size=301).cumsum(), rng.uniform(-1.0, 3.0, 301))
         assert len(list(_kernels._spans(300))) >= 3
         exponents = [0.01, 0.25, 1.0 - 1e-9, 0.5, 1.0, 0.999]
         together = _kernels.l1_weighted_sum(rows, exponents)
@@ -134,7 +139,7 @@ class TestL1WeightedSum:
             assert alone.shape == (1, 2)
             np.testing.assert_array_equal(row, alone[0])
 
-    @pytest.mark.parametrize("n,block", [(15, 7), (15, 14), (15, 16_384), (1, 1), (40_000, 16_384)])
+    @pytest.mark.parametrize("n,block", [(15, 7), (15, 14), (15, 16_384), (2, 1), (40_000, 16_384)])
     def test_count_zero_raises_no_floating_point_error(self, monkeypatch, n, block):
         # The grid ends at count m = 0, whose log is -inf: no floating-point
         # error may surface, under the strictest settings.
@@ -142,7 +147,7 @@ class TestL1WeightedSum:
         v = np.arange(n + 1, dtype=np.float64) ** 2
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _kernels.l1_weighted_sum([v], [0.3, 0.5, 1.0])
+            got = _kernels.l1_weighted_sum(series(v), [0.3, 0.5, 1.0])
         assert np.isfinite(got).all()
         # At e = 1 every weight is 1: the sum telescopes to v[N] - v[0].
         assert math.isclose(got[2, 0], v[-1] - v[0], rel_tol=1e-12)
@@ -157,7 +162,7 @@ class TestL1WeightedSum:
         steps = np.unique(np.linspace(0, n - 1, 97).astype(np.int64))
         rows = (np.arange(n + 1) > steps[:, None]).astype(np.float64)
         exponents = [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0]
-        got = _kernels.l1_weighted_sum(rows, exponents)
+        got = _kernels.l1_weighted_sum(series(*rows), exponents)
         m = (n - steps).astype(np.float64)
         for e, row in zip(exponents, got):
             with np.errstate(divide="ignore"):
@@ -168,7 +173,7 @@ class TestL1WeightedSum:
     @pytest.mark.parametrize("f", [lambda t: t + np.sin(t), lambda t: t * t, lambda t: np.exp(t / 3.0)])
     def test_long_grid_against_exact_weights(self, e, f):
         v = f(np.linspace(0.0, 10.0, 200_001))
-        got = _kernels.l1_weighted_sum([v], [e])[0, 0]
+        got = _kernels.l1_weighted_sum(series(v), [e])[0, 0]
         want = exact_weight_sum(v, e)
         assert abs(got - want) <= 1e-13 * abs(want)
 
@@ -182,7 +187,7 @@ class TestL1WeightedSum:
             "oscillating": np.sin(40.0 * t) + 0.01 * t,
         }[data]
         exponents = [1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0]
-        got = _kernels.l1_weighted_sum([v], exponents)[:, 0]
+        got = _kernels.l1_weighted_sum(series(v), exponents)[:, 0]
         for e, value in zip(exponents, got.tolist()):
             assert abs(value - exact_weight_sum(v, e)) <= kernel_error_bound(v, e)
 
@@ -196,7 +201,7 @@ class TestL1WeightedSum:
         assert spans == [(100, 80), (80, 64)]
         assert all(math.log(top / bottom) == math.log(1.25) for top, bottom in spans)
         rows = (np.arange(n + 1) > np.arange(n - 64)[:, None]).astype(np.float64)
-        got = _kernels.l1_weighted_sum(rows, [1.0])[0]
+        got = _kernels.l1_weighted_sum(series(*rows), [1.0])[0]
         for v, value in zip(rows, got.tolist()):
             assert abs(value - 1.0) <= kernel_error_bound(v, 1.0)
 

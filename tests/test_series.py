@@ -464,18 +464,16 @@ class TestIngestInChunks:
     @given(
         data=st.lists(st.sampled_from([b"1", b",", b"\r", b"\n"]), max_size=40).map(b"".join),
         read=st.sampled_from([1, 2, 3, 5, 64]),
-        count_slice=st.sampled_from([1, 2, 3, 64]),
     )
-    @example(data=b"1\r\n1\r\n", read=2, count_slice=64)  # a CR LF split between reads
-    @example(data=b"1\r\n1\r\n", read=64, count_slice=2)  # and between slices of a read
+    @example(data=b"1\r\n1\r\n", read=2)  # a CR LF split between reads
     @settings(max_examples=300, deadline=None)
-    def test_row_bound_counts_breaks_read_by_read(self, data, read, count_slice):
-        old = series._SCAN_CHUNK, series._COUNT_SLICE
-        series._SCAN_CHUNK, series._COUNT_SLICE = read, count_slice
+    def test_row_bound_counts_breaks_read_by_read(self, data, read):
+        old = series._SCAN_CHUNK
+        series._SCAN_CHUNK = read
         try:
             got = series._loadtxt_rows(io.BytesIO(data))
         finally:
-            series._SCAN_CHUNK, series._COUNT_SLICE = old
+            series._SCAN_CHUNK = old
         assert got == reference_row_bound(data, read)
 
     @pytest.mark.parametrize("case", _CHUNKED_FILES)
