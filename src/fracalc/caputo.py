@@ -89,19 +89,21 @@ class Polynomial:
         return Polynomial(tuple(k * c for k, c in enumerate(self._coeffs) if k >= 1))
 
 
+def _is_sequence(obj) -> bool:
+    """Whether obj is sized and indexed by position, as a tuple, a list, a range or a 1-D
+    numpy array is: text, a mapping, a set, an iterator or a number is not."""
+    if isinstance(obj, (str, bytes, bytearray, Mapping)):
+        return False
+    return hasattr(obj, "__len__") and hasattr(obj, "__getitem__") and getattr(obj, "ndim", 1) == 1
+
+
 def _coefficients(coeffs) -> tuple[float, ...]:
     """coeffs as a tuple of floats, checked to be a sequence of finite real numbers.
 
-    A sequence is sized and indexed by position, as a tuple, a list or a
-    one-dimensional numpy array is: text, a mapping, a set, an iterator or
-    a number is not.  Each entry converts with ``float``, as ints and numpy
-    scalars do, but text, which ``float`` would parse, is refused.
+    Each entry converts with ``float``, as ints and numpy scalars do, but
+    text, which ``float`` would parse, is refused.
     """
-    if (
-        isinstance(coeffs, (str, bytes, bytearray, Mapping))
-        or not (hasattr(coeffs, "__len__") and hasattr(coeffs, "__getitem__"))
-        or getattr(coeffs, "ndim", 1) != 1
-    ):
+    if not _is_sequence(coeffs):
         raise DomainError(f"polynomial coefficients must be a sequence of real numbers, got {type(coeffs).__name__}")
     cs = tuple(_real(c, "polynomial coefficients") for c in coeffs)
     if any(not math.isfinite(c) for c in cs):
@@ -300,13 +302,10 @@ def _bounded(coeffs, t_end: float) -> bool:
 
 def _as_orders(alphas) -> list[float]:
     """The orders, one real number or a sequence of them, as a list of floats each checked finite and >= 0."""
-    if isinstance(alphas, (str, bytes, bytearray)):
+    if not _is_sequence(alphas):
         alphas = [alphas]
-    try:
-        # A float is its own float: the CLI's orders skip the call.
-        orders = [a if type(a) is float else _real(a, "orders") for a in alphas]
-    except TypeError:
-        orders = [_real(alphas, "orders")]
+    # A float is its own float: the CLI's orders skip the call.
+    orders = [a if type(a) is float else _real(a, "orders") for a in alphas]
     for a in orders:
         if not (math.isfinite(a) and a >= 0.0):
             raise DomainError(f"order must be finite and >= 0, got {a!r}")

@@ -34,13 +34,10 @@ _CSV_HEADER = ("t", "x", "y")
 # Consecutive time deltas may deviate from the mean step by this much.
 _GRID_RTOL = 1e-9
 
-# ASCII bytes that str.splitlines treats as line breaks besides \n and \r.
-_SPLITLINES_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-
-# Bytes read per step of the scan that picks the np.loadtxt path; each read's
-# breaks are counted whole, and its bool buffers stay in cache.  On an AMD
-# EPYC a 1e6-row file scanned in 7.3 ms (LF) and 15.4 ms (CR LF) at 128 KiB,
-# in 21 ms with CR LF at 256 KiB and in 8.5 ms with LF at 64 KiB.
+# Bytes read per step of the scan that bounds the rows and checks the UTF-8;
+# each read's breaks are counted whole, and its bool buffers stay in cache.
+# On an AMD EPYC a 1e6-row file scanned in 7.3 ms (LF) and 15.4 ms (CR LF) at
+# 128 KiB, in 21 ms with CR LF at 256 KiB and in 8.5 ms with LF at 64 KiB.
 _SCAN_CHUNK = 1 << 17
 
 # Lines per np.loadtxt call.  Its table of a chunk, 24 bytes per row, is
@@ -155,7 +152,9 @@ def _parse_float(cell: str, line: int) -> float:
 def ingest_csv(path) -> IndicatorPair:
     """Read a `t,x,y` CSV into a sampled pair, validating the uniform grid.
 
-    The file is UTF-8 text; a leading byte-order mark is skipped.  Blank
+    The file is UTF-8 text; a leading byte-order mark is skipped.  A line
+    ends at LF, CR or CR LF; other characters that ``str.splitlines`` breaks
+    at, such as a form feed or U+2028, are blanks inside a line.  Blank
     lines are ignored.  The first other line is the header `t,x,y` (any case,
     blanks around names); every later one holds three comma-separated numbers
     in any spelling Python's ``float`` accepts.  The time stamps must be
@@ -168,9 +167,9 @@ def ingest_csv(path) -> IndicatorPair:
     float parsing dominates.  Memory is x and y, 16 bytes per row, in two
     arrays sized by a bound on the rows; t is checked chunk by chunk.  A
     chunk ``np.loadtxt`` refuses, such as a line of blanks, goes to a line
-    parser with the same results.  An ASCII file is scanned once for its line
-    count.  A pipe is held as its bytes; other text (non-ASCII, or with breaks
-    np.loadtxt misses) is decoded and rewritten with LF breaks first.
+    parser with the same results.  Every file is scanned once first, for
+    its line count and its UTF-8, so a bad byte is reported before any other
+    error.  A pipe is held as its bytes.
     """
     with open(path, "rb") as f:
         x, y, grid = _read_columns(f)
@@ -237,49 +236,44 @@ def _read_columns(f):
         f = io.BytesIO(f.read())
     bound = _loadtxt_rows(f)
     f.seek(0)
-    encoding = "utf-8-sig"
-    if bound is None:
-        # With one LF between its str.splitlines lines, the text breaks
-        # only where readline and np.loadtxt break it.  _decode skipped the
-        # byte-order mark, so a second one stays text.
-        text = "\n".join(_decode(f.read()).splitlines())
-        f = io.BytesIO(text.encode())
-        bound = text.count("\n") + 1
-        encoding = "utf-8"
-    text = io.TextIOWrapper(f, encoding=encoding, newline="")
+    text = io.TextIOWrapper(f, encoding="utf-8-sig", newline="")
     try:
         return _loadtxt_columns(text, bound)
     finally:
         text.detach()
 
 
-def _loadtxt_rows(f) -> int | None:
-    """A bound on the data rows, or None unless np.loadtxt splits the file
-    into the lines str.splitlines does, so that the file must be rewritten.
+def _loadtxt_rows(f) -> int:
+    """A bound on the data rows of a binary file; a byte that is not UTF-8 is a ParseError.
 
-    That holds for ASCII text without the further line breaks of
-    ``_SPLITLINES_ONLY``.  np.loadtxt would strip those from field edges as
-    blanks: a form feed after the 1 of ``0,1,2`` would read as one row,
-    not as the two lines ``0,1`` and ``,2``.  The bound counts the line
-    breaks LF, CR and CR LF of each read of ``_SCAN_CHUNK`` bytes; a CR LF
-    split between two reads counts twice, which a bound allows.
+    The bound counts the line breaks LF, CR and CR LF of each read of
+    ``_SCAN_CHUNK`` bytes, which never occur inside a UTF-8 sequence; a CR LF
+    split between two reads counts twice, which a bound allows.  A read that
+    is not ASCII, or ends a sequence begun before it, goes to a decoder.
     """
     import numpy as np
 
+    utf8 = codecs.getincrementaldecoder("utf-8")()
     breaks = 0
     last = b""
     chunk = f.read(_SCAN_CHUNK).removeprefix(codecs.BOM_UTF8)
-    while chunk:
-        if not chunk.isascii() or any(b in chunk for b in _SPLITLINES_ONLY):
-            return None
-        a = np.frombuffer(chunk, np.uint8)
-        breaks += int(np.count_nonzero(a == ord("\n")))
-        if b"\r" in chunk:
-            # A CR alone breaks a line; a CR LF was counted at its LF.
-            cr = a == ord("\r")
-            breaks += int(np.count_nonzero(cr)) - int(np.count_nonzero(cr[:-1] & (a[1:] == ord("\n"))))
-        last = chunk[-1:]
-        chunk = f.read(_SCAN_CHUNK)
+    try:
+        while chunk:
+            if not chunk.isascii() or utf8.getstate()[0]:
+                utf8.decode(chunk)
+            a = np.frombuffer(chunk, np.uint8)
+            breaks += int(np.count_nonzero(a == ord("\n")))
+            if b"\r" in chunk:
+                # A CR alone breaks a line; a CR LF was counted at its LF.
+                cr = a == ord("\r")
+                breaks += int(np.count_nonzero(cr)) - int(np.count_nonzero(cr[:-1] & (a[1:] == ord("\n"))))
+            last = chunk[-1:]
+            chunk = f.read(_SCAN_CHUNK)
+        utf8.decode(b"", final=True)
+    except UnicodeDecodeError:
+        # Only now is the file read whole, to name the bad byte's line.
+        f.seek(0)
+        _decode(f.read())
     # The header takes one line; a last line without a break adds one.
     return breaks - 1 if last in (b"\n", b"\r") else breaks
 
@@ -338,15 +332,15 @@ def _check_header(header: str, line: int) -> None:
         raise ParseError(f"expected header 't,x,y', got {header!r}", line=line)
 
 
-def _decode(data: bytes) -> str:
-    """The UTF-8 text of a file's bytes less one leading byte-order mark; a bad byte is a ParseError."""
+def _decode(data: bytes) -> None:
+    """Raise the ParseError naming the line of a file's first byte that is not UTF-8."""
     data = data.removeprefix(codecs.BOM_UTF8)
     try:
-        return data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The bytes before the bad one decode.  It lies on their last line,
-        # or on a new one if they end with a break; the "_" stands for it.
-        line = len((data[: exc.start].decode("utf-8") + "_").splitlines())
+        # The bad byte lies on the line after the LF, CR and CR LF breaks before it.
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         bad = data[exc.start : exc.end]
         raise ParseError(f"not UTF-8 text ({exc.reason}: {bad!r})", line=line) from None
 

@@ -165,9 +165,9 @@ class TestIndicatorCommand:
     )
     def test_pipe_reads_as_the_file(self, tmp_path, child_env, fig1, edit, stderr):
         # /dev/stdin on a pipe cannot seek, so its bytes are held and then
-        # parsed as the file's are; a non-ASCII file is rewritten with LF
-        # breaks first either way.  The output, or the ParseError naming the
-        # bad line, is the file's; a cell padded by U+00A0 reads as without.
+        # parsed as the file's are, non-ASCII or not.  The output, or the
+        # ParseError naming the bad line, is the file's; a cell padded by
+        # U+00A0 reads as without.
         path = tmp_path / "fig1.csv"
         export_csv(fig1.sampled_pair(200), path)
 

@@ -208,6 +208,22 @@ class TestAlphaSweep:
         with pytest.raises(DomainError, match=f"^orders must be real numbers, got {re.escape(shown)}$"):
             alpha_sweep(fig1.pair(), alphas, 100.0)
 
+    # A mapping once swept its keys and a set its members, in hash order.
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: {0.5: "a", 0.7: "b"},
+            lambda: {0.5, 0.7},
+            lambda: frozenset([0.7, 0.5]),
+            lambda: (a for a in [0.5, 0.7]),
+        ],
+        ids=["dict", "set", "frozenset", "generator"],
+    )
+    def test_orders_that_are_not_a_sequence_rejected(self, fig1, make):
+        alphas = make()
+        with pytest.raises(DomainError, match=f"^orders must be real numbers, got {re.escape(repr(alphas))}$"):
+            alpha_sweep(fig1.pair(), alphas, 100.0)
+
     def test_degenerate_entry_is_marked_not_fatal(self):
         # D^0.5 x vanishes at T=1 for x = t^2 - (4/3) t, by construction:
         # Gamma(3)/Gamma(2.5) = (4/3)/Gamma(1.5).

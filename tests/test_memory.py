@@ -106,16 +106,30 @@ def test_witness_scan_holds_the_witnesses_and_index_arrays_of_n(fig2):
     assert peak <= 16 * t1.size + 8 * 8 * (n + 1) + SLACK
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
-def test_line_count_holds_two_reads(tmp_path, fig2, newline):
+def pad_one_cell(path, line):
+    """Pad the first cell of a 0-based line of the file with U+00A0, so that the file is not ASCII."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line] = lines[line].replace(b",", "\xa0,".encode(), 1)
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize(
+    "newline,pad",
+    [("\n", False), ("\r\n", False), ("\n", True), ("\r\n", True)],
+    ids=["\n", "\r\n", "\n-nbsp", "\r\n-nbsp"],
+)
+def test_line_count_holds_two_reads(tmp_path, fig2, newline, pad):
     # The scan that bounds the rows of a CSV file holds the read it counts
     # and, while the next one arrives, that one too.  Counting the line
-    # breaks of a read takes a few small buffers, within SLACK, not copies
-    # of the read: a CR needs more of them than an LF.
+    # breaks of a read takes a few read-sized bool buffers, and checking a
+    # read that is not ASCII takes its decoded text: a CR needs more
+    # buffers than an LF.
     rows = 40_000
     path = tmp_path / "pair.csv"
     export_csv(fig2.sampled_pair(rows - 1), path)
     path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    if pad:
+        pad_one_cell(path, rows // 2)
     assert path.stat().st_size > 2 * series._SCAN_CHUNK
     with open(path, "rb") as f:
         bound, peak = traced_peak(series._loadtxt_rows, f)
@@ -128,17 +142,21 @@ def test_ingest_holds_only_x_and_y(tmp_path, monkeypatch, fig2):
     # them, four tables of np.loadtxt's chunk (24 bytes per row) cover the
     # table, its over-allocation while it parses and the grid check's
     # temporaries.  The byte scan reads small pieces here, so that its two
-    # pieces held at once stay below that too.
+    # pieces held at once stay below that too.  A file that is not ASCII
+    # reads in the same chunks, and to the same arrays.
     monkeypatch.setattr(series, "_SCAN_CHUNK", 8 * BLOCK)
     rows = 100_001
     sampled = fig2.sampled_pair(rows - 1)
     path = tmp_path / "pair.csv"
     export_csv(sampled, path)
-    pair, peak = traced_peak(ingest_csv, path)
-    assert peak <= 16 * rows + 4 * 24 * series._LOADTXT_ROWS
-    for got, want in ((pair.x.values, sampled.x.values), (pair.y.values, sampled.y.values)):
-        assert got.tobytes() == want.tobytes()
-        assert got.flags.c_contiguous and not got.flags.writeable
+    for pad in (False, True):
+        if pad:
+            pad_one_cell(path, rows // 2)
+        pair, peak = traced_peak(ingest_csv, path)
+        assert peak <= 16 * rows + 4 * 24 * series._LOADTXT_ROWS
+        for got, want in ((pair.x.values, sampled.x.values), (pair.y.values, sampled.y.values)):
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and not got.flags.writeable
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -1,6 +1,7 @@
 import codecs
 import io
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -258,7 +259,8 @@ def reference_ingest(path):
     stamp and a step that overflows, which that reader let through.
     """
     data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
-    lines = data.decode("utf-8", errors="surrogateescape").splitlines()
+    # A line ends at LF, CR or CR LF, as in RFC 4180 and Python's open().
+    lines = re.split(r"\r\n|\r|\n", data.decode("utf-8", errors="surrogateescape"))
     for i, line in enumerate(lines):
         if any("\udc80" <= c <= "\udcff" for c in line):
             raise ParseError("not UTF-8", line=i + 1)
@@ -358,7 +360,7 @@ def outcome(read, path):
 class TestIngestMatchesLineParser:
     @given(csv_files())
     @example(b"t,x,y\n0,1,2\n1,2\x0c,3\n2,3,4\n")  # np.loadtxt reads one row
-    @example(b"t,x,y\n0,1\x0c,2\n1,2,3\n2,3,4\n")  # the line parser sees "0,1"
+    @example(b"t,x,y\n0,1\x0c,2\n1,2,3\n2,3,4\n")  # the form feed is a blank: (0, 1, 2)
     @example("t,x,y\n0,1\u2028,2\n1,2,3\n2,3,4\n".encode())
     @example("t\x1c,x,y\n0,1,2\n1,2,3\n2,3,4\n".encode())
     @example(b"t,x,y\n0,1,2\n1, 2 ,3\t\n\n2,3,4")
@@ -366,7 +368,7 @@ class TestIngestMatchesLineParser:
     @example(b"\xef\xbb\xbft,x,y\r\n0,1,2\r\n1,2,3\r\n2,3,4\r\n")
     @example(b"t,x,y\n0,1,2\n1,\xff2,4\n2,3,6\n")
     @example(codecs.BOM_UTF8 * 2 + b"t,x,y\n0,1,2\n1,2,3\n2,3,4\n")  # only the first is skipped
-    @example("t,x,y\r\n0,1,2\r\n1,2\x85,3\r\n2,3,4\r\n".encode())  # NEL breaks the line
+    @example("t,x,y\r\n0,1,2\r\n1,2\x85,3\r\n2,3,4\r\n".encode())  # NEL is a blank inside the line
     @example(b"t,x,y\n")
     @example(b"")
     @settings(deadline=None, max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
