@@ -58,7 +58,9 @@ def max_abs_differences(series, orders):
                 else:
                     spare = spare if spare.size >= d.size else np.empty(d.size)
                     out = spare[: d.size - 1]
-                d = np.subtract(d[1:], d[:-1], out=out)
+                # A difference that overflows is inf, and so is the maximum.
+                with np.errstate(over="ignore"):
+                    d = np.subtract(d[1:], d[:-1], out=out)
             if q in maxima:
                 # max|d| from the extremes of d, nan where d holds one.
                 maxima[q].append(max(abs(float(d.max())), abs(float(d.min()))))
@@ -228,9 +230,11 @@ def multivalued_pairs(x, y, x_tol, y_tol):
     n = x.shape[0]
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    slack = _WINDOW_ULPS * np.spacing(np.maximum(np.abs(x), x_tol))
-    lo = np.searchsorted(xs, (x - x_tol) - slack, side="left")
-    hi = np.searchsorted(xs, (x + x_tol) + slack, side="right")
+    # A window that overflows is infinite, and the exact test below bounds it.
+    with np.errstate(over="ignore"):
+        slack = _WINDOW_ULPS * np.spacing(np.maximum(np.abs(x), x_tol))
+        lo = np.searchsorted(xs, (x - x_tol) - slack, side="left")
+        hi = np.searchsorted(xs, (x + x_tol) + slack, side="right")
     # Row r's candidates are the sorted positions lo[r]..hi[r]-1, numbered
     # ends[r] - (hi[r] - lo[r]) .. ends[r] - 1 over all rows.
     ends = np.cumsum(hi - lo)

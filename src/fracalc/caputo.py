@@ -236,17 +236,17 @@ class SampledSeries:
         # the times here, all finite and >= 0.
         *rest, top = self._coeffs or (0.0,)
         rest.reverse()
-        index = np.empty(0)
+        bounds = list(bounds)
+        m = max(stop - start for start, stop in bounds)
+        index, t, v = np.arange(float(m)), np.empty(m), np.empty(m)
         for start, stop in bounds:
             m = stop - start
-            if m > index.size:
-                index, t, v = np.arange(float(m)), np.empty(m), np.empty(m)
-            tk = np.multiply(np.add(index[:m], start, out=t[:m]), self._h, out=t[:m])
             vk = v[:m]
             vk.fill(top + 0.0)
             # An overflow gives inf or nan without a warning, and the
             # finiteness check of the series refuses it.
             with np.errstate(over="ignore", invalid="ignore"):
+                tk = np.multiply(np.add(index[:m], start, out=t[:m]), self._h, out=t[:m])
                 for c in rest:
                     np.add(np.multiply(vk, tk, out=vk), c, out=vk)
             yield vk
@@ -258,9 +258,11 @@ class SampledSeries:
 
     def truncated(self, t: float) -> SampledSeries:
         """Restrict to [0, t]; t must be finite and land on the grid (within 1e-9 relative)."""
-        t = float(t)
+        t = _real(t, "truncation times")
         if not math.isfinite(t):
             raise DomainError(f"truncation time must be finite, got t={t!r}")
+        if not math.isfinite(t / self.h):
+            raise DomainError(f"t={t!r} is beyond the sampled range [0, {self.t_end!r}]")
         k = int(round(t / self.h))
         if abs(k * self.h - t) > _GRID_SNAP_RTOL * max(abs(t), self.h):
             raise DomainError(f"t={t!r} does not lie on the sampling grid (h={self.h!r})")
@@ -278,8 +280,8 @@ class SampledSeries:
 
 
 def _step(h) -> float:
-    """h as a float, checked finite and > 0."""
-    step = float(h)
+    """h as a float, checked to be a real number, finite and > 0."""
+    step = _real(h, "steps")
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"step must be finite and > 0, got h={h!r}")
     return step
@@ -348,7 +350,7 @@ def _derivatives(fs, alphas, T=None):
     if isinstance(fs[0], Polynomial):
         if T is None:
             raise DomainError("polynomial input needs an explicit evaluation time T")
-        T = float(T)
+        T = _real(T, "end times")
         if not (math.isfinite(T) and (T > 0.0 or (T == 0.0 and not any(alphas)))):
             raise DomainError(f"end time must be finite and > 0, got T={T!r}")
         return _power_rule(fs, alphas, T), alphas, fs, T
@@ -432,26 +434,38 @@ def caputo_poly(p: Polynomial, alpha: float, T: float) -> float:
     return _derivatives([p], [alpha], T)[0][0][0]
 
 
-def _difference_derivative(series: SampledSeries) -> SampledSeries | None:
-    """Second-order finite-difference estimate of f' on the same grid; None where a value overflows.
+class _Derivative(SampledSeries):
+    """Second-order finite-difference estimate of f' on the series' grid, read a block at a time.
 
-    It reads the whole ``values`` array, so a polynomial's samples are built.
+    Central inside, one-sided at both ends.  It holds no samples: each
+    block is differenced from the series' block widened by two samples on
+    either side.  It is not checked finite: where a difference overflows it
+    reads inf or nan, which ``_l1_orders`` reports as the order's overflow.
     """
-    import numpy as np
 
-    v = series.values
-    h = series.h
-    d = np.empty_like(v)
-    # An overflow gives inf (or nan, from inf - inf) without a warning, and
-    # the series refuses it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-        d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    try:
-        return SampledSeries(h, d)
-    except DomainError:
-        return None
+    __slots__ = ("_series",)
+
+    def __init__(self, series: SampledSeries) -> None:
+        self._h, self._n, self._coeffs, self._values = series.h, series.n_steps, None, None
+        self._series = series
+
+    def _blocks(self, bounds):
+        """The derivative at the indices of each (start, stop) of ``bounds``, in one reused buffer."""
+        import numpy as np
+
+        n, h2, bounds = self._n, 2.0 * self._h, list(bounds)
+        wide = [(max(start - 2, 0), min(stop + 2, n + 1)) for start, stop in bounds]
+        d = np.empty(max(stop - start for start, stop in bounds))
+        for (start, stop), (lo, _), v in zip(bounds, wide, self._series._blocks(wide)):
+            dk = d[: stop - start]
+            inner, end = max(start, 1), min(stop, n)
+            out = dk[inner - start : end - start]
+            np.subtract(v[inner + 1 - lo : end + 1 - lo], v[inner - 1 - lo : end - 1 - lo], out=out)
+            if start == 0:
+                dk[0] = -3.0 * v[0] + 4.0 * v[1] - v[2]
+            if stop == n + 1:
+                dk[-1] = 3.0 * v[-1] - 4.0 * v[-2] + v[-3]
+            yield np.divide(dk, h2, out=dk)
 
 
 def caputo_series(series: SampledSeries, alpha: float) -> float:
@@ -481,13 +495,13 @@ def caputo_series(series: SampledSeries, alpha: float) -> float:
 def _l1_orders(series, alphas: list[float]) -> list[list[float]]:
     """The sampled branch of :func:`_derivatives`: the scheme of :func:`caputo_series`.
 
-    Row i is ``series[i]``.  The orders in (0, 1) share one blocked kernel
-    pass over the samples, and those in (1, 2) one pass over the
-    finite-difference derivatives, so the work over the samples does not
-    grow with len(alphas).  Both passes read the series a block at a time
-    (``SampledSeries._blocks``).  The derivatives are whole arrays, built
-    from ``values``; without orders in (1, 2) the extra memory does not
-    grow with N, and a polynomial's samples are never held.
+    Row i is ``series[i]``.  Order 0 is the last sample and order 1 the last
+    value of the finite-difference derivative (``_Derivative``).  The orders
+    in (0, 1) share one blocked kernel pass over the samples, and those in
+    (1, 2) one pass over the derivative, so the work over the samples does
+    not grow with len(alphas).  Every read goes a block at a time through
+    ``_blocks``, so the extra memory does not grow with N, and a
+    polynomial's samples are never held.
 
     Raises:
         DomainError: h^(-alpha) or a value overflows, naming the first
@@ -498,42 +512,30 @@ def _l1_orders(series, alphas: list[float]) -> list[list[float]]:
     from ._kernels import l1_weighted_sum
 
     n_steps = series[0].n_steps
-    # The last three samples of each series, for orders 0 and 1.
-    ends = [next(s._blocks([(n_steps - 2, n_steps + 1)])).tolist() for s in series]
+    rows, picked = [series, [_Derivative(s) for s in series]], [[], []]
     out = np.empty((len(series), len(alphas)))
-    l1, extended = [], []
-    for i, a in enumerate(alphas):
-        if a >= 2.0:
-            raise DomainError(f"numerical engine covers 0 <= alpha < 2, got {a!r}")
-        if a == 0.0:
-            out[:, i] = [v2 for _, _, v2 in ends]
-        elif a == 1.0:
-            # In Python floats, where an overflow gives inf without a warning.
-            for row, (s, (v0, v1, v2)) in enumerate(zip(series, ends)):
-                out[row, i] = (3.0 * v2 - 4.0 * v1 + v0) / (2.0 * s.h)
-        elif a < 1.0:
-            l1.append((i, a))
-        elif n_steps < 4:
-            raise InsufficientData(f"need N >= 4 samples, got N={n_steps}")
-        else:
-            # The L1 scheme of order alpha - 1 on the derivative series.
-            extended.append((i, a - 1.0))
-    passes = [(l1, series)]
-    if extended:
-        derivatives = [_difference_derivative(s) for s in series]
-        if None in derivatives:
-            out[:, [i for i, _ in extended]] = math.inf
-        else:
-            passes.append((extended, derivatives))
-    for picked, rows in passes:
-        if not picked:
-            continue
-        sums = l1_weighted_sum(rows, [1.0 - a for _, a in picked])
-        for (i, a), row_sums in zip(picked, sums.tolist()):
-            try:
-                out[:, i] = [v * r.h ** (-a) / math.gamma(2.0 - a) for v, r in zip(row_sums, rows)]
-            except OverflowError:
-                out[:, i] = math.inf  # h^(-alpha), common to the rows, overflows
+    # An overflow gives inf or nan without a warning; the check below names it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, a in enumerate(alphas):
+            if a >= 2.0:
+                raise DomainError(f"numerical engine covers 0 <= alpha < 2, got {a!r}")
+            if a > 1.0 and n_steps < 4:
+                raise InsufficientData(f"need N >= 4 samples, got N={n_steps}")
+            if a.is_integer():
+                out[:, i] = [next(r._blocks([(n_steps, n_steps + 1)]))[0] for r in rows[int(a)]]
+            else:
+                picked[int(a)].append(i)
+        for m, (at, r) in enumerate(zip(picked, rows)):
+            if not at:
+                continue
+            # The L1 scheme of order alpha - m on the m-th derivative.
+            orders = [alphas[i] - m for i in at]
+            sums = l1_weighted_sum(r, [1.0 - a for a in orders])
+            for i, a, row_sums in zip(at, orders, sums.tolist()):
+                try:
+                    out[:, i] = [v * s.h ** (-a) / math.gamma(2.0 - a) for v, s in zip(row_sums, r)]
+                except OverflowError:
+                    out[:, i] = math.inf  # h^(-alpha), common to the rows, overflows
     overflow = ~np.isfinite(out).all(axis=0)
     if overflow.any():
         a = alphas[int(overflow.argmax())]

@@ -202,7 +202,7 @@ def detect_multivalued(
     witnesses, the scan needs a few index arrays of N and one block of
     candidates.
     """
-    x_tol, y_tol = float(x_tol), float(y_tol)
+    x_tol, y_tol = _real(x_tol, "tolerances"), _real(y_tol, "tolerances")
     if not (math.isfinite(x_tol) and x_tol > 0.0 and math.isfinite(y_tol) and y_tol > 0.0):
         raise DomainError(f"tolerances must be finite and > 0, got x_tol={x_tol!r}, y_tol={y_tol!r}")
     import numpy as np

@@ -12,7 +12,7 @@ import itertools
 import math
 import warnings
 
-from .caputo import Polynomial, SampledSeries
+from .caputo import Polynomial, SampledSeries, _real
 from .errors import DomainError, InsufficientData, NonUniformGrid, ParseError
 from .indicators import IndicatorPair
 
@@ -115,7 +115,7 @@ def sample(p: Polynomial, t_end: float, n: int) -> SampledSeries:
     """
     import mmap
 
-    t_end = float(t_end)
+    t_end = _real(t_end, "end times")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"end time must be finite and > 0, got T={t_end!r}")
     n = _steps(n)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -15,11 +16,12 @@ from fracalc import (
     alpha_sweep,
     caputo_poly,
     caputo_series,
+    detect_multivalued,
     sample,
     t_indicator,
     t_indicator_time,
 )
-from fracalc.caputo import _derivatives, _difference_derivative
+from fracalc.caputo import _Derivative, _derivatives
 from fracalc.indicators import IndicatorPair, _evaluate
 from oracle import lin_comb, ref_caputo_poly, ref_caputo_quad, rel_err
 
@@ -191,6 +193,49 @@ class TestSampledSeries:
         s = SampledSeries(0.25, np.arange(9.0))
         with pytest.raises(InsufficientData, match=r"^truncation to t=0\.25 leaves fewer than 3 samples$"):
             s.truncated(0.25)
+
+    # The block accessor sizes its buffers from the largest block, so it
+    # walks the bounds more than once; a one-shot iterable must still give
+    # every block.
+    @pytest.mark.parametrize("view", [lambda s: s, _Derivative], ids=["samples", "derivative"])
+    def test_blocks_read_a_one_shot_iterable(self, view):
+        r = view(sample(monomial(2), 1.0, 10))
+        got = np.concatenate([b.copy() for b in r._blocks(iter([(0, 4), (4, 11)]))])
+        assert got.tolist() == r.values.tolist()
+
+
+GRID = SampledSeries(0.25, np.arange(9.0))
+
+
+class TestScalarArguments:
+    """Times, steps and tolerances are real numbers, as orders are: text, which
+    ``float`` would parse, None, a list or a mapping is a DomainError."""
+
+    CALLS = {
+        "caputo_poly-T": ("end times", lambda v: caputo_poly(monomial(2), 0.5, v)),
+        "t_indicator-T": ("end times", lambda v: t_indicator(IndicatorPair(monomial(2), monomial(1)), 0.5, v)),
+        "caputo_series-T": ("truncation times", lambda v: _derivatives([GRID], [0.5], v)),
+        "truncated-t": ("truncation times", lambda v: GRID.truncated(v)),
+        "SampledSeries-h": ("steps", lambda v: SampledSeries(v, [1.0, 2.0, 3.0])),
+        "sample-t_end": ("end times", lambda v: sample(monomial(2), v, 5)),
+        "detect_multivalued-x_tol": ("tolerances", lambda v: detect_multivalued(GRID, GRID, v, 1.0)),
+        "detect_multivalued-y_tol": ("tolerances", lambda v: detect_multivalued(GRID, GRID, 1.0, v)),
+    }
+    VALUES = {"text": "200", "None": None, "list": [1.0], "dict": {}}
+
+    # T=None is the default: no time for a polynomial, the series' end for a series.
+    @pytest.mark.parametrize(
+        "call,value",
+        [
+            pytest.param(call, value, id=f"{call}-{name}")
+            for call, (name, value) in itertools.product(CALLS, VALUES.items())
+            if not (value is None and call.endswith("-T"))
+        ],
+    )
+    def test_not_a_real_number_rejected(self, call, value):
+        what, f = self.CALLS[call]
+        with pytest.raises(DomainError, match=f"^{what} must be real numbers, got {re.escape(repr(value))}$"):
+            f(value)
 
 
 class TestCaputoPoly:
@@ -453,7 +498,7 @@ class TestOrderZeroConvention:
 class TestCaputoSeriesDispatch:
     def test_routes_by_order(self):
         s = sample(monomial(2), 1.0, 256)
-        assert caputo_series(s, 1.5) == caputo_series(_difference_derivative(s), 0.5)
+        assert caputo_series(s, 1.5) == caputo_series(SampledSeries(s.h, _Derivative(s).values), 0.5)
         assert caputo_series(s, 0.0) == s.values[-1]
 
     @pytest.mark.parametrize("alpha", [-0.5, float("nan"), float("inf")])

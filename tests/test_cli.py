@@ -469,6 +469,40 @@ class TestErrorMapping:
         assert (code, out) == (1, "")
         assert err == f"error: DomainError: order-{order} derivative overflows at h=1e-320\n"
 
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (("sweep", "--input", "step.csv", "--T", "7", "--alpha", "1e-300"),
+             (1, "", "error: DomainError: t=7.0 is beyond the sampled range [0, 5e-323]\n")),
+            (("sweep", "--input", "step.csv", "--T", "-1", "--alpha", "0.5"),
+             (1, "", "error: DomainError: t=-1.0 is beyond the sampled range [0, 5e-323]\n")),
+            (("sweep", "--demo", "fig1", "--engine", "numeric", "--N", "3", "--T", "1.7976931348623157e308",
+              "--alpha", "3.7"),
+             (1, "", "error: DomainError: all sample values must be finite\n")),
+            (("demo", "fig2", "--N", "3", "--x-tol", "1.7976931348623157e308"),
+             (0,
+              "x,y\n70.0,1700.0\n50.815872000000006,1559.2000000000003\n"
+              "59.37395200000001,1495.2000000000003\n61.68563200000003,1815.1999999999994\n",
+              "multivalued dependence (fig2): 0 witness pair(s) at x_tol=1.7976931348623157e+308, "
+              "y_tol=3199.999999999991\n")),
+            (("sweep", "--input", "huge-step.csv", "--alpha", "1"), (0, "alpha,value\n1.0,\n", "")),
+            (("deriv", "--input", "huge-step.csv", "--column", "x", "--alpha", "0.5"),
+             (1, "", "error: DomainError: order-0.5 derivative overflows at h=1.0\n")),
+        ],
+        ids=["t-over-h-beyond", "t-over-h-below", "sample-times", "x-tol-spacing", "guard-scale", "kernel-step"],
+    )
+    def test_float_edges_end_without_warning(self, capsys, tmp_path, monkeypatch, argv, want):
+        # Each ends in the documented way, with no numpy warning, which
+        # pytest turns into an error: t / h overflows on a grid of step
+        # 5e-324, the sample times at T near the float range, the factor's
+        # search window at x_tol near it, and a step between finite samples
+        # (-1.7e308 to 1.7e308) in the guard's scale and in the kernel, where
+        # the order reads as degenerate and as overflowing.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "step.csv").write_text("t,x,y\n" + "".join(f"{k * 5e-324!r},{k},{k * k}\n" for k in range(11)))
+        (tmp_path / "huge-step.csv").write_text("t,x,y\n0,-1.7e308,1\n1,1.7e308,2\n2,1,3\n3,1,4\n")
+        assert run_cli(capsys, *argv) == want
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "command,source",

@@ -70,9 +70,11 @@ def test_evaluate_needs_no_memory_that_grows_with_n(fig1):
 
 def test_sampled_polynomial_pair_holds_no_samples(fig1):
     # Sampling, the finiteness check, the kernel, the end values and the
-    # guard's scale: none of them builds the samples.
-    _, peak = traced_peak(lambda: _evaluate(fig1.sampled_pair(200_000), [0.0, 0.5, 1.0], None))
-    assert peak <= SLACK
+    # guard's scale: none of them builds the samples, nor does the
+    # derivative that orders in (1, 2) read.
+    for orders in ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0, 1.5]):
+        _, peak = traced_peak(lambda: _evaluate(fig1.sampled_pair(200_000), orders, None))
+        assert peak <= SLACK, orders
 
 
 def test_numeric_sweep_command_holds_no_samples(capsys):

@@ -374,6 +374,9 @@ class TestIngestMatchesLineParser:
     @settings(deadline=None, max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_arrays_or_same_error(self, tmp_path, data):
         path = tmp_path / "data.csv"
+        # Every example writes this path: a new file, since overwriting one
+        # can wait on the file system's flush (about 50 ms on ext4).
+        path.unlink(missing_ok=True)
         path.write_bytes(data)
         assert outcome(ingest_csv, path) == outcome(reference_ingest, path)
 
