@@ -116,6 +116,8 @@ def _real(c, what: str) -> float:
     if not isinstance(c, (str, bytes, bytearray)):
         try:
             return float(c)
+        except OverflowError:
+            return math.inf if c > 0 else -math.inf  # an int beyond the float range
         except (TypeError, ValueError):
             pass
     raise DomainError(f"{what} must be real numbers, got {c!r}")
@@ -148,7 +150,10 @@ class SampledSeries:
         h = _step(h)
         if isinstance(values, (str, bytes, bytearray)):
             raise DomainError(f"sample values must be real numbers, got {values!r}")
-        v = np.asarray(values)
+        try:
+            v = np.asarray(values)
+        except ValueError:  # ragged
+            raise DomainError(f"sample values must be real numbers, got {values!r}") from None
         if v.dtype.kind not in "biuf":
             # Text, complex numbers and other objects go entry by entry.
             v = np.array([_real(c, "sample values") for c in v.ravel().tolist()]).reshape(v.shape)
@@ -343,8 +348,9 @@ def _derivatives(fs, alphas, T=None):
     returned, otherwise they are taken at their end.
 
     Raises:
-        DomainError: an order is negative or not finite, or T is missing
-            or out of range for polynomials or off the grid for series.
+        DomainError: an order is negative or not finite, T is missing or out
+            of range for polynomials or off the grid for series, or a value
+            overflows, naming the first such order of ``alphas`` and T or h.
     """
     alphas = _as_orders(alphas)
     if isinstance(fs[0], Polynomial):
@@ -353,10 +359,15 @@ def _derivatives(fs, alphas, T=None):
         T = _real(T, "end times")
         if not (math.isfinite(T) and (T > 0.0 or (T == 0.0 and not any(alphas)))):
             raise DomainError(f"end time must be finite and > 0, got T={T!r}")
-        return _power_rule(fs, alphas, T), alphas, fs, T
-    if T is not None:
-        fs = [f.truncated(T) for f in fs]
-    return _l1_orders(fs, alphas), alphas, fs, fs[0].t_end
+        values = _power_rule(fs, alphas, T)
+    else:
+        fs = fs if T is None else [f.truncated(T) for f in fs]
+        values, T = _l1_orders(fs, alphas), fs[0].t_end
+    if not all(all(map(math.isfinite, row)) for row in values):
+        j = min(j for row in values for j, v in enumerate(row) if not math.isfinite(v))
+        at = f"T={T!r}" if isinstance(fs[0], Polynomial) else f"h={fs[0].h!r}"
+        raise DomainError(f"order-{alphas[j]!r} derivative overflows at {at}")
+    return values, alphas, fs, T
 
 
 def _power_rule(polys, alphas: list[float], T: float) -> list[list[float]]:
@@ -367,11 +378,8 @@ def _power_rule(polys, alphas: list[float], T: float) -> list[list[float]]:
     (t^k is annihilated by the others) gives Gamma(k+1)/Gamma(k+1-alpha) *
     T^(k-alpha), which every polynomial shares.  Each coefficient c then
     multiplies that product, so a subnormal c is rounded once.  Exact integer
-    orders take the classical derivative, order 0 being p(T).
-
-    Raises:
-        DomainError: a power T^(k-alpha) or a gamma ratio overflows, naming
-            the first such order of ``alphas``.
+    orders take the classical derivative, order 0 being p(T).  A value
+    that overflows is inf or nan.
     """
     out = [[0.0] * len(alphas) for _ in polys]
     integer = {}
@@ -387,18 +395,12 @@ def _power_rule(polys, alphas: list[float], T: float) -> list[list[float]]:
     frac = sorted((j for j, a in enumerate(alphas) if not a.is_integer()), key=alphas.__getitem__)
     orders = [alphas[j] for j in frac]
     sums = [[0.0] * len(frac) for _ in polys]
-    first_overflow = len(alphas)
     for k in sorted({k for p in polys for k, c in enumerate(p.coeffs) if c != 0.0}):
         terms = _monomials(k, T, orders[: bisect.bisect_left(orders, k)])
-        # The terms are >= 0, so their sum is nan only where one is.
-        if math.isnan(sum(terms)):
-            first_overflow = min(first_overflow, *(j for j, w in zip(frac, terms) if math.isnan(w)))
         for p, row in zip(polys, sums):
             c = p.coeffs[k] if k < len(p.coeffs) else 0.0
             if c != 0.0:
                 row[: len(terms)] = [v + c * w for v, w in zip(row, terms)]
-    if first_overflow < len(alphas):
-        raise DomainError(f"order-{alphas[first_overflow]!r} derivative overflows at T={T!r}")
     for row, values in zip(out, sums):
         for j, v in zip(frac, values):
             row[j] = v
@@ -440,7 +442,7 @@ class _Derivative(SampledSeries):
     Central inside, one-sided at both ends.  It holds no samples: each
     block is differenced from the series' block widened by two samples on
     either side.  It is not checked finite: where a difference overflows it
-    reads inf or nan, which ``_l1_orders`` reports as the order's overflow.
+    reads inf or nan, which ``_derivatives`` reports as the order's overflow.
     """
 
     __slots__ = ("_series",)
@@ -501,11 +503,8 @@ def _l1_orders(series, alphas: list[float]) -> list[list[float]]:
     (1, 2) one pass over the derivative, so the work over the samples does
     not grow with len(alphas).  Every read goes a block at a time through
     ``_blocks``, so the extra memory does not grow with N, and a
-    polynomial's samples are never held.
-
-    Raises:
-        DomainError: h^(-alpha) or a value overflows, naming the first
-            such order of ``alphas``.
+    polynomial's samples are never held.  A value that overflows is inf
+    or nan.
     """
     import numpy as np
 
@@ -514,7 +513,7 @@ def _l1_orders(series, alphas: list[float]) -> list[list[float]]:
     n_steps = series[0].n_steps
     rows, picked = [series, [_Derivative(s) for s in series]], [[], []]
     out = np.empty((len(series), len(alphas)))
-    # An overflow gives inf or nan without a warning; the check below names it.
+    # An overflow gives inf or nan without a warning; ``_derivatives`` names it.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, a in enumerate(alphas):
             if a >= 2.0:
@@ -536,8 +535,4 @@ def _l1_orders(series, alphas: list[float]) -> list[list[float]]:
                     out[:, i] = [v * s.h ** (-a) / math.gamma(2.0 - a) for v, s in zip(row_sums, r)]
                 except OverflowError:
                     out[:, i] = math.inf  # h^(-alpha), common to the rows, overflows
-    overflow = ~np.isfinite(out).all(axis=0)
-    if overflow.any():
-        a = alphas[int(overflow.argmax())]
-        raise DomainError(f"order-{a!r} derivative overflows at h={series[0].h!r}")
     return out.tolist()

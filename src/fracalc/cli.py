@@ -189,16 +189,12 @@ def _csv_doc(header: str, rows: list[str]) -> str:
 def _emit_results(args: argparse.Namespace, alphas, values, kinds=None) -> None:
     """Write one row per order: ``alpha,value`` CSV lines or one JSON document.
 
-    Every result reaches the data stream here, so this is where a non-finite
-    value, which is not a number in CSV and invalid in RFC 8259 JSON, is
-    refused.  A degenerate order has the value None: an empty CSV cell, a
-    JSON null marked degenerate.  ``kinds``, when given, names each row and
-    comes first in it.  Every order and value is a Python float, whose repr
-    is the shortest decimal that round-trips to it.
+    Each value comes checked finite from the library, or is None for a
+    degenerate order: an empty CSV cell, a JSON null marked degenerate.
+    ``kinds``, when given, names each row and comes first in it.  Every
+    order and value is a Python float, whose repr is the shortest decimal
+    that round-trips to it.
     """
-    for a, v in zip(alphas, values):
-        if v is not None and not math.isfinite(v):
-            raise DomainError(f"result at alpha={a!r} is not finite: {v!r}")
     if args.format == "json":
         rows = [{"alpha": a, "value": v, "degenerate": v is None} for a, v in zip(alphas, values)]
         if kinds is not None:

@@ -122,17 +122,27 @@ def _degenerate(den, scales) -> list[bool]:
     return [abs(d) <= _REL_THRESHOLD * s for d, s in zip(den, scales)]
 
 
+def _finite(alphas: list[float], values: list) -> list:
+    """values, each one checked finite unless it is None (a degenerate order)."""
+    for a, v in zip(alphas, values):
+        if v is not None and not math.isfinite(v):
+            raise DomainError(f"result at alpha={a!r} is not finite: {v!r}")
+    return values
+
+
 def _ratios(pair: IndicatorPair, alphas, T) -> list[float]:
     """The indicator at every order of ``alphas``, from one evaluation.
 
-    Raises DenominatorNearZero at the first degenerate order in list order.
+    Raises DenominatorNearZero at the first degenerate order in list order,
+    or else DomainError at the first ratio that overflows.
     """
+    alphas = _as_orders(alphas)
     num, den, scales = _evaluate(pair, alphas, T)
     degenerate = _degenerate(den, scales)
     if True in degenerate:
         i = degenerate.index(True)
         raise DenominatorNearZero(f"factor derivative is {den[i]!r}, below threshold for scale {scales[i]!r}")
-    return [n / d for n, d in zip(num, den)]
+    return _finite(alphas, [n / d for n, d in zip(num, den)])
 
 
 def t_indicator(pair: IndicatorPair, alpha: float, T: float | None = None) -> float:
@@ -167,7 +177,11 @@ def t_indicator_time(y: Polynomial | SampledSeries, alpha: float, T: float | Non
     if T == 0.0:
         # Order 0 admits T = 0, where the prefactor T^(alpha-1) is undefined.
         raise DomainError(f"end time must be finite and > 0, got T={T!r}")
-    return math.gamma(2.0 - a) * T ** (a - 1.0) * d
+    try:
+        value = math.gamma(2.0 - a) * T ** (a - 1.0) * d
+    except OverflowError:  # T^(alpha-1), for alpha < 1, where T^(1-alpha) cannot overflow
+        value = math.gamma(2.0 - a) * d / T ** (1.0 - a)
+    return _finite([a], [value])[0]
 
 
 def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> list[float | None]:
@@ -182,7 +196,7 @@ def alpha_sweep(pair: IndicatorPair, alphas, T: float | None = None) -> list[flo
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise DomainError("orders must be strictly increasing")
     num, den, scales = _evaluate(pair, alphas, T)
-    return [None if bad else n / d for n, d, bad in zip(num, den, _degenerate(den, scales))]
+    return _finite(alphas, [None if bad else n / d for n, d, bad in zip(num, den, _degenerate(den, scales))])
 
 
 def detect_multivalued(

@@ -98,7 +98,7 @@ def demo_process(name: str) -> DemoProcess:
     """Look up a built-in demo process by its name, ``fig1`` or ``fig2``."""
     try:
         return _DEMOS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: name is unhashable
         raise DomainError(f"unknown demo process {name!r}; expected one of: {', '.join(_DEMOS)}") from None
 
 

@@ -451,9 +451,15 @@ class TestErrorMapping:
 
     def test_overflow_names_first_order(self, capsys):
         # T^(2-a) overflows at every order of the range; the first is named.
-        code, out, err = run_cli(capsys, "deriv", "--coeffs", "0,0,1", "--alpha", "0.25:0.75:0.25", "--T", "1e250")
-        assert (code, out) == (1, "")
-        assert err == "error: DomainError: order-0.25 derivative overflows at T=1e+250\n"
+        # So is an integer order whose value overflows, and a sum of finite
+        # power-rule terms that overflows.
+        for argv, order, T in [
+            (("deriv", "--coeffs", "0,0,1", "--alpha", "0.25:0.75:0.25", "--T", "1e250"), "0.25", "1e+250"),
+            (("sweep", "--demo", "fig1", "--alpha", "0:1:1", "--T", "1e300"), "0.0", "1e+300"),
+            (("deriv", "--coeffs", "0,0,1e308", "--alpha", "0.5", "--T", "100"), "0.5", "100.0"),
+        ]:
+            want = f"error: DomainError: order-{order} derivative overflows at T={T}\n"
+            assert run_cli(capsys, *argv) == (1, "", want)
 
     @pytest.mark.parametrize(
         "command,alpha,order",
@@ -510,7 +516,8 @@ class TestErrorMapping:
     )
     def test_non_finite_result_fails(self, capsys, tmp_path, fmt, command, source):
         # Y/X = 2e300 / 2e-300 overflows; the tiny factor still passes the
-        # scale-relative degeneracy guard.
+        # scale-relative degeneracy guard.  `indicator` takes the average,
+        # order 0, first.  The polynomial's derivative overflows itself.
         path = tmp_path / "huge.csv"
         path.write_text("t,x,y\n0,0,0\n1,1e-300,1e300\n2,2e-300,2e300\n")
         argv = [command, source, "--alpha", "0.5", "--format", fmt]
@@ -518,10 +525,12 @@ class TestErrorMapping:
             argv.insert(2, str(path))
         else:
             argv += ["--T", "1e10"]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: DomainError") and "not finite" in err
+        want = {
+            "deriv": "order-0.5 derivative overflows at T=10000000000.0",
+            "indicator": "result at alpha=0.0 is not finite: inf",
+            "sweep": "result at alpha=0.5 is not finite: inf",
+        }[command]
+        assert run_cli(capsys, *argv) == (1, "", f"error: DomainError: {want}\n")
 
     @pytest.mark.parametrize("T", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["deriv", "indicator"])
