@@ -171,7 +171,7 @@ class SampledSeries:
         return s
 
     def _hold(self, h: float, n: int, coeffs, values) -> None:
-        """Take the series' fields, checking that there are 3 samples or more, all finite.
+        """Take the series' fields, checking 3 samples or more, all finite, over a finite span N*h.
 
         A polynomial whose Horner steps are bounded below half the float
         range on [0, N*h] needs no pass over its samples (see ``_bounded``).
@@ -179,18 +179,20 @@ class SampledSeries:
         if n < 2:
             raise InsufficientData(f"need at least 3 samples (N >= 2), got {n + 1}")
         self._h, self._n, self._coeffs, self._values = h, n, coeffs, values
-        if values is None and _bounded(coeffs, n * h):
-            return
-        import numpy as np
+        if values is not None or not _bounded(coeffs, n * h):
+            import numpy as np
 
-        from ._kernels import blocks
+            from ._kernels import blocks
 
-        finite = np.empty(0, dtype=bool)
-        for v in self._blocks(blocks(n + 1)):
-            if v.size > finite.size:
-                finite = np.empty(v.size, dtype=bool)
-            if not np.isfinite(v, out=finite[: v.size]).all():
-                raise DomainError("all sample values must be finite")
+            finite = np.empty(0, dtype=bool)
+            for v in self._blocks(blocks(n + 1)):
+                if v.size > finite.size:
+                    finite = np.empty(v.size, dtype=bool)
+                if not np.isfinite(v, out=finite[: v.size]).all():
+                    raise DomainError("all sample values must be finite")
+        # After the samples, so that samples which overflow keep their message.
+        if not math.isfinite(n * h):
+            raise DomainError(f"span N*h must be finite, got N={n}, h={h!r}")
 
     @property
     def h(self) -> float:

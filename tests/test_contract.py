@@ -56,17 +56,17 @@ def _or_none(f, *args):
 
 polynomials = st.one_of(st.sampled_from([FIG1.x, FIG1.y]), st.lists(finite, max_size=4).map(Polynomial))
 series = st.one_of(
-    st.builds(SampledSeries, steps, st.lists(finite, min_size=3, max_size=6)),
+    st.builds(lambda h, v: _or_none(SampledSeries, h, v), steps, st.lists(finite, min_size=3, max_size=6)),
     st.builds(lambda p, t, n: _or_none(sample, p, t, n), polynomials, numbers, st.integers(2, 6)),
 )
 sampled_pairs = st.integers(3, 6).flatmap(
     lambda n: st.builds(
-        lambda h, y, x: IndicatorPair(y=SampledSeries(h, y), x=SampledSeries(h, x)),
+        lambda h, y, x: _or_none(lambda: IndicatorPair(y=SampledSeries(h, y), x=SampledSeries(h, x))),
         steps,
         st.lists(finite, min_size=n, max_size=n),
         st.lists(finite, min_size=n, max_size=n),
     )
-)
+).filter(lambda p: p is not None)
 pairs = st.one_of(
     st.sampled_from([FIG1.pair(), HUGE]), st.builds(IndicatorPair, polynomials, polynomials), sampled_pairs
 )
@@ -124,7 +124,7 @@ def _floats(result) -> list:
     if isinstance(result, Polynomial):
         return list(result.coeffs)
     if isinstance(result, SampledSeries):
-        return [result.h, *result.values.tolist()]
+        return [result.h, result.t_end, *result.times().tolist(), *result.values.tolist()]
     if isinstance(result, IndicatorPair):
         return _floats(result.y) + _floats(result.x)
     if isinstance(result, DemoProcess):
@@ -147,6 +147,8 @@ def _floats(result) -> list:
 @example(call=("t_indicator_time", (FIG1.y, 0.0, 1e300)))
 @example(call=("t_indicator_time", (FIG1.y, 0.0, 5e-324)))
 @example(call=("t_indicator", (FIG1.pair(), 0.0, 1e300)))
+@example(call=("SampledSeries", (1.797e308, [1.0, 2.0, 3.0])))
+@example(call=("sample", (Polynomial((1.0,)), 1.7976931348623157e308, 3)))
 @settings(max_examples=300, deadline=None)
 def test_finite_floats_or_fracalc_error(call):
     name, args = call

@@ -144,16 +144,19 @@ def test_ingest_holds_only_x_and_y(tmp_path, monkeypatch, fig2):
     # them, four tables of np.loadtxt's chunk (24 bytes per row) cover the
     # table, its over-allocation while it parses and the grid check's
     # temporaries.  The byte scan reads small pieces here, so that its two
-    # pieces held at once stay below that too.  A file that is not ASCII
-    # reads in the same chunks, and to the same arrays.
+    # pieces held at once stay below that too.  A file that is not ASCII,
+    # and then one whose lines also end in CR LF, reads in the same chunks,
+    # and to the same arrays.
     monkeypatch.setattr(series, "_SCAN_CHUNK", 8 * BLOCK)
     rows = 100_001
     sampled = fig2.sampled_pair(rows - 1)
     path = tmp_path / "pair.csv"
     export_csv(sampled, path)
-    for pad in (False, True):
-        if pad:
+    for edit in ("", "nbsp", "crlf"):
+        if edit == "nbsp":
             pad_one_cell(path, rows // 2)
+        elif edit == "crlf":
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         pair, peak = traced_peak(ingest_csv, path)
         assert peak <= 16 * rows + 4 * 24 * series._LOADTXT_ROWS
         for got, want in ((pair.x.values, sampled.x.values), (pair.y.values, sampled.y.values)):

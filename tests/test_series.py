@@ -237,7 +237,11 @@ class TestIngestCsv:
         np.testing.assert_array_equal(ingest_csv(path).y.values, [2.0, 4.0, 6.0])
 
     @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8])
-    @pytest.mark.parametrize("body,line", [(b"t,x,y\n0,1,2\n1,\xff2,4\n2,3,6\n", 3), (b"\n\xc3", 2)])
+    @pytest.mark.parametrize(
+        "body,line",
+        # The last: a bad byte on line 4 is found before line 2's bad cell.
+        [(b"t,x,y\n0,1,2\n1,\xff2,4\n2,3,6\n", 3), (b"\n\xc3", 2), (b"t,x,y\n0,zz,2\n1,2,3\n2,3,4\xff\n", 4)],
+    )
     def test_invalid_utf8_names_line(self, tmp_path, bom, body, line):
         path = tmp_path / "latin1.csv"
         path.write_bytes(bom + body)
@@ -366,6 +370,7 @@ class TestIngestMatchesLineParser:
     @example(b"t,x,y\n0,1,2\n1, 2 ,3\t\n\n2,3,4")
     @example(b"t,x,y\n0,1,2\n \n1,2,3\n2,3,4\n")
     @example(b"\xef\xbb\xbft,x,y\r\n0,1,2\r\n1,2,3\r\n2,3,4\r\n")
+    @example("\ufefft,x,y\r\n0,1,2\r\n1,\xa02\xa0,3\r\n2,4,5\r\n3,5,9\r\n".encode())  # a spreadsheet's: BOM, CR LF, U+00A0
     @example(b"t,x,y\n0,1,2\n1,\xff2,4\n2,3,6\n")
     @example(codecs.BOM_UTF8 * 2 + b"t,x,y\n0,1,2\n1,2,3\n2,3,4\n")  # only the first is skipped
     @example("t,x,y\r\n0,1,2\r\n1,2\x85,3\r\n2,3,4\r\n".encode())  # NEL is a blank inside the line
