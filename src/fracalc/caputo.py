@@ -350,9 +350,10 @@ def _derivatives(fs, alphas, T=None):
     returned, otherwise they are taken at their end.
 
     Raises:
-        DomainError: an order is negative or not finite, T is missing or out
-            of range for polynomials or off the grid for series, or a value
-            overflows, naming the first such order of ``alphas`` and T or h.
+        DomainError: the functions are of neither kind, an order is
+            negative or not finite, T is missing or out of range for
+            polynomials or off the grid for series, or a value overflows,
+            naming the first such order of ``alphas`` and T or h.
     """
     alphas = _as_orders(alphas)
     if isinstance(fs[0], Polynomial):
@@ -362,9 +363,11 @@ def _derivatives(fs, alphas, T=None):
         if not (math.isfinite(T) and (T > 0.0 or (T == 0.0 and not any(alphas)))):
             raise DomainError(f"end time must be finite and > 0, got T={T!r}")
         values = _power_rule(fs, alphas, T)
-    else:
+    elif isinstance(fs[0], SampledSeries):
         fs = fs if T is None else [f.truncated(T) for f in fs]
         values, T = _l1_orders(fs, alphas), fs[0].t_end
+    else:
+        raise DomainError(f"expected a Polynomial or a SampledSeries, got {type(fs[0]).__name__}")
     if not all(all(map(math.isfinite, row)) for row in values):
         j = min(j for row in values for j, v in enumerate(row) if not math.isfinite(v))
         at = f"T={T!r}" if isinstance(fs[0], Polynomial) else f"h={fs[0].h!r}"

@@ -279,11 +279,10 @@ def _run_demo(args: argparse.Namespace) -> int:
     t1, t2 = detect_multivalued(xs, ys, x_tol, y_tol)
 
     # No finiteness check here: SampledSeries rejects non-finite samples.
-    ts = xs.times()
     if args.format == "json":
         rows = [
             {"t": float(t), "x": float(xv), "y": float(yv)}
-            for t, xv, yv in zip(ts.tolist(), xs.values.tolist(), ys.values.tolist())
+            for t, xv, yv in zip(xs.times().tolist(), xs.values.tolist(), ys.values.tolist())
         ]
         body = {
             "results": rows,

@@ -105,6 +105,8 @@ def _evaluate(pair: IndicatorPair, alphas, T):
     overflows or underflows for alpha < 2 and any finite step, and the base
     is multiplied first, so the scale is inf only where it overflows itself.
     """
+    if not isinstance(pair, IndicatorPair):
+        raise DomainError(f"expected an IndicatorPair, got {type(pair).__name__}")
     (num, den), alphas, (_, x), T = _derivatives([pair.y, pair.x], alphas, T)
     n = [a if a.is_integer() else math.floor(a) + 1.0 for a in alphas]
     distinct = sorted(set(n))

@@ -115,6 +115,8 @@ def sample(p: Polynomial, t_end: float, n: int) -> SampledSeries:
     """
     import mmap
 
+    if not isinstance(p, Polynomial):
+        raise DomainError(f"expected a Polynomial, got {type(p).__name__}")
     t_end = _real(t_end, "end times")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"end time must be finite and > 0, got T={t_end!r}")
@@ -369,7 +371,7 @@ def export_csv(pair: IndicatorPair, target) -> None:
 
     ``target`` is a path or a writable text file object.
     """
-    if not isinstance(pair.x, SampledSeries):
+    if not (isinstance(pair, IndicatorPair) and isinstance(pair.x, SampledSeries)):
         raise DomainError("only sampled pairs can be exported")
     x, y = pair.x, pair.y
     lines = ["t,x,y"]

@@ -2,9 +2,15 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import fracalc
 from fracalc import demo_process
+
+# No property has a per-example time limit: hypothesis's default deadline
+# of 200 ms fails an example that is only slow, as on a loaded host.
+settings.register_profile("fracalc", deadline=None)
+settings.load_profile("fracalc")
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +36,15 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
     return env
+
+
+@pytest.fixture
+def refused():
+    """A check that ``f(*args)`` raises exactly ``error``, not a subclass, with exactly ``message``."""
+
+    def check(error, message, f, *args):
+        with pytest.raises(error) as exc:
+            f(*args)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
+    return check

@@ -1,6 +1,6 @@
+import io
 import itertools
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +17,7 @@ from fracalc import (
     caputo_poly,
     caputo_series,
     detect_multivalued,
+    export_csv,
     sample,
     t_indicator,
     t_indicator_time,
@@ -51,7 +52,7 @@ class TestFracOrder:
         assert math.isclose(scale, want, rel_tol=1e-14)
 
     @pytest.mark.parametrize("alpha", [-0.1, float("nan"), float("inf")])
-    def test_invalid_orders_rejected(self, alpha):
+    def test_invalid_orders_rejected(self, refused, alpha):
         # Every public entry point refuses the order, polynomial and sampled.
         p, s = monomial(2), sample(monomial(2), 1.0, 16)
         for call in (
@@ -60,11 +61,10 @@ class TestFracOrder:
             lambda: t_indicator(IndicatorPair(y=s, x=s), alpha),
             lambda: alpha_sweep(IndicatorPair(y=p, x=p), [alpha], 1.0),
         ):
-            with pytest.raises(DomainError, match="order must be finite and >= 0"):
-                call()
+            refused(DomainError, f"order must be finite and >= 0, got {alpha!r}", call)
 
     @pytest.mark.parametrize("alpha", ["0.5", b"0.5", [0.5]], ids=["str", "bytes", "list"])
-    def test_non_number_orders_rejected(self, alpha):
+    def test_non_number_orders_rejected(self, refused, alpha):
         # float() once parsed the text, so "0.5" was taken as the order 0.5.
         p, s = monomial(2), sample(monomial(2), 1.0, 16)
         for call in (
@@ -73,8 +73,7 @@ class TestFracOrder:
             lambda: t_indicator(IndicatorPair(y=s, x=s), alpha),
             lambda: t_indicator_time(s, alpha),
         ):
-            with pytest.raises(DomainError, match=f"^orders must be real numbers, got {re.escape(repr(alpha))}$"):
-                call()
+            refused(DomainError, f"orders must be real numbers, got {alpha!r}", call)
 
 
 class TestPolynomial:
@@ -99,18 +98,16 @@ class TestPolynomial:
     # Each of these once iterated into coefficients: '123' as 1 + 2t + 3t^2,
     # b'12' as its byte values 49 + 50t, a dict as its keys.
     @pytest.mark.parametrize("coeffs", ["123", b"12", {1: 2}, 5], ids=["str", "bytes", "dict", "int"])
-    def test_not_a_sequence_of_numbers_rejected(self, coeffs):
-        with pytest.raises(DomainError, match="must be a sequence of real numbers"):
-            Polynomial(coeffs)
+    def test_not_a_sequence_of_numbers_rejected(self, refused, coeffs):
+        message = f"polynomial coefficients must be a sequence of real numbers, got {type(coeffs).__name__}"
+        refused(DomainError, message, Polynomial, coeffs)
 
     @pytest.mark.parametrize("entry", ["2", b"2"], ids=["str", "bytes"])
-    def test_text_entry_rejected(self, entry):
-        with pytest.raises(DomainError, match="must be real numbers"):
-            Polynomial((1.0, entry))
+    def test_text_entry_rejected(self, refused, entry):
+        refused(DomainError, f"polynomial coefficients must be real numbers, got {entry!r}", Polynomial, (1.0, entry))
 
-    def test_non_finite_coefficient_rejected(self):
-        with pytest.raises(DomainError, match="^polynomial coefficients must be finite$"):
-            Polynomial((1.0, math.inf))
+    def test_non_finite_coefficient_rejected(self, refused):
+        refused(DomainError, "polynomial coefficients must be finite", Polynomial, (1.0, math.inf))
 
     def test_ints_and_numpy_scalars_accepted(self):
         p = Polynomial([1, np.int64(2), np.float32(0.5), np.float64(3.0)])
@@ -136,17 +133,14 @@ class TestSampledSeries:
             s.values[0] = 9.0
 
     @pytest.mark.parametrize("h", [0.0, -1.0, float("nan")])
-    def test_bad_step_rejected(self, h):
-        with pytest.raises(DomainError):
-            SampledSeries(h, [0.0, 1.0, 2.0])
+    def test_bad_step_rejected(self, refused, h):
+        refused(DomainError, f"step must be finite and > 0, got h={h!r}", SampledSeries, h, [0.0, 1.0, 2.0])
 
-    def test_too_short_rejected(self):
-        with pytest.raises(InsufficientData):
-            SampledSeries(1.0, [0.0, 1.0])
+    def test_too_short_rejected(self, refused):
+        refused(InsufficientData, "need at least 3 samples (N >= 2), got 2", SampledSeries, 1.0, [0.0, 1.0])
 
-    def test_non_finite_values_rejected(self):
-        with pytest.raises(DomainError):
-            SampledSeries(1.0, [0.0, float("nan"), 2.0])
+    def test_non_finite_values_rejected(self, refused):
+        refused(DomainError, "all sample values must be finite", SampledSeries, 1.0, [0.0, float("nan"), 2.0])
 
     # Text once parsed into samples; complex numbers and mappings raised a
     # bare TypeError.
@@ -162,37 +156,32 @@ class TestSampledSeries:
         ],
         ids=["str_entries", "str", "bytes", "complex", "complex_array", "dict"],
     )
-    def test_not_real_numbers_rejected(self, values, shown):
-        with pytest.raises(DomainError, match=f"^sample values must be real numbers, got {re.escape(shown)}$"):
-            SampledSeries(1.0, values)
+    def test_not_real_numbers_rejected(self, refused, values, shown):
+        refused(DomainError, f"sample values must be real numbers, got {shown}", SampledSeries, 1.0, values)
 
     def test_ints_and_fractions_accepted(self):
         s = SampledSeries(1.0, [1, Fraction(1, 3), 2**70])
         assert s.values.tolist() == [1.0, 1.0 / 3.0, 2.0**70]
 
-    def test_two_dimensional_values_rejected(self):
-        with pytest.raises(DomainError, match="^values must be one-dimensional$"):
-            SampledSeries(1.0, np.zeros((3, 3)))
+    def test_two_dimensional_values_rejected(self, refused):
+        refused(DomainError, "values must be one-dimensional", SampledSeries, 1.0, np.zeros((3, 3)))
 
     def test_truncated_on_grid(self):
         s = SampledSeries(0.25, np.arange(9.0))
         t = s.truncated(1.0)
         assert t.n_steps == 4 and t.t_end == 1.0
 
-    def test_truncated_off_grid_rejected(self):
+    def test_truncated_off_grid_rejected(self, refused):
         s = SampledSeries(0.25, np.arange(9.0))
-        with pytest.raises(DomainError):
-            s.truncated(1.1)
+        refused(DomainError, "t=1.1 does not lie on the sampling grid (h=0.25)", s.truncated, 1.1)
 
-    def test_truncated_beyond_range_rejected(self):
+    def test_truncated_beyond_range_rejected(self, refused):
         s = SampledSeries(0.25, np.arange(9.0))
-        with pytest.raises(DomainError):
-            s.truncated(9.0)
+        refused(DomainError, "t=9.0 is beyond the sampled range [0, 2.0]", s.truncated, 9.0)
 
-    def test_truncated_below_three_samples_rejected(self):
+    def test_truncated_below_three_samples_rejected(self, refused):
         s = SampledSeries(0.25, np.arange(9.0))
-        with pytest.raises(InsufficientData, match=r"^truncation to t=0\.25 leaves fewer than 3 samples$"):
-            s.truncated(0.25)
+        refused(InsufficientData, "truncation to t=0.25 leaves fewer than 3 samples", s.truncated, 0.25)
 
     # The block accessor sizes its buffers from the largest block, so it
     # walks the bounds more than once; a one-shot iterable must still give
@@ -209,7 +198,8 @@ GRID = SampledSeries(0.25, np.arange(9.0))
 
 class TestScalarArguments:
     """Times, steps and tolerances are real numbers, as orders are: text, which
-    ``float`` would parse, None, a list or a mapping is a DomainError."""
+    ``float`` would parse, None, a list or a mapping is a DomainError.  So is
+    a function, series or pair of the wrong type."""
 
     CALLS = {
         "caputo_poly-T": ("end times", lambda v: caputo_poly(monomial(2), 0.5, v)),
@@ -232,10 +222,35 @@ class TestScalarArguments:
             if not (value is None and call.endswith("-T"))
         ],
     )
-    def test_not_a_real_number_rejected(self, call, value):
+    def test_not_a_real_number_rejected(self, refused, call, value):
         what, f = self.CALLS[call]
-        with pytest.raises(DomainError, match=f"^{what} must be real numbers, got {re.escape(repr(value))}$"):
-            f(value)
+        refused(DomainError, f"{what} must be real numbers, got {value!r}", f, value)
+
+    # Most of these once ended in an AttributeError.
+    NOT_A_FUNCTION = "expected a Polynomial or a SampledSeries, got {}"
+    SUBJECTS = {
+        "t_indicator-None": (lambda: t_indicator(None, 0.5), "expected an IndicatorPair, got NoneType"),
+        "t_indicator-series": (lambda: t_indicator(GRID, 0.5), "expected an IndicatorPair, got SampledSeries"),
+        "alpha_sweep-str": (lambda: alpha_sweep("fig1", [0.5]), "expected an IndicatorPair, got str"),
+        "caputo_series-None": (lambda: caputo_series(None, 0.5), NOT_A_FUNCTION.format("NoneType")),
+        "caputo_series-pair": (
+            lambda: caputo_series(IndicatorPair(GRID, GRID), 0.5), NOT_A_FUNCTION.format("IndicatorPair")
+        ),
+        "caputo_poly-None": (lambda: caputo_poly(None, 0.5, 1.0), NOT_A_FUNCTION.format("NoneType")),
+        "t_indicator_time-None": (lambda: t_indicator_time(None, 0.5), NOT_A_FUNCTION.format("NoneType")),
+        "sample-None": (lambda: sample(None, 1.0, 3), "expected a Polynomial, got NoneType"),
+        # Checked before the end time and the step count.
+        "sample-series": (lambda: sample(GRID, None, 1), "expected a Polynomial, got SampledSeries"),
+        "export_csv-None": (lambda: export_csv(None, io.StringIO()), "only sampled pairs can be exported"),
+        "detect_multivalued-None": (
+            lambda: detect_multivalued(None, None, 1.0, 1.0), "indicator and factor must share one representation kind"
+        ),
+    }
+
+    @pytest.mark.parametrize("call", SUBJECTS)
+    def test_subject_of_wrong_type_rejected(self, refused, call):
+        f, message = self.SUBJECTS[call]
+        refused(DomainError, message, f)
 
 
 class TestCaputoPoly:
@@ -246,10 +261,9 @@ class TestCaputoPoly:
         # d/dt t^2 at T=3
         assert caputo_poly(monomial(2), 1.0, 3.0) == 6.0
 
-    def test_overflow_is_domain_error(self):
+    def test_overflow_is_domain_error(self, refused):
         # T^1.5 at T = 1e300 overflows a double.
-        with pytest.raises(DomainError, match="overflows"):
-            caputo_poly(monomial(2), 0.5, 1e300)
+        refused(DomainError, "order-0.5 derivative overflows at T=1e+300", caputo_poly, monomial(2), 0.5, 1e300)
 
     def test_degree_150_does_not_overflow(self):
         # Gamma(151)/Gamma(150.5) * 1^149.5: finite, although Gamma(151) is 5.7e262.
@@ -273,17 +287,16 @@ class TestCaputoPoly:
         want = ref_caputo_poly(coeffs, alpha, T)
         assert rel_err(caputo_poly(Polynomial(tuple(coeffs)), alpha, T), want) <= 1e-12
 
-    def test_overflowing_gamma_ratio_is_domain_error(self):
+    def test_overflowing_gamma_ratio_is_domain_error(self, refused):
         # Gamma(172)/Gamma(1.25) = 1.4e309 is beyond double range.
-        with pytest.raises(DomainError, match=r"order-170\.75 derivative overflows"):
-            caputo_poly(monomial(171), 170.75, 1.0)
+        refused(DomainError, "order-170.75 derivative overflows at T=1.0", caputo_poly, monomial(171), 170.75, 1.0)
 
     @given(coeff_lists, st.one_of(st.floats(0.0, 7.5), st.integers(0, 7).map(float)),
            st.floats(0.1, 10.0))
     @example([0.0, 0.0, 2.2250738585e-313], 0.0, 2.25)
     @example([0.0, 0.0, 1.5e-323], 0.5, 10.0)
     @example([0.0, 0.0, 0.0, 0.0, 0.0, 3.5e-323], 2.5, 10.0)
-    @settings(deadline=None, max_examples=200)
+    @settings(max_examples=200)
     def test_against_oracle(self, cs, alpha, T):
         got = caputo_poly(Polynomial(tuple(cs)), alpha, T)
         want = ref_caputo_poly(cs, alpha, T)
@@ -335,17 +348,16 @@ class TestCaputoPoly:
         assert caputo_poly(p, 0.0, 0.0) == p(0.0) == 1.0
 
     @pytest.mark.parametrize("T", [0.0, -1.0])
-    def test_non_positive_time_rejected(self, T):
-        with pytest.raises(DomainError):
-            caputo_poly(monomial(1), 0.5, T)
+    def test_non_positive_time_rejected(self, refused, T):
+        refused(DomainError, f"end time must be finite and > 0, got T={T!r}", caputo_poly, monomial(1), 0.5, T)
 
-    def test_missing_time_is_domain_error(self):
-        with pytest.raises(DomainError, match="needs an explicit evaluation time T"):
-            caputo_poly(monomial(1), 0.5, None)
+    def test_missing_time_is_domain_error(self, refused):
+        message = "polynomial input needs an explicit evaluation time T"
+        refused(DomainError, message, caputo_poly, monomial(1), 0.5, None)
 
     @given(coeff_lists, coeff_lists, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
            st.floats(0.01, 2.99), st.floats(0.1, 10.0))
-    @settings(deadline=None, max_examples=200)
+    @settings(max_examples=200)
     def test_linearity(self, cp, cq, a, b, alpha, T):
         p, q = Polynomial(tuple(cp)), Polynomial(tuple(cq))
         lhs = caputo_poly(Polynomial(lin_comb((a, p.coeffs), (b, q.coeffs))), alpha, T)
@@ -356,12 +368,10 @@ class TestCaputoPoly:
         assert abs(lhs - rhs) <= 1e-12 * scale + 1e-15
 
     @given(st.floats(-100.0, 100.0), st.floats(0.01, 1.99), st.floats(0.1, 10.0))
-    @settings(deadline=None)
     def test_constants_annihilated_for_positive_orders(self, c, alpha, T):
         assert caputo_poly(Polynomial((c,)), alpha, T) == 0.0
 
     @given(coeff_lists, st.floats(0.1, 10.0))
-    @settings(deadline=None)
     def test_first_order_coincides_with_derivative(self, cs, T):
         p = Polynomial(tuple(cs))
         assert caputo_poly(p, 1.0, T) == p.derivative()(T)
@@ -412,27 +422,27 @@ class TestCaputoL1:
         assert caputo_series(s, 1.0) == (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * s.h)
 
     @pytest.mark.parametrize("alpha", [0.99, 1.0, 1.5])
-    def test_overflow_is_domain_error(self, alpha):
+    def test_overflow_is_domain_error(self, refused, alpha):
         # The test run would turn a numpy warning before the error into a failure.
-        with pytest.raises(DomainError, match=rf"^order-{alpha!r} derivative overflows at h=1e-320$"):
-            caputo_series(TINY_STEP, alpha)
+        refused(DomainError, f"order-{alpha!r} derivative overflows at h=1e-320", caputo_series, TINY_STEP, alpha)
 
     @pytest.mark.parametrize(
         "alphas,first", [([0.5, 1.0, 0.99], 1.0), ([0.5, 0.99, 1.0], 0.99), ([0.5, 1.5, 0.99], 1.5)]
     )
-    def test_overflow_names_first_order(self, alphas, first):
+    def test_overflow_names_first_order(self, refused, alphas, first):
         # Order 0.5 is finite, about 2.9e160.
-        with pytest.raises(DomainError, match=rf"^order-{first!r} derivative overflows"):
-            _derivatives([TINY_STEP], alphas)
+        refused(DomainError, f"order-{first!r} derivative overflows at h=1e-320", _derivatives, [TINY_STEP], alphas)
 
-    @pytest.mark.parametrize("alpha", [2.0, -0.5])
-    def test_order_outside_unit_interval_rejected(self, alpha):
-        s = sample(monomial(1), 1.0, 8)
-        with pytest.raises(DomainError):
-            caputo_series(s, alpha)
+    @pytest.mark.parametrize(
+        "alpha,message",
+        [(2.0, "numerical engine covers 0 <= alpha < 2, got 2.0"), (-0.5, "order must be finite and >= 0, got -0.5")],
+        ids=["2.0", "-0.5"],
+    )
+    def test_order_outside_unit_interval_rejected(self, refused, alpha, message):
+        refused(DomainError, message, caputo_series, sample(monomial(1), 1.0, 8), alpha)
 
     @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(0.05, 0.95))
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     def test_linearity_on_summed_series(self, a, b, alpha):
         s1 = sample(Polynomial((1.0, -2.0, 0.5)), 1.0, 128)
         s2 = sample(Polynomial((0.0, 3.0, 0.0, -1.0)), 1.0, 128)
@@ -463,10 +473,9 @@ class TestCaputoL1Extended:
         got = caputo_series(sample(monomial(3), 1.0, 4096), 1.25)
         assert rel_err(got, ref_caputo_poly(monomial(3).coeffs, 1.25, 1.0)) <= 1e-2
 
-    def test_short_series_rejected(self):
+    def test_short_series_rejected(self, refused):
         s = SampledSeries(1.0, [0.0, 1.0, 4.0, 9.0])  # N = 3
-        with pytest.raises(InsufficientData):
-            caputo_series(s, 1.5)
+        refused(InsufficientData, "need N >= 4 samples, got N=3", caputo_series, s, 1.5)
 
 
 class TestOrderZeroConvention:
@@ -502,17 +511,16 @@ class TestCaputoSeriesDispatch:
         assert caputo_series(s, 0.0) == s.values[-1]
 
     @pytest.mark.parametrize("alpha", [-0.5, float("nan"), float("inf")])
-    def test_core_rejects_invalid_orders(self, alpha):
+    def test_core_rejects_invalid_orders(self, refused, alpha):
         # The all-orders core checks its own orders: -0.5 would otherwise
         # send exponent 1.5 into the kernel, whose exponents lie in (0, 1].
         s = sample(monomial(2), 1.0, 16)
-        with pytest.raises(DomainError, match="order must be finite and >= 0"):
-            _derivatives([s], [0.5, alpha])
+        refused(DomainError, f"order must be finite and >= 0, got {alpha!r}", _derivatives, [s], [0.5, alpha])
 
     @pytest.mark.parametrize("alpha", [2.0, 2.5, 10.0])
-    def test_cap_at_two(self, alpha):
-        with pytest.raises(DomainError):
-            caputo_series(sample(monomial(2), 1.0, 256), alpha)
+    def test_cap_at_two(self, refused, alpha):
+        message = f"numerical engine covers 0 <= alpha < 2, got {alpha!r}"
+        refused(DomainError, message, caputo_series, sample(monomial(2), 1.0, 256), alpha)
 
 
 def _recording(monkeypatch, name):

@@ -28,6 +28,30 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Input files that tests name by a relative path: the ``csv_dir`` fixture
+# writes each into the test's own directory and makes it the working one.
+CSV_FILES = {
+    "pair.csv": "t,x,y\n0,1,2\n1,2,5\n2,3,10\n3,4,17\n",
+    # A constant factor: every positive order is degenerate.
+    "flat.csv": "t,x,y\n" + "".join(f"{t},5.0,{t * t}\n" for t in range(6)),
+    # Samples 1e-320 apart.
+    "tiny.csv": "t,x,y\n0,1,2\n1e-320,2,3\n2e-320,4,5\n3e-320,5,9\n4e-320,7,9\n",
+    # Y/X = 2e300 / 2e-300 overflows.
+    "huge.csv": "t,x,y\n0,0,0\n1,1e-300,1e300\n2,2e-300,2e300\n",
+    # A step of 5e-324.
+    "step.csv": "t,x,y\n" + "".join(f"{k * 5e-324!r},{k},{k * k}\n" for k in range(11)),
+    # A step between finite samples, -1.7e308 to 1.7e308, that is not finite.
+    "huge-step.csv": "t,x,y\n0,-1.7e308,1\n1,1.7e308,2\n2,1,3\n3,1,4\n",
+}
+
+
+@pytest.fixture
+def csv_dir(tmp_path, monkeypatch):
+    for name, text in CSV_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+
+
 def parse_csv(text):
     lines = text.strip().splitlines()
     header = lines[0].split(",")
@@ -99,25 +123,16 @@ class TestSweepCommand:
         assert float(rows[1][1]) == pytest.approx(-5.0, abs=1e-8)
         assert float(rows[2][1]) == pytest.approx(5.0, rel=1e-12)
 
-    def test_degenerate_rows_have_empty_cells(self, capsys, tmp_path):
-        # Constant factor: every positive order annihilates it.
-        path = tmp_path / "flat.csv"
-        lines = ["t,x,y"] + [f"{t},5.0,{t * t}" for t in range(6)]
-        path.write_text("\n".join(lines) + "\n")
-        code, out, _ = run_cli(capsys, "sweep", "--input", str(path), "--alpha", "0:1:0.5")
+    def test_degenerate_rows_have_empty_cells(self, capsys, csv_dir):
+        code, out, _ = run_cli(capsys, "sweep", "--input", "flat.csv", "--alpha", "0:1:0.5")
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0][1] != ""  # order 0: x(T) = 5
         assert rows[1] == ["0.5", ""]
         assert rows[2] == ["1.0", ""]
 
-    def test_degenerate_rows_in_json(self, capsys, tmp_path):
-        path = tmp_path / "flat.csv"
-        lines = ["t,x,y"] + [f"{t},5.0,{t * t}" for t in range(6)]
-        path.write_text("\n".join(lines) + "\n")
-        code, out, _ = run_cli(
-            capsys, "sweep", "--input", str(path), "--alpha", "0.5", "--format", "json"
-        )
+    def test_degenerate_rows_in_json(self, capsys, csv_dir):
+        code, out, _ = run_cli(capsys, "sweep", "--input", "flat.csv", "--alpha", "0.5", "--format", "json")
         assert code == 0
         entry = json.loads(out)["results"][0]
         assert entry == {"alpha": 0.5, "value": None, "degenerate": True}
@@ -326,25 +341,30 @@ class TestAlphaSpec:
         assert _parse_alpha_spec("0e-999:1:0.5") == (0.0, 0.5, 1.0)
         assert _parse_alpha_spec("5e-324:1e-323:5e-324") == (5e-324, 1e-323)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "abc", "a:1:0.1", "0:inf:0.1", "0:1:nan", "0:1:0", "0:1:-0.1",
-            "0:1e-300:1e-310", "0:1:1e-401", "0:1:0." + "0" * 64 + "1", "1:0:0.5",
-        ],
-    )
+    LONG = "0:1:0." + "0" * 64 + "1"
+    BAD_SPECS = {
+        "abc": "--alpha must be a number or START:STOP:STEP, got 'abc'",
+        "a:1:0.1": "--alpha must be a number or START:STOP:STEP, got 'a'",
+        "0:inf:0.1": "alpha range must be finite numbers, got '0:inf:0.1'",
+        "0:1:nan": "alpha range must be finite numbers, got '0:1:nan'",
+        "0:1:0": "alpha range step must be > 0, got '0'",
+        "0:1:-0.1": "alpha range step must be > 0, got '-0.1'",
+        "0:1e-300:1e-310": "alpha range lists more than 1000000 orders, got '0:1e-300:1e-310'",
+        "0:1:1e-401": "alpha range literals need at most 400 decimal places, got '0:1:1e-401'",
+        LONG: f"alpha range literals need at most 64 characters, got {LONG!r}",
+        "1:0:0.5": "alpha range needs start <= stop, got '1:0:0.5'",
+    }
+
+    @pytest.mark.parametrize("spec", BAD_SPECS)
     def test_bad_spec_fails_cleanly(self, capsys, spec):
-        code, out, err = run_cli(capsys, "sweep", "--demo", "fig2", "--alpha", spec, "--T", "385")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: DomainError: ") and err.count("\n") == 1
+        got = run_cli(capsys, "sweep", "--demo", "fig2", "--alpha", spec, "--T", "385")
+        assert got == (1, "", f"error: DomainError: {self.BAD_SPECS[spec]}\n")
 
 
 class TestErrorMapping:
     def test_missing_file_fails_cleanly(self, capsys):
-        code, out, err = run_cli(capsys, "sweep", "--input", "/no/such/file.csv", "--alpha", "0.5")
-        assert code == 1
-        assert out == "" and "FileNotFoundError" in err
+        got = run_cli(capsys, "sweep", "--input", "/no/such/file.csv", "--alpha", "0.5")
+        assert got == (1, "", "error: FileNotFoundError: [Errno 2] No such file or directory: '/no/such/file.csv'\n")
 
     def test_degenerate_marginal_maps_to_error(self, capsys):
         # X'(100) = 0 for fig1: the marginal, the first degenerate order of
@@ -353,28 +373,30 @@ class TestErrorMapping:
         assert (code, out) == (1, "")
         assert err == "error: DenominatorNearZero: factor derivative is 0.0, below threshold for scale 0.2\n"
 
+    # fig1's default tolerances at N = 200: one grid cell of X, ten of Y.
+    TOLERANCES = {
+        "--x-tol": "tolerances must be finite and > 0, got x_tol={}, y_tol=29.90000000000009",
+        "--y-tol": "tolerances must be finite and > 0, got x_tol=0.19899999999999807, y_tol={}",
+    }
+
     @pytest.mark.parametrize("flag", ["--x-tol", "--y-tol"])
     def test_nan_tolerance_fails(self, capsys, flag):
-        code, out, err = run_cli(capsys, "demo", "fig1", "--N", "200", flag, "nan")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: DomainError") and "Traceback" not in err
+        got = run_cli(capsys, "demo", "fig1", "--N", "200", flag, "nan")
+        assert got == (1, "", f"error: DomainError: {self.TOLERANCES[flag].format('nan')}\n")
 
     @pytest.mark.parametrize("value", ["-inf", "-nan"])
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ("indicator", "--demo", "fig1", "--alpha", "0.5", "--T"),
-            ("demo", "fig1", "--N", "200", "--x-tol"),
-            ("demo", "fig1", "--N", "200", "--y-tol"),
+            (("indicator", "--demo", "fig1", "--alpha", "0.5", "--T"), "end time must be finite and > 0, got T={}"),
+            (("demo", "fig1", "--N", "200", "--x-tol"), TOLERANCES["--x-tol"]),
+            (("demo", "fig1", "--N", "200", "--y-tol"), TOLERANCES["--y-tol"]),
         ],
         ids=["--T", "--x-tol", "--y-tol"],
     )
-    def test_negative_non_number_fails(self, capsys, argv, value):
-        code, out, err = run_cli(capsys, *argv, value)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: DomainError: ") and err.count("\n") == 1
+    def test_negative_non_number_fails(self, capsys, argv, message, value):
+        want = f"error: DomainError: {message.format(repr(float(value)))}\n"
+        assert run_cli(capsys, *argv, value) == (1, "", want)
 
     # The file is never opened: each check comes before the read.
     @pytest.mark.parametrize(
@@ -435,13 +457,11 @@ class TestErrorMapping:
         "command,alpha,order",
         [("deriv", "0.99", "0.99"), ("indicator", "0.99", "1.0"), ("indicator", "0.5", "1.0"), ("deriv", "1.5", "1.5")],
     )
-    def test_overflow_on_samples_names_first_order(self, capsys, tmp_path, command, alpha, order):
+    def test_overflow_on_samples_names_first_order(self, capsys, csv_dir, command, alpha, order):
         # Samples 1e-320 apart: h^-0.99, the three-point difference of the
         # marginal, which `indicator` takes first, and order 1.5's differences
         # over 2h overflow without a warning.
-        path = tmp_path / "tiny.csv"
-        path.write_text("t,x,y\n0,1,2\n1e-320,2,3\n2e-320,4,5\n3e-320,5,9\n4e-320,7,9\n")
-        code, out, err = run_cli(capsys, command, "--input", str(path), "--alpha", alpha)
+        code, out, err = run_cli(capsys, command, "--input", "tiny.csv", "--alpha", alpha)
         assert (code, out) == (1, "")
         assert err == f"error: DomainError: order-{order} derivative overflows at h=1e-320\n"
 
@@ -471,7 +491,7 @@ class TestErrorMapping:
         ids=["t-over-h-beyond", "t-over-h-below", "sample-times", "sample-span", "x-tol-spacing", "guard-scale",
              "kernel-step"],
     )
-    def test_float_edges_end_without_warning(self, capsys, tmp_path, monkeypatch, argv, want):
+    def test_float_edges_end_without_warning(self, capsys, csv_dir, argv, want):
         # Each ends in the documented way, with no numpy warning, which
         # pytest turns into an error: t / h overflows on a grid of step
         # 5e-324, the sample times at T near the float range, whose span N*h
@@ -479,9 +499,6 @@ class TestErrorMapping:
         # search window at x_tol near it, and a step between finite samples
         # (-1.7e308 to 1.7e308) in the guard's scale and in the kernel, where
         # the order reads as degenerate and as overflowing.
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "step.csv").write_text("t,x,y\n" + "".join(f"{k * 5e-324!r},{k},{k * k}\n" for k in range(11)))
-        (tmp_path / "huge-step.csv").write_text("t,x,y\n0,-1.7e308,1\n1,1.7e308,2\n2,1,3\n3,1,4\n")
         assert run_cli(capsys, *argv) == want
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -489,15 +506,13 @@ class TestErrorMapping:
         "command,source",
         [("deriv", "--coeffs=0,0,1e300"), ("indicator", "--input"), ("sweep", "--input")],
     )
-    def test_non_finite_result_fails(self, capsys, tmp_path, fmt, command, source):
+    def test_non_finite_result_fails(self, capsys, csv_dir, fmt, command, source):
         # Y/X = 2e300 / 2e-300 overflows; the tiny factor still passes the
         # scale-relative degeneracy guard.  `indicator` takes the average,
         # order 0, first.  The polynomial's derivative overflows itself.
-        path = tmp_path / "huge.csv"
-        path.write_text("t,x,y\n0,0,0\n1,1e-300,1e300\n2,2e-300,2e300\n")
         argv = [command, source, "--alpha", "0.5", "--format", fmt]
         if source == "--input":
-            argv.insert(2, str(path))
+            argv.insert(2, "huge.csv")
         else:
             argv += ["--T", "1e10"]
         want = {
@@ -509,13 +524,9 @@ class TestErrorMapping:
 
     @pytest.mark.parametrize("T", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["deriv", "indicator"])
-    def test_non_finite_time_on_input_fails(self, capsys, tmp_path, command, T):
-        path = tmp_path / "pair.csv"
-        path.write_text("t,x,y\n0,1,2\n1,2,5\n2,3,10\n3,4,17\n")
-        code, out, err = run_cli(capsys, command, "--input", str(path), "--alpha", "0.5", "--T", T)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: DomainError: ") and err.count("\n") == 1
+    def test_non_finite_time_on_input_fails(self, capsys, csv_dir, command, T):
+        got = run_cli(capsys, command, "--input", "pair.csv", "--alpha", "0.5", "--T", T)
+        assert got == (1, "", f"error: DomainError: truncation time must be finite, got t={T}\n")
 
     @pytest.mark.parametrize(
         "text,error",
@@ -639,21 +650,13 @@ class TestOutputBytes:
         "  e.g. t1=0.0, t2=200.0: X 70.0 ~= 70.0 but Y 1400.0 vs 1200.0\n"
     )
 
-    @pytest.fixture
-    def flat(self, tmp_path, monkeypatch):
-        # Constant factor, as in TestSweepCommand: every positive order is
-        # degenerate.  A relative path keeps the JSON params fixed.
-        monkeypatch.chdir(tmp_path)
-        lines = ["t,x,y"] + [f"{t},5.0,{t * t}" for t in range(6)]
-        (tmp_path / "flat.csv").write_text("\n".join(lines) + "\n")
-        return "flat.csv"
-
-    def test_sweep_csv(self, capsys, flat):
-        got = run_cli(capsys, "sweep", "--input", flat, "--alpha", "0:1:0.5")
+    def test_sweep_csv(self, capsys, csv_dir):
+        got = run_cli(capsys, "sweep", "--input", "flat.csv", "--alpha", "0:1:0.5")
         assert got == (0, "alpha,value\n0.0,5.0\n0.5,\n1.0,\n", "")
 
-    def test_sweep_json(self, capsys, flat):
-        got = run_cli(capsys, "sweep", "--input", flat, "--alpha", "0:1:0.5", "--format", "json")
+    def test_sweep_json(self, capsys, csv_dir):
+        # A relative path keeps the JSON params fixed.
+        got = run_cli(capsys, "sweep", "--input", "flat.csv", "--alpha", "0:1:0.5", "--format", "json")
         row = '    {{\n      "alpha": {},\n      "value": {},\n      "degenerate": {}\n    }}'
         want = (
             '{\n  "command": "sweep",\n  "params": {\n    "engine": null,\n'

@@ -205,7 +205,7 @@ class TestL1WeightedSum:
         for v, value in zip(rows, got.tolist()):
             assert abs(value - 1.0) <= kernel_error_bound(v, 1.0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         n=st.integers(7, 80),
         cut=st.integers(0, 3),
@@ -287,7 +287,7 @@ class TestMultivaluedPairs:
         for x in ([a, b], [b, a], [-a, -b], [-b, -a]):
             assert scan_pairs(x, [0.0, 1.0], x_tol, 0.5) == [(0, 1)]
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         n=st.integers(0, 150),
         grid=st.integers(1, 8),
