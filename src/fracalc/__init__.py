@@ -1,17 +1,18 @@
 """Caputo fractional derivatives and memory-aware economic indicators.
 
-Two derivative engines share one contract: an exact closed form for
-polynomials and an L1 product-integration scheme for uniformly sampled
-series.  On top of them sits the indicator layer, a one-parameter family of
-indicator/factor ratios that spans the spectrum from the average (order 0)
-to the marginal (order 1) value of an economic indicator.
+One derivative function, ``caputo_derivative``, has two engines: an exact
+closed form for polynomials and an L1 product-integration scheme for
+uniformly sampled series.  On top of them sits the indicator layer, a
+one-parameter family of indicator/factor ratios that spans the spectrum
+from the average (order 0) to the marginal (order 1) value of an economic
+indicator.
 
 ``import fracalc`` loads the engines but not numpy: no module imports it
 at module level, and only functions that work on samples import it.  The
 closed form for polynomials never loads numpy.
 """
 
-from .caputo import Polynomial, SampledSeries, caputo_poly, caputo_series
+from .caputo import Polynomial, SampledSeries, caputo_derivative
 from .errors import (
     DenominatorNearZero,
     DomainError,
@@ -40,9 +41,8 @@ __all__ = [
     "SampledSeries",
     "IndicatorPair",
     "DemoProcess",
-    # derivative engines
-    "caputo_poly",
-    "caputo_series",
+    # derivatives
+    "caputo_derivative",
     # indicators
     "t_indicator",
     "t_indicator_time",

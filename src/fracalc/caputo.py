@@ -8,22 +8,12 @@ with n = floor(alpha) + 1 for non-integer alpha.  Integer orders coincide
 with the classical derivatives (order 0 meaning plain evaluation at T), and
 that convention is applied here whenever alpha is an exact integer.
 
-Two engines are provided:
-
-* :func:`caputo_poly` -- exact closed form for polynomials via the power rule
-  ``D^alpha t^k = Gamma(k+1)/Gamma(k+1-alpha) * T^(k-alpha)`` for k >= n,
-  with ``D^alpha t^k = 0`` for k <= n-1, evaluated for all orders of a call
-  at once in Python floats with ``math``: numpy is not imported on this
-  path, so its bytes depend on libm alone, not on numpy's SIMD level.
-* :func:`caputo_series` -- product-integration quadrature for uniformly
-  sampled series, 0 <= alpha < 2.  The L1 scheme replaces f by its
-  piecewise-linear interpolant inside the weakly singular integral, giving
-  O(h^(2-alpha)) accuracy for smooth f and exact annihilation of constants.
-
-Both are one-order views of :func:`_derivatives`, the all-orders core that
-every derivative and indicator call goes through.  It alone checks the
-orders (with ``_as_orders``) and the evaluation time, and chooses between
-the closed form and the L1 scheme.  Only the sampled side imports numpy.
+One public function, :func:`caputo_derivative`, takes it at one order: in
+closed form for a :class:`Polynomial`, in Python floats with ``math`` alone,
+so that those bytes depend on libm, not on numpy's SIMD level; and by the
+L1 scheme for a :class:`SampledSeries`.  It is a one-order view of
+:func:`_derivatives`, the all-orders core that every derivative and
+indicator call goes through.  Only the sampled side imports numpy.
 """
 
 from __future__ import annotations
@@ -43,8 +33,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Polynomial",
     "SampledSeries",
-    "caputo_poly",
-    "caputo_series",
+    "caputo_derivative",
 ]
 
 # Above this the direct Gamma ratio overflows; switch to log form.
@@ -273,10 +262,10 @@ class SampledSeries:
         k = int(round(t / self.h))
         if abs(k * self.h - t) > _GRID_SNAP_RTOL * max(abs(t), self.h):
             raise DomainError(f"t={t!r} does not lie on the sampling grid (h={self.h!r})")
+        if not 0 <= k <= self.n_steps:
+            raise DomainError(f"t={t!r} is beyond the sampled range [0, {self.t_end!r}]")
         if k < 2:
             raise InsufficientData(f"truncation to t={t!r} leaves fewer than 3 samples")
-        if k > self.n_steps:
-            raise DomainError(f"t={t!r} is beyond the sampled range [0, {self.t_end!r}]")
         if k == self.n_steps:
             return self
         # The leading samples of a checked series need no second check.
@@ -335,6 +324,46 @@ def _derivative(p: Polynomial, n: int) -> Polynomial:
     return p
 
 
+def caputo_derivative(f, alpha: float, T: float | None = None) -> float:
+    """Caputo derivative of order alpha of f at time T.
+
+    A :class:`Polynomial` takes the closed form: the power rule
+    ``D^alpha t^k = Gamma(k+1)/Gamma(k+1-alpha) * T^(k-alpha)`` for k >= n,
+    term by term, with ``D^alpha t^k = 0`` for k <= n-1.  T is required,
+    finite and > 0, or 0 at order 0.
+
+    A :class:`SampledSeries` takes the L1 scheme, for 0 <= alpha < 2, at its
+    end or, with T given, at T on its grid, the series being truncated to
+    [0, T].  For 0 < alpha < 1 it is the product-integration estimate
+
+        h^(-alpha)/Gamma(2-alpha) * sum_k [(N-k)^(1-alpha) - (N-1-k)^(1-alpha)]
+                                          * (values[k+1] - values[k])
+
+    which replaces f by its piecewise-linear interpolant, so it is
+    O(h^(2-alpha)) accurate for smooth f and exact on constants.  For
+    1 < alpha < 2 the series is differentiated once by finite differences
+    (central inside, one-sided at the ends) and the L1 scheme of order
+    alpha - 1 is applied to that derivative; this needs N >= 4.  Larger
+    orders are rejected because repeated differencing of sampled data
+    amplifies noise beyond usefulness.
+
+    Exact integer orders take the classical derivative on both engines:
+    order 0 is f(T), also at T = 0 for a polynomial, and order 1 is f'(T),
+    on a series a second-order one-sided estimate.  Neither is the limit
+    of the fractional orders.  As alpha -> 0+ both engines tend to
+    f(T) - f(0), so a sweep over orders jumps by f(0) at alpha = 0.  As
+    alpha -> 1- the closed form tends to f'(T), but only the last L1
+    weight survives, giving the backward difference (f(T) - f(T-h))/h, so a
+    sampled sweep jumps by O(h) at alpha = 1.
+
+    Raises:
+        DomainError: f is neither kind, alpha or T is out of range or off
+            the grid, or the value overflows.
+        InsufficientData: the series, truncated to T, is too short.
+    """
+    return _derivatives([f], [alpha], T)[0][0][0]
+
+
 def _derivatives(fs, alphas, T=None):
     """Caputo derivatives of every function at every order: the one evaluation path.
 
@@ -352,8 +381,8 @@ def _derivatives(fs, alphas, T=None):
     Raises:
         DomainError: the functions are of neither kind, an order is
             negative or not finite, T is missing or out of range for
-            polynomials or off the grid for series, or a value overflows,
-            naming the first such order of ``alphas`` and T or h.
+            polynomials or off the grid or the range for series, or a value
+            overflows, naming the first such order of ``alphas`` and T or h.
     """
     alphas = _as_orders(alphas)
     if isinstance(fs[0], Polynomial):
@@ -431,16 +460,6 @@ def _monomials(k: int, T: float, orders: list[float]) -> list[float]:
         return [math.nan] if len(orders) == 1 else [w for a in orders for w in _monomials(k, T, [a])]
 
 
-def caputo_poly(p: Polynomial, alpha: float, T: float) -> float:
-    """Caputo derivative of a polynomial at time T, in closed form.
-
-    Non-integer orders use the power rule term by term (monomials of degree
-    <= n-1 vanish); exact integer orders return the classical derivative,
-    with order 0 meaning p(T), which is also defined at T = 0.
-    """
-    return _derivatives([p], [alpha], T)[0][0][0]
-
-
 class _Derivative(SampledSeries):
     """Second-order finite-difference estimate of f' on the series' grid, read a block at a time.
 
@@ -475,32 +494,8 @@ class _Derivative(SampledSeries):
             yield np.divide(dk, h2, out=dk)
 
 
-def caputo_series(series: SampledSeries, alpha: float) -> float:
-    """Numerical Caputo derivative at t_end, for 0 <= alpha < 2.
-
-    For 0 < alpha < 1, the L1 product-integration estimate
-
-        h^(-alpha)/Gamma(2-alpha) * sum_k [(N-k)^(1-alpha) - (N-1-k)^(1-alpha)]
-                                          * (values[k+1] - values[k])
-
-    For 1 < alpha < 2, the series is differentiated once by finite
-    differences (central inside, one-sided at the ends) and the L1 scheme
-    of order alpha - 1 is applied to that derivative; this needs N >= 4.
-    Larger orders are rejected because repeated differencing of sampled
-    data amplifies noise beyond usefulness.
-
-    Endpoints follow the integer conventions: alpha = 0 returns f(T) and
-    alpha = 1 a second-order one-sided estimate of f'(T).  Neither is the
-    limit of the scheme: as alpha -> 0+ the sum tends to f(T) - f(0), and as
-    alpha -> 1- only the last weight survives, giving the first-order
-    backward difference (f(T) - f(T-h))/h.  So a sweep over orders jumps by
-    f(0) at alpha = 0 and by O(h) at alpha = 1.
-    """
-    return _derivatives([series], [alpha])[0][0][0]
-
-
 def _l1_orders(series, alphas: list[float]) -> list[list[float]]:
-    """The sampled branch of :func:`_derivatives`: the scheme of :func:`caputo_series`.
+    """The sampled branch of :func:`_derivatives`: the scheme of :func:`caputo_derivative`.
 
     Row i is ``series[i]``.  Order 0 is the last sample and order 1 the last
     value of the finite-difference derivative (``_Derivative``).  The orders

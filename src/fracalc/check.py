@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .caputo import Polynomial, caputo_poly, caputo_series
+from .caputo import Polynomial, caputo_derivative
 from .indicators import IndicatorPair, t_indicator, t_indicator_time
 from .series import demo_process, sample
 
@@ -59,8 +59,8 @@ def _check_power_rule_oracle() -> CheckResult:
         p = Polynomial((0.0,) * beta + (1.0,))
         s = sample(p, 1.0, 4096)
         for a in (0.25, 0.5, 0.75):
-            exact = caputo_poly(p, a, 1.0)
-            approx = caputo_series(s, a)
+            exact = caputo_derivative(p, a, 1.0)
+            approx = caputo_derivative(s, a)
             err = abs(approx - exact) if exact == 0.0 else _rel(approx, exact)
             tol = 1e-6 if exact == 0.0 else 5e-3
             if err / tol > worst:
@@ -78,7 +78,7 @@ def _check_constant_annihilation() -> CheckResult:
         a = float(a)
         if a == 0.0:
             continue
-        worst = max(worst, abs(caputo_poly(p, a, 1.0)), abs(caputo_series(s, a)))
+        worst = max(worst, abs(caputo_derivative(p, a, 1.0)), abs(caputo_derivative(s, a)))
     return CheckResult("constant_annihilation", worst <= 1e-12, f"max |D^a c| = {worst:.3e}")
 
 
@@ -161,9 +161,9 @@ def _check_intermediate_value_oracle() -> CheckResult:
 
 def _check_convergence_order() -> CheckResult:
     p = Polynomial((0.0, 0.0, 0.0, 1.0))
-    exact = caputo_poly(p, 0.5, 1.0)
-    e512 = abs(caputo_series(sample(p, 1.0, 512), 0.5) - exact)
-    e1024 = abs(caputo_series(sample(p, 1.0, 1024), 0.5) - exact)
+    exact = caputo_derivative(p, 0.5, 1.0)
+    e512 = abs(caputo_derivative(sample(p, 1.0, 512), 0.5) - exact)
+    e1024 = abs(caputo_derivative(sample(p, 1.0, 1024), 0.5) - exact)
     ratio = e512 / e1024
     return CheckResult(
         "convergence_order",

@@ -14,8 +14,7 @@ from fracalc import (
     Polynomial,
     SampledSeries,
     alpha_sweep,
-    caputo_poly,
-    caputo_series,
+    caputo_derivative,
     detect_multivalued,
     export_csv,
     sample,
@@ -56,8 +55,8 @@ class TestFracOrder:
         # Every public entry point refuses the order, polynomial and sampled.
         p, s = monomial(2), sample(monomial(2), 1.0, 16)
         for call in (
-            lambda: caputo_poly(p, alpha, 1.0),
-            lambda: caputo_series(s, alpha),
+            lambda: caputo_derivative(p, alpha, 1.0),
+            lambda: caputo_derivative(s, alpha),
             lambda: t_indicator(IndicatorPair(y=s, x=s), alpha),
             lambda: alpha_sweep(IndicatorPair(y=p, x=p), [alpha], 1.0),
         ):
@@ -68,8 +67,8 @@ class TestFracOrder:
         # float() once parsed the text, so "0.5" was taken as the order 0.5.
         p, s = monomial(2), sample(monomial(2), 1.0, 16)
         for call in (
-            lambda: caputo_poly(p, alpha, 1.0),
-            lambda: caputo_series(s, alpha),
+            lambda: caputo_derivative(p, alpha, 1.0),
+            lambda: caputo_derivative(s, alpha),
             lambda: t_indicator(IndicatorPair(y=s, x=s), alpha),
             lambda: t_indicator_time(s, alpha),
         ):
@@ -179,6 +178,12 @@ class TestSampledSeries:
         s = SampledSeries(0.25, np.arange(9.0))
         refused(DomainError, "t=9.0 is beyond the sampled range [0, 2.0]", s.truncated, 9.0)
 
+    def test_truncated_before_start_rejected(self, refused):
+        s = SampledSeries(0.25, np.arange(9.0))
+        refused(DomainError, "t=-1.0 is beyond the sampled range [0, 2.0]", s.truncated, -1.0)
+        # A time that snaps to 0 is on the grid, but leaves one sample.
+        refused(InsufficientData, "truncation to t=-1e-12 leaves fewer than 3 samples", s.truncated, -1e-12)
+
     def test_truncated_below_three_samples_rejected(self, refused):
         s = SampledSeries(0.25, np.arange(9.0))
         refused(InsufficientData, "truncation to t=0.25 leaves fewer than 3 samples", s.truncated, 0.25)
@@ -202,9 +207,9 @@ class TestScalarArguments:
     a function, series or pair of the wrong type."""
 
     CALLS = {
-        "caputo_poly-T": ("end times", lambda v: caputo_poly(monomial(2), 0.5, v)),
+        "caputo_poly-T": ("end times", lambda v: caputo_derivative(monomial(2), 0.5, v)),
         "t_indicator-T": ("end times", lambda v: t_indicator(IndicatorPair(monomial(2), monomial(1)), 0.5, v)),
-        "caputo_series-T": ("truncation times", lambda v: _derivatives([GRID], [0.5], v)),
+        "caputo_series-T": ("truncation times", lambda v: caputo_derivative(GRID, 0.5, v)),
         "truncated-t": ("truncation times", lambda v: GRID.truncated(v)),
         "SampledSeries-h": ("steps", lambda v: SampledSeries(v, [1.0, 2.0, 3.0])),
         "sample-t_end": ("end times", lambda v: sample(monomial(2), v, 5)),
@@ -232,11 +237,11 @@ class TestScalarArguments:
         "t_indicator-None": (lambda: t_indicator(None, 0.5), "expected an IndicatorPair, got NoneType"),
         "t_indicator-series": (lambda: t_indicator(GRID, 0.5), "expected an IndicatorPair, got SampledSeries"),
         "alpha_sweep-str": (lambda: alpha_sweep("fig1", [0.5]), "expected an IndicatorPair, got str"),
-        "caputo_series-None": (lambda: caputo_series(None, 0.5), NOT_A_FUNCTION.format("NoneType")),
+        "caputo_series-None": (lambda: caputo_derivative(None, 0.5), NOT_A_FUNCTION.format("NoneType")),
         "caputo_series-pair": (
-            lambda: caputo_series(IndicatorPair(GRID, GRID), 0.5), NOT_A_FUNCTION.format("IndicatorPair")
+            lambda: caputo_derivative(IndicatorPair(GRID, GRID), 0.5), NOT_A_FUNCTION.format("IndicatorPair")
         ),
-        "caputo_poly-None": (lambda: caputo_poly(None, 0.5, 1.0), NOT_A_FUNCTION.format("NoneType")),
+        "caputo_poly-None": (lambda: caputo_derivative(None, 0.5, 1.0), NOT_A_FUNCTION.format("NoneType")),
         "t_indicator_time-None": (lambda: t_indicator_time(None, 0.5), NOT_A_FUNCTION.format("NoneType")),
         "sample-None": (lambda: sample(None, 1.0, 3), "expected a Polynomial, got NoneType"),
         # Checked before the end time and the step count.
@@ -255,19 +260,19 @@ class TestScalarArguments:
 
 class TestCaputoPoly:
     def test_constant_annihilated(self):
-        assert caputo_poly(Polynomial((5.0,)), 0.5, 2.0) == 0.0
+        assert caputo_derivative(Polynomial((5.0,)), 0.5, 2.0) == 0.0
 
     def test_integer_order_is_classical(self):
         # d/dt t^2 at T=3
-        assert caputo_poly(monomial(2), 1.0, 3.0) == 6.0
+        assert caputo_derivative(monomial(2), 1.0, 3.0) == 6.0
 
     def test_overflow_is_domain_error(self, refused):
         # T^1.5 at T = 1e300 overflows a double.
-        refused(DomainError, "order-0.5 derivative overflows at T=1e+300", caputo_poly, monomial(2), 0.5, 1e300)
+        refused(DomainError, "order-0.5 derivative overflows at T=1e+300", caputo_derivative, monomial(2), 0.5, 1e300)
 
     def test_degree_150_does_not_overflow(self):
         # Gamma(151)/Gamma(150.5) * 1^149.5: finite, although Gamma(151) is 5.7e262.
-        got = caputo_poly(monomial(150), 0.5, 1.0)
+        got = caputo_derivative(monomial(150), 0.5, 1.0)
         assert got == 12.257659156029481
         assert rel_err(got, ref_caputo_poly(monomial(150).coeffs, 0.5, 1.0)) <= 1e-14
 
@@ -275,7 +280,7 @@ class TestCaputoPoly:
     def test_integer_order_above_degree_200_is_zero(self, alpha):
         # The 200th derivative of t^200 is 200! = 7.9e374, which overflows;
         # orders above the degree must return 0 without passing through it.
-        assert caputo_poly(monomial(200), alpha, 1.0) == 0.0
+        assert caputo_derivative(monomial(200), alpha, 1.0) == 0.0
 
     @pytest.mark.parametrize("alpha", [0.5, 1.25, 99.5, 140.25])
     @pytest.mark.parametrize("T", [0.5, 1.0, 1.5])
@@ -285,11 +290,12 @@ class TestCaputoPoly:
         coeffs = [0.0] * 201
         coeffs[169], coeffs[171], coeffs[200] = 1.0, -2.0, 0.5
         want = ref_caputo_poly(coeffs, alpha, T)
-        assert rel_err(caputo_poly(Polynomial(tuple(coeffs)), alpha, T), want) <= 1e-12
+        assert rel_err(caputo_derivative(Polynomial(tuple(coeffs)), alpha, T), want) <= 1e-12
 
     def test_overflowing_gamma_ratio_is_domain_error(self, refused):
         # Gamma(172)/Gamma(1.25) = 1.4e309 is beyond double range.
-        refused(DomainError, "order-170.75 derivative overflows at T=1.0", caputo_poly, monomial(171), 170.75, 1.0)
+        message = "order-170.75 derivative overflows at T=1.0"
+        refused(DomainError, message, caputo_derivative, monomial(171), 170.75, 1.0)
 
     @given(coeff_lists, st.one_of(st.floats(0.0, 7.5), st.integers(0, 7).map(float)),
            st.floats(0.1, 10.0))
@@ -298,7 +304,7 @@ class TestCaputoPoly:
     @example([0.0, 0.0, 0.0, 0.0, 0.0, 3.5e-323], 2.5, 10.0)
     @settings(max_examples=200)
     def test_against_oracle(self, cs, alpha, T):
-        got = caputo_poly(Polynomial(tuple(cs)), alpha, T)
+        got = caputo_derivative(Polynomial(tuple(cs)), alpha, T)
         want = ref_caputo_poly(cs, alpha, T)
         # Relative to the cancellation-free magnitude, sum of |terms|.  That
         # bound underflows for subnormal results, where each rounding loses up
@@ -313,12 +319,12 @@ class TestCaputoPoly:
         # Each term is c * (ratio * power).  The order (c * ratio) * power
         # rounded c * ratio to a whole subnormal step and then scaled that loss
         # by T^(k - alpha): 15 steps off here at order 0.5, 77 at order 2.5.
-        got = caputo_poly(Polynomial(tuple(cs)), alpha, 10.0)
+        got = caputo_derivative(Polynomial(tuple(cs)), alpha, 10.0)
         assert abs(got - ref_caputo_poly(cs, alpha, 10.0)) <= math.ulp(0.0)
 
     def test_square_half_order(self):
         # Gamma(3)/Gamma(2.5) at T=1, frozen from the mpmath oracle.
-        got = caputo_poly(monomial(2), 0.5, 1.0)
+        got = caputo_derivative(monomial(2), 0.5, 1.0)
         assert rel_err(got, 1.5045055561273501) <= 1e-12
         assert rel_err(got, ref_caputo_poly((0, 0, 1), 0.5, 1.0)) <= 1e-12
 
@@ -326,7 +332,7 @@ class TestCaputoPoly:
         # alpha in (1, 2): both constant and linear parts must drop out.
         p = Polynomial((4.0, -7.0, 0.0, 1.0))
         want = ref_caputo_poly((0.0, 0.0, 0.0, 1.0), 1.5, 2.0)
-        assert rel_err(caputo_poly(p, 1.5, 2.0), want) <= 1e-11
+        assert rel_err(caputo_derivative(p, 1.5, 2.0), want) <= 1e-11
 
     def test_monomials_against_oracle(self):
         rng = np.random.default_rng(23)
@@ -336,69 +342,69 @@ class TestCaputoPoly:
             if abs(a - round(a)) < 1e-6:
                 continue
             t_end = float(rng.uniform(0.1, 10.0))
-            got = caputo_poly(monomial(k), a, t_end)
+            got = caputo_derivative(monomial(k), a, t_end)
             assert rel_err(got, ref_caputo_poly(monomial(k).coeffs, a, t_end)) <= 1e-11
 
     def test_order_zero_is_evaluation(self):
         p = Polynomial((1.0, 2.0, 3.0))
-        assert caputo_poly(p, 0.0, 2.0) == p(2.0)
+        assert caputo_derivative(p, 0.0, 2.0) == p(2.0)
 
     def test_order_zero_at_time_zero_is_evaluation(self):
         p = Polynomial((1.0, 2.0, 3.0))
-        assert caputo_poly(p, 0.0, 0.0) == p(0.0) == 1.0
+        assert caputo_derivative(p, 0.0, 0.0) == p(0.0) == 1.0
 
     @pytest.mark.parametrize("T", [0.0, -1.0])
     def test_non_positive_time_rejected(self, refused, T):
-        refused(DomainError, f"end time must be finite and > 0, got T={T!r}", caputo_poly, monomial(1), 0.5, T)
+        refused(DomainError, f"end time must be finite and > 0, got T={T!r}", caputo_derivative, monomial(1), 0.5, T)
 
     def test_missing_time_is_domain_error(self, refused):
         message = "polynomial input needs an explicit evaluation time T"
-        refused(DomainError, message, caputo_poly, monomial(1), 0.5, None)
+        refused(DomainError, message, caputo_derivative, monomial(1), 0.5, None)
 
     @given(coeff_lists, coeff_lists, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
            st.floats(0.01, 2.99), st.floats(0.1, 10.0))
     @settings(max_examples=200)
     def test_linearity(self, cp, cq, a, b, alpha, T):
         p, q = Polynomial(tuple(cp)), Polynomial(tuple(cq))
-        lhs = caputo_poly(Polynomial(lin_comb((a, p.coeffs), (b, q.coeffs))), alpha, T)
-        rhs = a * caputo_poly(p, alpha, T) + b * caputo_poly(q, alpha, T)
+        lhs = caputo_derivative(Polynomial(lin_comb((a, p.coeffs), (b, q.coeffs))), alpha, T)
+        rhs = a * caputo_derivative(p, alpha, T) + b * caputo_derivative(q, alpha, T)
         # Scale by the cancellation-free magnitude of both operands.
-        scale = abs(a) * caputo_poly(Polynomial(tuple(abs(c) for c in cp)), alpha, T) + \
-            abs(b) * caputo_poly(Polynomial(tuple(abs(c) for c in cq)), alpha, T)
+        scale = abs(a) * caputo_derivative(Polynomial(tuple(abs(c) for c in cp)), alpha, T) + \
+            abs(b) * caputo_derivative(Polynomial(tuple(abs(c) for c in cq)), alpha, T)
         assert abs(lhs - rhs) <= 1e-12 * scale + 1e-15
 
     @given(st.floats(-100.0, 100.0), st.floats(0.01, 1.99), st.floats(0.1, 10.0))
     def test_constants_annihilated_for_positive_orders(self, c, alpha, T):
-        assert caputo_poly(Polynomial((c,)), alpha, T) == 0.0
+        assert caputo_derivative(Polynomial((c,)), alpha, T) == 0.0
 
     @given(coeff_lists, st.floats(0.1, 10.0))
     def test_first_order_coincides_with_derivative(self, cs, T):
         p = Polynomial(tuple(cs))
-        assert caputo_poly(p, 1.0, T) == p.derivative()(T)
+        assert caputo_derivative(p, 1.0, T) == p.derivative()(T)
 
 
 class TestCaputoL1:
     def test_constant_series_exactly_zero(self):
         s = sample(Polynomial((7.0,)), 1.0, 64)
-        assert caputo_series(s, 0.5) == 0.0
+        assert caputo_derivative(s, 0.5) == 0.0
 
     def test_linear_is_exact(self):
         # L1 integrates its own interpolant exactly, and that interpolant
         # reproduces linear functions: only roundoff remains.
-        got = caputo_series(sample(Polynomial((0.0, 1.0)), 1.0, 1024), 0.5)
+        got = caputo_derivative(sample(Polynomial((0.0, 1.0)), 1.0, 1024), 0.5)
         assert rel_err(got, 1.1283791670955126) <= 1e-9  # 1/Gamma(1.5)
 
     def test_square_against_analytic_engine(self):
-        got = caputo_series(sample(monomial(2), 1.0, 4096), 0.5)
-        want = caputo_poly(monomial(2), 0.5, 1.0)
+        got = caputo_derivative(sample(monomial(2), 1.0, 4096), 0.5)
+        want = caputo_derivative(monomial(2), 0.5, 1.0)
         assert rel_err(got, want) <= 5e-3
 
     def test_power_grid_against_analytic_engine(self):
         for beta in (1, 2, 3, 4):
             s = sample(monomial(beta), 1.0, 4096)
             for a in (0.25, 0.5, 0.75):
-                want = caputo_poly(monomial(beta), a, 1.0)
-                got = caputo_series(s, a)
+                want = caputo_derivative(monomial(beta), a, 1.0)
+                got = caputo_derivative(s, a)
                 if want == 0.0:
                     assert abs(got) <= 1e-6
                 else:
@@ -408,23 +414,23 @@ class TestCaputoL1:
         import mpmath as mp
 
         t = np.arange(4097) / 4096
-        got = caputo_series(SampledSeries(1 / 4096, np.exp(t)), 0.5)
+        got = caputo_derivative(SampledSeries(1 / 4096, np.exp(t)), 0.5)
         want = ref_caputo_quad(mp.exp, 0.5, 1.0)
         assert rel_err(got, want) <= 1e-4
 
     def test_order_zero_returns_final_value(self):
         s = sample(monomial(2), 1.0, 16)
-        assert caputo_series(s, 0.0) == s.values[-1]
+        assert caputo_derivative(s, 0.0) == s.values[-1]
 
     def test_order_one_is_three_point_difference(self):
         s = sample(monomial(2), 1.0, 100)
         v = s.values
-        assert caputo_series(s, 1.0) == (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * s.h)
+        assert caputo_derivative(s, 1.0) == (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * s.h)
 
     @pytest.mark.parametrize("alpha", [0.99, 1.0, 1.5])
     def test_overflow_is_domain_error(self, refused, alpha):
         # The test run would turn a numpy warning before the error into a failure.
-        refused(DomainError, f"order-{alpha!r} derivative overflows at h=1e-320", caputo_series, TINY_STEP, alpha)
+        refused(DomainError, f"order-{alpha!r} derivative overflows at h=1e-320", caputo_derivative, TINY_STEP, alpha)
 
     @pytest.mark.parametrize(
         "alphas,first", [([0.5, 1.0, 0.99], 1.0), ([0.5, 0.99, 1.0], 0.99), ([0.5, 1.5, 0.99], 1.5)]
@@ -439,7 +445,7 @@ class TestCaputoL1:
         ids=["2.0", "-0.5"],
     )
     def test_order_outside_unit_interval_rejected(self, refused, alpha, message):
-        refused(DomainError, message, caputo_series, sample(monomial(1), 1.0, 8), alpha)
+        refused(DomainError, message, caputo_derivative, sample(monomial(1), 1.0, 8), alpha)
 
     @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(0.05, 0.95))
     @settings(max_examples=60)
@@ -447,8 +453,8 @@ class TestCaputoL1:
         s1 = sample(Polynomial((1.0, -2.0, 0.5)), 1.0, 128)
         s2 = sample(Polynomial((0.0, 3.0, 0.0, -1.0)), 1.0, 128)
         summed = SampledSeries(s1.h, a * s1.values + b * s2.values)
-        lhs = caputo_series(summed, alpha)
-        d1, d2 = caputo_series(s1, alpha), caputo_series(s2, alpha)
+        lhs = caputo_derivative(summed, alpha)
+        d1, d2 = caputo_derivative(s1, alpha), caputo_derivative(s2, alpha)
         rhs = a * d1 + b * d2
         scale = abs(a) * abs(d1) + abs(b) * abs(d2)
         assert abs(lhs - rhs) <= 1e-12 * scale + 1e-12
@@ -457,25 +463,25 @@ class TestCaputoL1:
 class TestCaputoL1Extended:
     def test_constant_annihilated(self):
         s = sample(Polynomial((7.0,)), 1.0, 64)
-        assert abs(caputo_series(s, 1.5)) <= 1e-10
+        assert abs(caputo_derivative(s, 1.5)) <= 1e-10
 
     def test_linear_annihilated(self):
-        got = caputo_series(sample(Polynomial((0.0, 1.0)), 1.0, 4096), 1.5)
+        got = caputo_derivative(sample(Polynomial((0.0, 1.0)), 1.0, 4096), 1.5)
         assert abs(got) <= 1e-6
 
     def test_square_against_analytic_engine(self):
-        got = caputo_series(sample(monomial(2), 1.0, 4096), 1.5)
-        want = caputo_poly(monomial(2), 1.5, 1.0)  # Gamma(3)/Gamma(1.5)
+        got = caputo_derivative(sample(monomial(2), 1.0, 4096), 1.5)
+        want = caputo_derivative(monomial(2), 1.5, 1.0)  # Gamma(3)/Gamma(1.5)
         assert rel_err(got, want) <= 1e-2
         assert rel_err(got, 2.2567583341910251) <= 1e-2
 
     def test_cubic_against_oracle(self):
-        got = caputo_series(sample(monomial(3), 1.0, 4096), 1.25)
+        got = caputo_derivative(sample(monomial(3), 1.0, 4096), 1.25)
         assert rel_err(got, ref_caputo_poly(monomial(3).coeffs, 1.25, 1.0)) <= 1e-2
 
     def test_short_series_rejected(self, refused):
         s = SampledSeries(1.0, [0.0, 1.0, 4.0, 9.0])  # N = 3
-        refused(InsufficientData, "need N >= 4 samples, got N=3", caputo_series, s, 1.5)
+        refused(InsufficientData, "need N >= 4 samples, got N=3", caputo_derivative, s, 1.5)
 
 
 class TestOrderZeroConvention:
@@ -488,8 +494,8 @@ class TestOrderZeroConvention:
 
     def test_polynomial_jump_at_zero_order(self):
         p = Polynomial((70.0, -0.2, 0.001))  # f(0) = f(200) = 70
-        at_zero = caputo_poly(p, 0.0, 200.0)
-        near_zero = caputo_poly(p, 1e-6, 200.0)
+        at_zero = caputo_derivative(p, 0.0, 200.0)
+        near_zero = caputo_derivative(p, 1e-6, 200.0)
         assert at_zero == p(200.0) == 70.0
         assert abs(near_zero - (p(200.0) - p(0.0))) <= 1e-3  # limit is 0 here
         assert abs(at_zero - near_zero) > 60.0
@@ -497,8 +503,8 @@ class TestOrderZeroConvention:
     def test_sampled_jump_at_zero_order(self):
         p = Polynomial((70.0, -0.2, 0.001))
         s = sample(p, 200.0, 2000)
-        at_zero = caputo_series(s, 0.0)
-        near_zero = caputo_series(s, 1e-6)
+        at_zero = caputo_derivative(s, 0.0)
+        near_zero = caputo_derivative(s, 1e-6)
         assert at_zero == s.values[-1]
         assert abs(near_zero - (s.values[-1] - s.values[0])) <= 1e-3
         assert abs(at_zero - near_zero) > 60.0
@@ -507,8 +513,16 @@ class TestOrderZeroConvention:
 class TestCaputoSeriesDispatch:
     def test_routes_by_order(self):
         s = sample(monomial(2), 1.0, 256)
-        assert caputo_series(s, 1.5) == caputo_series(SampledSeries(s.h, _Derivative(s).values), 0.5)
-        assert caputo_series(s, 0.0) == s.values[-1]
+        assert caputo_derivative(s, 1.5) == caputo_derivative(SampledSeries(s.h, _Derivative(s).values), 0.5)
+        assert caputo_derivative(s, 0.0) == s.values[-1]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_time_truncates_the_series(self, alpha):
+        # A series at T on its grid is the series truncated to [0, T], bit for bit.
+        s = SampledSeries(0.25, np.exp(np.arange(9.0) / 4.0))
+        got = caputo_derivative(s, alpha, 1.0)
+        assert got == caputo_derivative(s.truncated(1.0), alpha)
+        assert got != caputo_derivative(s, alpha)
 
     @pytest.mark.parametrize("alpha", [-0.5, float("nan"), float("inf")])
     def test_core_rejects_invalid_orders(self, refused, alpha):
@@ -520,7 +534,7 @@ class TestCaputoSeriesDispatch:
     @pytest.mark.parametrize("alpha", [2.0, 2.5, 10.0])
     def test_cap_at_two(self, refused, alpha):
         message = f"numerical engine covers 0 <= alpha < 2, got {alpha!r}"
-        refused(DomainError, message, caputo_series, sample(monomial(2), 1.0, 256), alpha)
+        refused(DomainError, message, caputo_derivative, sample(monomial(2), 1.0, 256), alpha)
 
 
 def _recording(monkeypatch, name):
@@ -546,14 +560,14 @@ class TestGammaErrors:
         # D^alpha t^3 with 3 + 1 - alpha = z: the integer order takes the
         # classical derivative, which is zero, and never reaches the pole.
         seen = _recording(monkeypatch, "gamma")
-        assert caputo_poly(monomial(3), 4.0 - z, 2.0) == 0.0
+        assert caputo_derivative(monomial(3), 4.0 - z, 2.0) == 0.0
         assert z not in seen
 
     @pytest.mark.parametrize("z", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, z, monkeypatch):
         seen = _recording(monkeypatch, "gamma")
         with pytest.raises(DomainError):
-            caputo_poly(monomial(3), z, 1.0)
+            caputo_derivative(monomial(3), z, 1.0)
         assert seen == []
 
     @pytest.mark.parametrize("z", [0.0, -1.0, -0.5])
@@ -562,6 +576,6 @@ class TestGammaErrors:
         # the order exceeds the degree, so the monomial is annihilated and
         # log-gamma only sees the positive argument of the order-0.5 term.
         seen = _recording(monkeypatch, "lgamma")
-        assert caputo_poly(monomial(200), 201.0 - z, 1.0) == 0.0
-        assert caputo_poly(monomial(200), 0.5, 1.0) > 0.0
+        assert caputo_derivative(monomial(200), 201.0 - z, 1.0) == 0.0
+        assert caputo_derivative(monomial(200), 0.5, 1.0) > 0.0
         assert seen and min(seen) > 0.0

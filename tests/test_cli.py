@@ -1,4 +1,5 @@
 import json
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,12 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fracalc
 from fracalc import (
     DomainError,
     Polynomial,
     alpha_sweep,
-    caputo_poly,
-    caputo_series,
+    caputo_derivative,
     export_csv,
     ingest_csv,
     sample,
@@ -237,7 +238,7 @@ class TestDerivCommand:
         code, out, _ = run_cli(capsys, "deriv", "--coeffs", "0,0,1", "--alpha", "0.5", "--T", "1")
         assert code == 0
         _, rows = parse_csv(out)
-        want = caputo_poly(Polynomial((0.0, 0.0, 1.0)), 0.5, 1.0)
+        want = caputo_derivative(Polynomial((0.0, 0.0, 1.0)), 0.5, 1.0)
         assert float(rows[0][1]) == want
 
     def test_numeric_matches_analytic(self, capsys):
@@ -300,7 +301,7 @@ class TestDerivCommand:
         series = ingest_csv(path).y
         rows = parse_csv(out)[1]
         assert len(rows) == 40
-        assert [float(v) for _, v in rows] == [caputo_series(series, float(a)) for a, _ in rows]
+        assert [float(v) for _, v in rows] == [caputo_derivative(series, float(a)) for a, _ in rows]
 
     def test_polynomial_needs_time(self, capsys):
         code, out, err = run_cli(capsys, "deriv", "--coeffs", "0,0,1", "--alpha", "0.5")
@@ -487,9 +488,11 @@ class TestErrorMapping:
             (("sweep", "--input", "huge-step.csv", "--alpha", "1"), (0, "alpha,value\n1.0,\n", "")),
             (("deriv", "--input", "huge-step.csv", "--column", "x", "--alpha", "0.5"),
              (1, "", "error: DomainError: order-0.5 derivative overflows at h=1.0\n")),
+            (("sweep", "--input", "pair.csv", "--T=-1", "--alpha", "0.5"),
+             (1, "", "error: DomainError: t=-1.0 is beyond the sampled range [0, 3.0]\n")),
         ],
         ids=["t-over-h-beyond", "t-over-h-below", "sample-times", "sample-span", "x-tol-spacing", "guard-scale",
-             "kernel-step"],
+             "kernel-step", "t-before-start"],
     )
     def test_float_edges_end_without_warning(self, capsys, csv_dir, argv, want):
         # Each ends in the documented way, with no numpy warning, which
@@ -498,7 +501,8 @@ class TestErrorMapping:
         # rounds to inf even where the samples are finite, the factor's
         # search window at x_tol near it, and a step between finite samples
         # (-1.7e308 to 1.7e308) in the guard's scale and in the kernel, where
-        # the order reads as degenerate and as overflowing.
+        # the order reads as degenerate and as overflowing.  A negative T is
+        # out of the sampled range on an ordinary grid as on the tiny one.
         assert run_cli(capsys, *argv) == want
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -605,7 +609,7 @@ class TestOneTimeCheck:
     """A bad evaluation time has one message, on either engine."""
 
     LIBRARY = {
-        "caputo_poly": lambda pair, T: caputo_poly(pair.y, 0.5, T),
+        "caputo_poly": lambda pair, T: caputo_derivative(pair.y, 0.5, T),
         "t_indicator": lambda pair, T: t_indicator(pair, 0.5, T),
         "alpha_sweep": lambda pair, T: alpha_sweep(pair, [0.5], T),
         "t_indicator_time": lambda pair, T: t_indicator_time(pair.y, 0.5, T),
@@ -694,7 +698,7 @@ class TestOutputBytes:
     def test_deriv_csv(self, capsys):
         got = run_cli(capsys, "deriv", "--coeffs", "0,0,1", "--alpha", "0.25:0.75:0.25", "--T", "1")
         p = Polynomial((0.0, 0.0, 1.0))
-        want = "alpha,value\n" + "".join(f"{a!r},{caputo_poly(p, a, 1.0)!r}\n" for a in (0.25, 0.5, 0.75))
+        want = "alpha,value\n" + "".join(f"{a!r},{caputo_derivative(p, a, 1.0)!r}\n" for a in (0.25, 0.5, 0.75))
         assert got == (0, want, "")
 
     def test_demo_csv(self, capsys):
@@ -836,6 +840,8 @@ class TestRuntimeDependencies:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         want = "False\nFalse\n[] None\n[]\nTrue\n[]\nmodule 'fracalc' has no attribute 'no_such_name'\n"
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+        # No public name shadows a submodule, as a function `caputo` would `fracalc.caputo`.
+        assert not set(fracalc.__all__) & {m.name for m in pkgutil.iter_modules(fracalc.__path__)}
 
     @pytest.mark.parametrize(
         "argv",

@@ -7,7 +7,7 @@ a function works on is one of those types or an odd value; every other
 argument is drawn from one pool.  The pool mixes valid polynomials, series
 and pairs with text, bytes, None, mappings, sets, generators, complex
 numbers, arrays of the wrong shape, ints beyond the float range and the
-edges of the float range.
+edges of the float range.  README's library example runs as written.
 
 Each command of the CLI ends with status 0 and finite numbers on the data
 stream, with status 1 and one line ``error: <Name>: ...`` naming a
@@ -22,6 +22,7 @@ import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +37,7 @@ from fracalc import (
     Polynomial,
     SampledSeries,
     alpha_sweep,
-    caputo_poly,
-    caputo_series,
+    caputo_derivative,
     demo_process,
     detect_multivalued,
     sample,
@@ -112,8 +112,7 @@ CALLS = {
     "Polynomial": (Polynomial, [POOL]),
     "SampledSeries": (SampledSeries, [POOL, POOL]),
     "IndicatorPair": (IndicatorPair, [POOL, POOL]),
-    "caputo_poly": (caputo_poly, [functions, POOL, POOL]),
-    "caputo_series": (caputo_series, [functions, POOL]),
+    "caputo_derivative": (caputo_derivative, [functions, POOL, POOL]),
     "t_indicator": (t_indicator, [pairs_or_odd, POOL, POOL]),
     "t_indicator_time": (t_indicator_time, [functions, POOL, POOL]),
     "alpha_sweep": (alpha_sweep, [pairs_or_odd, POOL, POOL]),
@@ -146,15 +145,15 @@ def _floats(result) -> list:
 
 
 @given(call=calls)
-@example(call=("caputo_poly", (Polynomial((1.0, 2.0)), BIG, 1.0)))
+@example(call=("caputo_derivative", (Polynomial((1.0, 2.0)), BIG, 1.0)))
 @example(call=("sample", (Polynomial((1.0, 2.0)), BIG, 5)))
 @example(call=("Polynomial", ([1, BIG],)))
 @example(call=("SampledSeries", (1.0, [BIG, 1, 2])))
 @example(call=("detect_multivalued", (SMALL, SMALL, BIG, 1.0)))
 @example(call=("SampledSeries", (1.0, [1.0, [2.0], 3.0])))
 @example(call=("demo_process", (["fig1"],)))
-@example(call=("caputo_poly", (Polynomial((0.0, 0.0, 1e308)), 0.5, 100.0)))
-@example(call=("caputo_poly", (FIG1.x, 0.0, 1e300)))
+@example(call=("caputo_derivative", (Polynomial((0.0, 0.0, 1e308)), 0.5, 100.0)))
+@example(call=("caputo_derivative", (FIG1.x, 0.0, 1e300)))
 @example(call=("t_indicator", (HUGE, 0.5, None)))
 @example(call=("alpha_sweep", (HUGE, [0.0, 0.5], None)))
 @example(call=("t_indicator_time", (FIG1.y, 0.0, 1e300)))
@@ -178,6 +177,17 @@ def test_finite_floats_or_fracalc_error(call):
     if name == "alpha_sweep":
         values = [v for v in values if v is not None]
     assert all(type(v) is float and math.isfinite(v) for v in values), values
+
+
+def test_readme_python_blocks_run():
+    # README's library example calls only what the package exports, as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
 
 
 # The CLI half.  Each option's values: those a user means, and the float

@@ -14,7 +14,7 @@ from fracalc import (
     Polynomial,
     SampledSeries,
     alpha_sweep,
-    caputo_series,
+    caputo_derivative,
     detect_multivalued,
     sample,
     t_indicator,
@@ -231,7 +231,7 @@ class TestAlphaSweep:
         # at h = 1e-300, where the scale at order 1.5 is about 1e250.
         x = SampledSeries(1e-320, [1.0, 2.0, 4.0, 5.0])
         y = SampledSeries(1e-320, [2.0, 3.0, 5.0, 9.0])
-        want = caputo_series(y, 0.5) / caputo_series(x, 0.5)
+        want = caputo_derivative(y, 0.5) / caputo_derivative(x, 0.5)
         assert alpha_sweep(IndicatorPair(y=y, x=x), [0.0, 0.5]) == [1.8, want]
         s = SampledSeries(1e-300, [0.0, 1e-200, 3e-200, 6e-200, 10e-200, 15e-200])
         assert alpha_sweep(IndicatorPair(y=s, x=s), [0.0, 1.2, 1.5]) == [1.0, 1.0, 1.0]

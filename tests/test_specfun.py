@@ -1,9 +1,9 @@
 """The standard-library gamma behind the closed form.
 
-``caputo_poly`` and the indicator guard take Gamma from ``math.gamma`` and
-``math.lgamma``.  These tests hold those to the accuracy the power rule
-needs, against the mpmath oracle, at arguments the oracle tests of
-``caputo_poly`` do not reach.  What the package hands them is tested in
+The closed form of ``caputo_derivative`` and the indicator guard take Gamma
+from ``math.gamma`` and ``math.lgamma``.  These tests hold those to the
+accuracy the power rule needs, against the mpmath oracle, at arguments the
+closed form's oracle tests do not reach.  What the package hands them is tested in
 ``test_caputo.py``.
 """
 
