@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import sys
 from collections.abc import Mapping
 
 from .errors import DomainError, InsufficientData
@@ -162,23 +161,22 @@ class SampledSeries:
     def _hold(self, h: float, n: int, coeffs, values) -> None:
         """Take the series' fields, checking 3 samples or more, all finite, over a finite span N*h.
 
-        A polynomial whose Horner steps are bounded below half the float
-        range on [0, N*h] needs no pass over its samples (see ``_bounded``).
+        The samples are checked in one pass, block by block, stored or
+        computed from a polynomial's coefficients alike.
         """
         if n < 2:
             raise InsufficientData(f"need at least 3 samples (N >= 2), got {n + 1}")
         self._h, self._n, self._coeffs, self._values = h, n, coeffs, values
-        if values is not None or not _bounded(coeffs, n * h):
-            import numpy as np
+        import numpy as np
 
-            from ._kernels import blocks
+        from ._kernels import blocks
 
-            finite = np.empty(0, dtype=bool)
-            for v in self._blocks(blocks(n + 1)):
-                if v.size > finite.size:
-                    finite = np.empty(v.size, dtype=bool)
-                if not np.isfinite(v, out=finite[: v.size]).all():
-                    raise DomainError("all sample values must be finite")
+        finite = np.empty(0, dtype=bool)
+        for v in self._blocks(blocks(n + 1)):
+            if v.size > finite.size:
+                finite = np.empty(v.size, dtype=bool)
+            if not np.isfinite(v, out=finite[: v.size]).all():
+                raise DomainError("all sample values must be finite")
         # After the samples, so that samples which overflow keep their message.
         if not math.isfinite(n * h):
             raise DomainError(f"span N*h must be finite, got N={n}, h={h!r}")
@@ -281,21 +279,6 @@ def _step(h) -> float:
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"step must be finite and > 0, got h={h!r}")
     return step
-
-
-def _bounded(coeffs, t_end: float) -> bool:
-    """Whether Horner's rule on these coefficients stays finite at every t in [0, t_end].
-
-    Each Horner step on [0, t] is at most sum |c_k| max(1, t)^k in exact
-    arithmetic, and rounding raises it by a factor (1 + 2^-53)^(2 * degree)
-    at most, far below 2; so a bound below half the float range suffices.
-    """
-    m = max(1.0, t_end)
-    try:
-        bound = sum(abs(c) * m**k for k, c in enumerate(coeffs))
-    except OverflowError:
-        return False
-    return bound < sys.float_info.max / 2.0
 
 
 def _as_orders(alphas) -> list[float]:
@@ -416,15 +399,10 @@ def _power_rule(polys, alphas: list[float], T: float) -> list[list[float]]:
     that overflows is inf or nan.
     """
     out = [[0.0] * len(alphas) for _ in polys]
-    integer = {}
     for j, a in enumerate(alphas):
         if a.is_integer():
-            integer.setdefault(a, []).append(j)
-    for m, at in integer.items():
-        for row, p in zip(out, polys):
-            value = _derivative(p, int(m))(T)
-            for j in at:
-                row[j] = value
+            for row, p in zip(out, polys):
+                row[j] = _derivative(p, int(a))(T)
     # Ascending, so the orders below each k are a prefix.
     frac = sorted((j for j, a in enumerate(alphas) if not a.is_integer()), key=alphas.__getitem__)
     orders = [alphas[j] for j in frac]

@@ -68,26 +68,6 @@ class IndicatorPair:
         return self._x
 
 
-def _scale_bases(x, counts: list[int], T: float) -> list[float]:
-    """The order-independent part of the guard scale, for each derivative count n of ``counts``.
-
-    For polynomials, max|x^(n)| on [0, T], probed on a fixed grid of Python
-    floats, the points of ``np.linspace(0, T, _PROBE_POINTS)`` bit for bit.
-    For sampled series, max|diff(v, n)|, the n-th difference left undivided
-    (the samples themselves for n = 0), for every n in one blocked pass over
-    the samples, so that no memory grows with N.  The sampled branch of
-    ``caputo._derivatives`` admits only orders below 2, so n <= 2 and the
-    difference has at least one entry.
-    """
-    if isinstance(x, Polynomial):
-        step = T / (_PROBE_POINTS - 1)
-        points = [i * step for i in range(_PROBE_POINTS - 1)] + [T]
-        return [max(abs(q(t)) for t in points) for q in (_derivative(x, n) for n in counts)]
-    from ._kernels import max_abs_differences
-
-    return max_abs_differences(x, counts)
-
-
 def _evaluate(pair: IndicatorPair, alphas, T):
     """Per order, the numerator and denominator of the indicator and the guard scale.
 
@@ -96,24 +76,38 @@ def _evaluate(pair: IndicatorPair, alphas, T):
     each result is a list of floats over the orders.  The guard reads the
     window the core evaluated.  Its scale bounds |D^alpha x| by
     max|x^(n)| * T^(n-alpha) / Gamma(n-alpha+1), max|x^(n)| for integer
-    orders; the bases of ``_scale_bases`` are computed once per call for
-    all distinct n.
+    orders.  The order-independent base is computed once per call for each
+    distinct n.
 
-    On N samples of step h, max|x^(n)| is max|diff(v, n)| * h^-n, and with
-    T = N h the step enters once: h^-n T^(n-alpha) = N^(n-alpha) h^-alpha.
-    h^-alpha is taken as four factors h^(-alpha/4), none of which
-    overflows or underflows for alpha < 2 and any finite step, and the base
-    is multiplied first, so the scale is inf only where it overflows itself.
+    For polynomials the base is max|x^(n)| on [0, T], probed on a fixed grid
+    of Python floats, the points of ``np.linspace(0, T, _PROBE_POINTS)`` bit
+    for bit.
+
+    For sampled series it is max|diff(v, n)|, the n-th difference left
+    undivided (the samples themselves for n = 0), for every n in one blocked
+    pass over the samples, so that no memory grows with N.  The sampled
+    branch of ``caputo._derivatives`` admits only orders below 2, so n <= 2
+    and the difference has at least one entry.  On N samples of step h,
+    max|x^(n)| is max|diff(v, n)| * h^-n, and with T = N h the step enters
+    once: h^-n T^(n-alpha) = N^(n-alpha) h^-alpha.  h^-alpha is taken as
+    four factors h^(-alpha/4), none of which overflows or underflows for
+    alpha < 2 and any finite step, and the base is multiplied first, so the
+    scale is inf only where it overflows itself.
     """
     if not isinstance(pair, IndicatorPair):
         raise DomainError(f"expected an IndicatorPair, got {type(pair).__name__}")
     (num, den), alphas, (_, x), T = _derivatives([pair.y, pair.x], alphas, T)
     n = [a if a.is_integer() else math.floor(a) + 1.0 for a in alphas]
     distinct = sorted(set(n))
-    bases = dict(zip(distinct, _scale_bases(x, [int(m) for m in distinct], T)))
     if isinstance(x, Polynomial):
+        step = T / (_PROBE_POINTS - 1)
+        points = [i * step for i in range(_PROBE_POINTS - 1)] + [T]
+        bases = {m: max(map(abs, map(_derivative(x, int(m)), points))) for m in distinct}
         # Integer orders get Gamma(1) = T^0 = 1, so their scale is the base itself.
         return num, den, [bases[m] * T ** (m - a) / math.gamma(m - a + 1.0) for m, a in zip(n, alphas)]
+    from ._kernels import max_abs_differences
+
+    bases = dict(zip(distinct, max_abs_differences(x, [int(m) for m in distinct])))
     N, roots = x.n_steps, [x.h ** (-a / 4.0) for a in alphas]
     scales = [bases[m] * N ** (m - a) * r * r * r * r / math.gamma(m - a + 1.0) for m, a, r in zip(n, alphas, roots)]
     return num, den, scales

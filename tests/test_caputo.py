@@ -50,6 +50,17 @@ class TestFracOrder:
         want = math.factorial(3) / math.factorial(3 - n) / math.gamma(n - alpha + 1.0)
         assert math.isclose(scale, want, rel_tol=1e-14)
 
+    @pytest.mark.parametrize("alpha,n", [(0.0, 0), (0.3, 1), (1.0, 1), (1.5, 2)])
+    def test_sampled_guard_scale(self, alpha, n):
+        # On a stored series, max|x^(n)| is the largest undivided n-th
+        # difference over h^n, and T is N h.
+        v, h = np.array([1.0, 2.5, 2.0, 4.0, 7.5, 7.0, 9.0]), 0.25
+        s = SampledSeries(h, v)
+        _, _, (scale,) = _evaluate(IndicatorPair(y=s, x=s), [alpha], None)
+        T = (v.size - 1) * h
+        want = np.abs(np.diff(v, n)).max() * T ** (n - alpha) * h**-n / math.gamma(n - alpha + 1.0)
+        assert math.isclose(scale, want, rel_tol=1e-14)
+
     @pytest.mark.parametrize("alpha", [-0.1, float("nan"), float("inf")])
     def test_invalid_orders_rejected(self, refused, alpha):
         # Every public entry point refuses the order, polynomial and sampled.
@@ -508,6 +519,19 @@ class TestOrderZeroConvention:
         assert at_zero == s.values[-1]
         assert abs(near_zero - (s.values[-1] - s.values[0])) <= 1e-3
         assert abs(at_zero - near_zero) > 60.0
+
+    @pytest.mark.parametrize("kind", ["polynomial", "sampled"])
+    def test_repeated_integer_orders_agree(self, kind):
+        # Each integer order is evaluated where it stands, so a repeat gives
+        # the same bits as its first occurrence and as a one-order call.
+        p, q = Polynomial((1.0, -2.0, 0.5)), Polynomial((0.0, 1.0, 0.25, -0.1))
+        T = 2.0
+        fs = [p, q] if kind == "polynomial" else [sample(p, T, 64), sample(q, T, 64)]
+        values, _, fs, _ = _derivatives(fs, [1.0, 0.5, 1.0, 0.0, 0.0], T)
+        for f, row in zip(fs, values):
+            assert row[1] != 0.0
+            assert row[0] == row[2] == caputo_derivative(f, 1.0, T)
+            assert row[3] == row[4] == caputo_derivative(f, 0.0, T)
 
 
 class TestCaputoSeriesDispatch:

@@ -204,6 +204,13 @@ class TestIndicatorCommand:
         else:
             assert direct.stdout.startswith(b"kind,alpha,value\n") and direct.stdout == clean.stdout
 
+    def test_order_one_repeats_the_marginal(self, capsys, fig1):
+        # The orders are (0, 1, 1): the repeated order prints the marginal's value.
+        got = run_cli(capsys, "indicator", "--demo", "fig1", "--alpha", "1", "--T", "150")
+        marginal = t_indicator(fig1.pair(), 1.0, 150.0)
+        rows = f"average,0.0,18.8\nmarginal,1.0,{marginal!r}\nt_indicator,1.0,{marginal!r}\n"
+        assert got == (0, "kind,alpha,value\n" + rows, "")
+
     def test_analytic_demo_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "indicator", "--demo", "fig1", "--alpha", "0.5", "--T", "200",
@@ -429,6 +436,11 @@ class TestErrorMapping:
     def test_trailing_time_option_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["indicator", "--demo", "fig1", "--alpha", "0.5", "--T"])
+        assert exc.value.code == 2
+        assert "argument --T: expected one argument" in capsys.readouterr().err
+        # A dash token that is not a number is not joined to --T as its value.
+        with pytest.raises(SystemExit) as exc:
+            main(["indicator", "--demo", "fig1", "--alpha", "0.5", "--T", "-x"])
         assert exc.value.code == 2
         assert "argument --T: expected one argument" in capsys.readouterr().err
 
@@ -884,6 +896,13 @@ class TestCheckCommand:
         lines = out.strip().splitlines()
         assert len([l for l in lines if l.startswith("PASS")]) == 7
         assert lines[-1] == "7/7 checks passed"
+
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        from fracalc import check
+
+        results = [check.CheckResult("x", False, "boom"), check.CheckResult("y", True, "ok")]
+        monkeypatch.setattr(check, "run_checks", lambda: results)
+        assert run_cli(capsys, "check") == (1, "FAIL x: boom\nPASS y: ok\n1/2 checks passed\n", "")
 
     def test_report_can_go_to_file(self, capsys, tmp_path):
         target = tmp_path / "report.txt"

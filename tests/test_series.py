@@ -98,9 +98,9 @@ class TestSample:
 
     @pytest.mark.parametrize("coeffs,t_end", [((1e308, 0.0, 0.0, 1e-300), 1e200), ((1e308, 1e308, 1e308), 10.0)])
     def test_samples_checked_where_the_coefficients_bound_nothing(self, coeffs, t_end):
-        # Both bounds sum |c_k| max(1, t)^k exceed half the float range, so
-        # the samples themselves are checked: the first are finite, the
-        # second overflow, which is a DomainError and no warning.
+        # Coefficients near the float range are checked by their samples:
+        # the first are finite, the second overflow, which is a DomainError
+        # and no warning.
         p = Polynomial(coeffs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
