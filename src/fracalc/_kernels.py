@@ -25,9 +25,9 @@ _WINDOW_ULPS = 4.0
 # finiteness check, the degeneracy guard's scale, the demo tolerances and
 # ``values``) walks blocks of the same size.  Each pass, this one included,
 # reads a series through ``SampledSeries._blocks``, which computes a
-# polynomial's samples block by block, into buffers it reuses.  So none of
-# the passes needs memory that grows with N, and on a polynomial nothing
-# does until a caller asks for ``values``.
+# polynomial's samples block by block into one buffer it reuses.  Blocks
+# are read-only, and a pass writes only its own buffers.  So no pass needs
+# memory that grows with N, and on a polynomial only ``values`` does.
 _L1_BLOCK = 16_384
 
 # The last steps of the grid, whose counts m = N-k are at most this, keep
@@ -44,23 +44,18 @@ def blocks(size):
 def max_abs_differences(series, orders):
     """max|diff(v, n)| for each n of ``orders``: the largest n-th differences
     of the series' samples v (v itself for n = 0), in one pass over v, block by block.
+    The blocks are read; the differences go to a spare buffer of the longest block.
     """
     top = max(orders)
     bounds = [(start, stop + top) for start, stop in blocks(series.n_steps + 1 - top)]
     maxima = {n: [] for n in orders}
-    spare = np.empty(0)
+    spare = np.empty(max(stop - start for start, stop in bounds) - 1)
     for d in series._blocks(bounds):
         for q in range(top + 1):
             if q:
-                if d.flags.writeable:
-                    # A polynomial's block: the differences overwrite it.
-                    out = d[:-1]
-                else:
-                    spare = spare if spare.size >= d.size else np.empty(d.size)
-                    out = spare[: d.size - 1]
                 # A difference that overflows is inf, and so is the maximum.
                 with np.errstate(over="ignore"):
-                    d = np.subtract(d[1:], d[:-1], out=out)
+                    d = np.subtract(d[1:], d[:-1], out=spare[: d.size - 1])
             if q in maxima:
                 # max|d| from the extremes of d, nan where d holds one.
                 maxima[q].append(max(abs(float(d.max())), abs(float(d.min()))))

@@ -213,12 +213,11 @@ class SampledSeries:
         """The block accessor: values[start:stop] for each (start, stop) of ``bounds``, in order.
 
         Every pass that reads the samples a block at a time reads them here,
-        ``values`` included.  Stored samples give read-only views.  A
-        polynomial's samples are computed by Horner's rule at the times
-        (start + i) * h, the arithmetic :func:`fracalc.sample` defines them
-        by, into buffers reused from block to block: such a block is valid
-        until the next one is taken, the reader may overwrite it, and a pass
-        holds three buffers of its longest block, whatever N.
+        ``values`` included.  Every block is read-only and valid until the
+        next one is taken.  A polynomial's samples are computed by Horner's
+        rule at the times (start + i) * h, the arithmetic :func:`fracalc.sample`
+        defines them by, into one buffer of the longest block: a pass holds
+        it, and the block's times while they are computed, whatever N.
         """
         if self._values is not None:
             for start, stop in bounds:
@@ -231,18 +230,20 @@ class SampledSeries:
         *rest, top = self._coeffs or (0.0,)
         rest.reverse()
         bounds = list(bounds)
-        m = max(stop - start for start, stop in bounds)
-        index, t, v = np.arange(float(m)), np.empty(m), np.empty(m)
+        v = np.empty(max(stop - start for start, stop in bounds))
         for start, stop in bounds:
-            m = stop - start
-            vk = v[:m]
+            vk = v[: stop - start]
             vk.fill(top + 0.0)
             # An overflow gives inf or nan without a warning, and the
             # finiteness check of the series refuses it.
             with np.errstate(over="ignore", invalid="ignore"):
-                tk = np.multiply(np.add(index[:m], start, out=t[:m]), self._h, out=t[:m])
+                # The times (start + i) * h: integers below 2^53 are exact floats.
+                t = np.arange(float(start), float(stop))
+                t *= self._h
                 for c in rest:
-                    np.add(np.multiply(vk, tk, out=vk), c, out=vk)
+                    np.add(np.multiply(vk, t, out=vk), c, out=vk)
+            del t
+            vk.flags.writeable = False
             yield vk
 
     def times(self) -> np.ndarray:
@@ -442,9 +443,10 @@ class _Derivative(SampledSeries):
     """Second-order finite-difference estimate of f' on the series' grid, read a block at a time.
 
     Central inside, one-sided at both ends.  It holds no samples: each
-    block is differenced from the series' block widened by two samples on
-    either side.  It is not checked finite: where a difference overflows it
-    reads inf or nan, which ``_derivatives`` reports as the order's overflow.
+    block, read-only, is differenced from the series' block widened by two
+    samples on either side.  It is not checked finite: where a difference
+    overflows it reads inf or nan, which ``_derivatives`` reports as the
+    order's overflow.
     """
 
     __slots__ = ("_series",)
@@ -454,7 +456,7 @@ class _Derivative(SampledSeries):
         self._series = series
 
     def _blocks(self, bounds):
-        """The derivative at the indices of each (start, stop) of ``bounds``, in one reused buffer."""
+        """The derivative at the indices of each (start, stop) of ``bounds``."""
         import numpy as np
 
         n, h2, bounds = self._n, 2.0 * self._h, list(bounds)
@@ -469,7 +471,9 @@ class _Derivative(SampledSeries):
                 dk[0] = -3.0 * v[0] + 4.0 * v[1] - v[2]
             if stop == n + 1:
                 dk[-1] = 3.0 * v[-1] - 4.0 * v[-2] + v[-3]
-            yield np.divide(dk, h2, out=dk)
+            np.divide(dk, h2, out=dk)
+            dk.flags.writeable = False
+            yield dk
 
 
 def _l1_orders(series, alphas: list[float]) -> list[list[float]]:

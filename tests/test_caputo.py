@@ -201,12 +201,17 @@ class TestSampledSeries:
 
     # The block accessor sizes its buffers from the largest block, so it
     # walks the bounds more than once; a one-shot iterable must still give
-    # every block.
-    @pytest.mark.parametrize("view", [lambda s: s, _Derivative], ids=["samples", "derivative"])
+    # every block.  Every block is read-only, stored or computed.
+    @pytest.mark.parametrize(
+        "view",
+        [lambda s: s, _Derivative, lambda s: SampledSeries(0.1, np.arange(11.0) ** 2)],
+        ids=["samples", "derivative", "stored"],
+    )
     def test_blocks_read_a_one_shot_iterable(self, view):
         r = view(sample(monomial(2), 1.0, 10))
-        got = np.concatenate([b.copy() for b in r._blocks(iter([(0, 4), (4, 11)]))])
-        assert got.tolist() == r.values.tolist()
+        got = [(b.flags.writeable, b.copy()) for b in r._blocks(iter([(0, 4), (4, 11)]))]
+        assert [writeable for writeable, _ in got] == [False, False]
+        assert np.concatenate([b for _, b in got]).tolist() == r.values.tolist()
 
 
 GRID = SampledSeries(0.25, np.arange(9.0))

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from fracalc import _kernels, detect_multivalued, export_csv, ingest_csv, sample, series
+from fracalc.caputo import _Derivative
 from fracalc.cli import _grid_tol, main
 from fracalc.indicators import _evaluate
 
@@ -75,6 +76,17 @@ def test_sampled_polynomial_pair_holds_no_samples(fig1):
     for orders in ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0, 1.5]):
         _, peak = traced_peak(lambda: _evaluate(fig1.sampled_pair(200_000), orders, None))
         assert peak <= SLACK, orders
+
+
+def test_sampled_polynomial_blocks_hold_one_buffer(fig1):
+    # A polynomial's blocks share one buffer, and its times live only while
+    # a block is computed; the derivative adds its own buffer and the
+    # polynomial's blocks widened by two samples.
+    series = sample(fig1.y, fig1.t_end, 200_000)
+    bounds = list(_kernels.blocks(series.n_steps + 1))
+    for view, bound in ((series, 3 * 8 * BLOCK), (_Derivative(series), 4 * 8 * BLOCK)):
+        _, peak = traced_peak(lambda: sum(1 for _ in view._blocks(bounds)))
+        assert peak < bound, type(view).__name__
 
 
 def test_numeric_sweep_command_holds_no_samples(capsys):

@@ -29,6 +29,7 @@ from fracalc import (
     series,
 )
 from fracalc.caputo import _derivatives
+from fracalc.indicators import _evaluate
 
 
 class TestDemoProcess:
@@ -95,6 +96,8 @@ class TestSample:
         pair = d.sampled_pair(self.N)
         assert _derivatives([pair.y, pair.x], orders, T)[0] == _derivatives([stored.y, stored.x], orders, T)[0]
         assert alpha_sweep(d.sampled_pair(self.N), orders, T) == alpha_sweep(stored, orders, T)
+        # So does the guard's scale, differenced from the same blocks.
+        assert _evaluate(d.sampled_pair(self.N), orders, T)[2] == _evaluate(stored, orders, T)[2]
 
     @pytest.mark.parametrize("coeffs,t_end", [((1e308, 0.0, 0.0, 1e-300), 1e200), ((1e308, 1e308, 1e308), 10.0)])
     def test_samples_checked_where_the_coefficients_bound_nothing(self, coeffs, t_end):
