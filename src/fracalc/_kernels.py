@@ -204,21 +204,41 @@ def multivalued_pairs(x, y, x_tol, y_tol):
     """Index pairs (i, j), i < j, with |x_i - x_j| <= x_tol and |y_i - y_j| > y_tol.
 
     Returns two int64 arrays ``(i, j)`` in row-major order (i ascending, then
-    j).  x is sorted once.  For sorted x, fl(x_j - x_i) is monotone in x_j,
-    so each row's matches form one contiguous run in sorted order, found
-    with ``searchsorted`` on a window from fl(x_i - x_tol) to
-    fl(x_i + x_tol), widened by the slack of ``_WINDOW_ULPS`` on both sides.
-    The windows are two-sided, so each pair is tested from both of its rows
-    and kept only from the smaller index: about twice the exact tests of a
-    one-sided scan, but the rows come out in order.  Consecutive rows are
-    tested in blocks of at most ``_BLOCK_ELEMENTS`` candidates (a row whose
-    window holds more is a block alone), and a block's survivors are
-    ordered by j within i, so the blocks concatenate to the result with no
-    global sort.
+    j): the blocks of ``pair_keys`` joined by ``pair_indices``.  Memory is
+    that of the scan beside the result, whose 16 bytes per witness are held
+    once more while the blocks are joined.
+    """
+    return pair_indices(pair_keys(x, y, x_tol, y_tol), len(x))
+
+
+def pair_indices(keys, n):
+    """Blocks of keys i * n + j joined and split into int64 arrays ``(i, j)``."""
+    j = np.concatenate([np.empty(0, np.int64), *keys])
+    i = j // max(n, 1)
+    j %= max(n, 1)
+    return i, j
+
+
+def pair_keys(x, y, x_tol, y_tol):
+    """The pairs of ``multivalued_pairs``, a block at a time, as keys i * n + j.
+
+    A generator of int64 arrays, with n = len(x): each block's keys sorted,
+    the blocks in row order, so that they concatenate to every pair in
+    row-major order (i ascending, then j).  x is sorted once.  For sorted
+    x, fl(x_j - x_i) is monotone in x_j, so each row's matches form one
+    contiguous run in sorted order, found with ``searchsorted`` on a window
+    from fl(x_i - x_tol) to fl(x_i + x_tol), widened by the slack of
+    ``_WINDOW_ULPS`` on both sides.  The windows are two-sided, so each pair
+    is tested from both of its rows and kept only from the smaller index:
+    about twice the exact tests of a one-sided scan, but the rows come out
+    in order.  Consecutive rows are tested in blocks of at most
+    ``_BLOCK_ELEMENTS`` candidates (a row whose window holds more is a block
+    alone), and one sort of a block's keys orders it by j within i, so the
+    blocks need no global sort.
 
     Cost is O(N log N) plus the number of candidates in those windows.
-    Memory is O(N + block) beside the result, whose 16 bytes per witness
-    are held once more while the blocks are joined.
+    Memory is O(N + block): a few index arrays of N and one block's
+    candidates.  A reader that keeps no block holds no pairs.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -233,9 +253,6 @@ def multivalued_pairs(x, y, x_tol, y_tol):
     # Row r's candidates are the sorted positions lo[r]..hi[r]-1, numbered
     # ends[r] - (hi[r] - lo[r]) .. ends[r] - 1 over all rows.
     ends = np.cumsum(hi - lo)
-    # Each survivor is kept as i * n + j, so one sort of a block's keys
-    # orders it by j within i.
-    keys = [np.empty(0, np.int64)]
     r0 = 0
     while r0 < n:
         first = int(ends[r0 - 1]) if r0 else 0
@@ -252,10 +269,5 @@ def multivalued_pairs(x, y, x_tol, y_tol):
         key *= n
         key += j[keep]
         key.sort()
-        keys.append(key)
+        yield key
         r0 = r1
-    j = np.concatenate(keys)
-    del keys
-    i = j // max(n, 1)
-    j %= max(n, 1)
-    return i, j

@@ -15,12 +15,15 @@ import sys
 
 from .caputo import Polynomial, SampledSeries, _derivatives
 from .errors import DomainError, FracalcError
-from .indicators import _ratios, alpha_sweep, detect_multivalued
-from .series import _DEMOS, _steps, demo_process, ingest_csv, sample
+from .indicators import _ratios, _witness_keys, _witness_times, alpha_sweep
+from .series import _DEMOS, _csv_doc, _steps, _write, demo_process, ingest_csv, sample
 
 __all__ = ["build_parser", "main"]
 
 _DEFAULT_N = 2000
+
+# Witness pairs that `demo` reports: its JSON lists this many, its report the first.
+_WITNESSES = 10
 
 # Options whose value is a float, so may be "-inf" or "-nan".
 _FLOAT_OPTIONS = ("--T", "--x-tol", "--y-tol")
@@ -159,12 +162,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+def _emit(pieces, output: str | None) -> None:
+    """Write the data stream, an iterable of strings, to stdout or to the file ``output``.
+
+    A CSV document comes a block of rows at a time (``_csv_doc``) and a
+    JSON document or a report as one piece, so no command builds the text
+    of a whole CSV document.
+    """
+    _write(pieces, sys.stdout if output is None else output)
 
 
 def _report(text: str, data_went_to_file: bool) -> None:
@@ -182,10 +187,6 @@ def _json_doc(args: argparse.Namespace, body: dict) -> str:
     return json.dumps({"command": args.command, "params": params, **body}, indent=2) + "\n"
 
 
-def _csv_doc(header: str, rows: list[str]) -> str:
-    return "\n".join([header, *rows]) + "\n"
-
-
 def _emit_results(args: argparse.Namespace, alphas, values, kinds=None) -> None:
     """Write one row per order: ``alpha,value`` CSV lines or one JSON document.
 
@@ -199,13 +200,18 @@ def _emit_results(args: argparse.Namespace, alphas, values, kinds=None) -> None:
         rows = [{"alpha": a, "value": v, "degenerate": v is None} for a, v in zip(alphas, values)]
         if kinds is not None:
             rows = [{"kind": k, **r} for k, r in zip(kinds, rows)]
-        text = _json_doc(args, {"results": rows})
-    else:
-        lines = [f"{a!r}," if v is None else f"{a!r},{v!r}" for a, v in zip(alphas, values)]
-        if kinds is not None:
-            lines = [f"{k},{line}" for k, line in zip(kinds, lines)]
-        text = _csv_doc("alpha,value" if kinds is None else "kind,alpha,value", lines)
-    _emit(text, args.output)
+        _emit([_json_doc(args, {"results": rows})], args.output)
+        return
+
+    def lines(start, stop):
+        block = [
+            f"{a!r},\n" if v is None else f"{a!r},{v!r}\n"
+            for a, v in zip(alphas[start:stop], values[start:stop])
+        ]
+        return block if kinds is None else [f"{k},{line}" for k, line in zip(kinds[start:stop], block)]
+
+    header = "alpha,value" if kinds is None else "kind,alpha,value"
+    _emit(_csv_doc(header, len(alphas), lines), args.output)
 
 
 def _load_pair(args: argparse.Namespace):
@@ -276,38 +282,47 @@ def _run_demo(args: argparse.Namespace) -> int:
     ys = sample(d.y, d.t_end, args.N)
     x_tol = args.x_tol if args.x_tol is not None else _grid_tol(xs, 1.0)
     y_tol = args.y_tol if args.y_tol is not None else _grid_tol(ys, 10.0)
-    t1, t2 = detect_multivalued(xs, ys, x_tol, y_tol)
+    # The scan's blocks are counted and dropped, but for the first few
+    # witnesses, whose times are those detect_multivalued gives.
+    count, first = 0, []
+    for keys in _witness_keys(xs, ys, x_tol, y_tol):
+        if count < _WITNESSES:
+            first.append(keys[: _WITNESSES - count].copy())
+        count += keys.size
+    t1, t2 = _witness_times(first, xs)
+    witnesses = list(zip(t1.tolist(), t2.tolist()))
 
     # No finiteness check here: SampledSeries rejects non-finite samples.
+    xv, yv = xs.values, ys.values
     if args.format == "json":
         rows = [
-            {"t": float(t), "x": float(xv), "y": float(yv)}
-            for t, xv, yv in zip(xs.times().tolist(), xs.values.tolist(), ys.values.tolist())
+            {"t": float(t), "x": float(a), "y": float(b)}
+            for t, a, b in zip(xs.times().tolist(), xv.tolist(), yv.tolist())
         ]
         body = {
             "results": rows,
             "multivalued": {
-                "count": t1.size,
+                "count": count,
                 "x_tol": x_tol,
                 "y_tol": y_tol,
-                "witnesses": [{"t1": a, "t2": b} for a, b in zip(t1[:10].tolist(), t2[:10].tolist())],
+                "witnesses": [{"t1": a, "t2": b} for a, b in witnesses],
             },
         }
-        text = _json_doc(args, body)
+        _emit([_json_doc(args, body)], args.output)
     else:
-        text = _csv_doc(
-            "x,y",
-            [f"{xv!r},{yv!r}" for xv, yv in zip(xs.values.tolist(), ys.values.tolist())],
-        )
-    _emit(text, args.output)
+
+        def lines(start, stop):
+            return [f"{a!r},{b!r}\n" for a, b in zip(xv[start:stop].tolist(), yv[start:stop].tolist())]
+
+        _emit(_csv_doc("x,y", xv.size, lines), args.output)
 
     report = [
-        f"multivalued dependence ({args.demo}): {t1.size} witness pair(s) "
+        f"multivalued dependence ({args.demo}): {count} witness pair(s) "
         f"at x_tol={x_tol!r}, y_tol={y_tol!r}"
     ]
-    if t1.size:
-        # The witness times as Python floats, so the polynomials' values are too.
-        a, b = float(t1[0]), float(t2[0])
+    if witnesses:
+        # Python floats, so the polynomials' values are too.
+        a, b = witnesses[0]
         report.append(
             f"  e.g. t1={a!r}, t2={b!r}: "
             f"X {d.x(a)!r} ~= {d.x(b)!r} "
@@ -333,7 +348,7 @@ def _run_check(args: argparse.Namespace) -> int:
     ]
     n_ok = sum(r.passed for r in results)
     lines.append(f"{n_ok}/{len(results)} checks passed")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(["\n".join(lines) + "\n"], args.output)
     return 0 if n_ok == len(results) else 1
 
 

@@ -212,17 +212,39 @@ def detect_multivalued(
     witnesses, the scan needs a few index arrays of N and one block of
     candidates.
     """
+    return _witness_times(_witness_keys(x, y, x_tol, y_tol), x)
+
+
+def _witness_keys(x: SampledSeries, y: SampledSeries, x_tol: float, y_tol: float):
+    """The witness scan of ``detect_multivalued``, a block at a time.
+
+    Returns the generator ``_kernels.pair_keys``: each block's witnesses as
+    sorted int64 keys of the sample indices.  The arguments are checked
+    when this is called, not when the scan starts, so a refused tolerance
+    raises before a command opens its output.
+    """
     x_tol, y_tol = _real(x_tol, "tolerances"), _real(y_tol, "tolerances")
     if not (math.isfinite(x_tol) and x_tol > 0.0 and math.isfinite(y_tol) and y_tol > 0.0):
         raise DomainError(f"tolerances must be finite and > 0, got x_tol={x_tol!r}, y_tol={y_tol!r}")
-    import numpy as np
-
-    from ._kernels import blocks, multivalued_pairs
+    from ._kernels import pair_keys
 
     IndicatorPair(y=y, x=x)  # raises unless x and y are of one kind, series on one grid
     if not isinstance(x, SampledSeries):
         raise DomainError("only sampled series can be scanned for witnesses")
-    indices = multivalued_pairs(x.values, y.values, x_tol, y_tol)
+    return pair_keys(x.values, y.values, x_tol, y_tol)
+
+
+def _witness_times(keys, x: SampledSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of witness keys joined into float64 arrays ``(t1, t2)`` of times on x's grid.
+
+    The times are written over the int64 indices one block at a time, so
+    they take 16 bytes per witness.
+    """
+    import numpy as np
+
+    from ._kernels import blocks, pair_indices
+
+    indices = pair_indices(keys, x.n_steps + 1)
     for k in indices:
         t = k.view(np.float64)
         for start, stop in blocks(k.size):

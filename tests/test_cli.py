@@ -13,13 +13,15 @@ from fracalc import (
     Polynomial,
     alpha_sweep,
     caputo_derivative,
+    demo_process,
+    detect_multivalued,
     export_csv,
     ingest_csv,
     sample,
     t_indicator,
     t_indicator_time,
 )
-from fracalc import cli
+from fracalc import _kernels, cli, series
 from fracalc.cli import _parse_alpha_spec, main
 
 
@@ -91,6 +93,23 @@ class TestDemoCommand:
         assert len(doc["results"]) == 501
         assert doc["multivalued"]["count"] >= 1
         assert {"t1", "t2"} <= set(doc["multivalued"]["witnesses"][0])
+
+    @pytest.mark.parametrize("block", [1, _kernels._BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("demo", ["fig1", "fig2"])
+    @pytest.mark.parametrize("flags", [(), ("--y-tol", "1e9")], ids=["default-tol", "no-witness"])
+    def test_json_witnesses_are_the_library_s(self, capsys, monkeypatch, block, demo, flags):
+        # demo counts the scan's blocks and keeps the first ten witnesses;
+        # blocks of one row each spread those ten over several blocks.
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", block)
+        code, out, err = run_cli(capsys, "demo", demo, "--format", "json", *flags)
+        got = json.loads(out)["multivalued"]
+        d = demo_process(demo)
+        xs, ys = sample(d.x, d.t_end, 2000), sample(d.y, d.t_end, 2000)
+        t1, t2 = detect_multivalued(xs, ys, got["x_tol"], got["y_tol"])
+        assert code == 0 and (t1.size > 10) == (not flags)
+        assert got["count"] == t1.size
+        assert got["witnesses"] == [{"t1": a, "t2": b} for a, b in zip(t1[:10].tolist(), t2[:10].tolist())]
+        assert err.startswith(f"multivalued dependence ({demo}): {t1.size} witness pair(s) ")
 
     def test_output_file_keeps_report_on_stdout(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"
@@ -391,6 +410,13 @@ class TestErrorMapping:
     def test_nan_tolerance_fails(self, capsys, flag):
         got = run_cli(capsys, "demo", "fig1", "--N", "200", flag, "nan")
         assert got == (1, "", f"error: DomainError: {self.TOLERANCES[flag].format('nan')}\n")
+
+    def test_refused_tolerance_writes_no_file(self, capsys, tmp_path):
+        # The tolerances are checked before the output file is opened.
+        target = tmp_path / "curve.csv"
+        got = run_cli(capsys, "demo", "fig1", "--N", "200", "--x-tol", "nan", "--output", str(target))
+        assert got == (1, "", f"error: DomainError: {self.TOLERANCES['--x-tol'].format('nan')}\n")
+        assert not target.exists()
 
     @pytest.mark.parametrize("value", ["-inf", "-nan"])
     @pytest.mark.parametrize(
@@ -742,6 +768,33 @@ class TestOutputBytes:
         assert got == (0, want, self.DEMO_REPORT)
 
 
+class TestRowsPerPiece:
+    """CSV text is written a block of rows at a time; the block's size
+    changes the pieces, not the bytes on stdout or in the --output file."""
+
+    COMMANDS = {
+        "sweep-degenerate": ("sweep", "--input", "flat.csv", "--alpha", "0:1:0.5"),
+        "indicator": ("indicator", "--demo", "fig1", "--alpha", "0.5", "--T", "200"),
+        "deriv": ("deriv", "--coeffs", "0,0,1", "--alpha", "0.25:0.75:0.25", "--T", "1"),
+        "demo": ("demo", "fig1", "--N", "4"),
+        "sweep-20001": ("sweep", "--demo", "fig2", "--alpha", "0:1:0.00005", "--T", "385"),
+    }
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+    def test_bytes_do_not_depend_on_rows_per_piece(self, capsys, csv_dir, monkeypatch, tmp_path, argv):
+        def run(rows):
+            monkeypatch.setattr(series, "_CSV_ROWS", rows)
+            target = tmp_path / f"{rows}.csv"
+            to_file = run_cli(capsys, *argv, "--output", str(target))
+            return run_cli(capsys, *argv), to_file, target.read_bytes()
+
+        want = run(series._CSV_ROWS)
+        (code, out, _), _, data = want
+        assert code == 0 and out.count("\n") > 3 and data == out.encode()
+        for rows in (1, 2, 3):
+            assert run(rows) == want, rows
+
+
 class TestCellsArePythonFloats:
     """Rows are written with one repr per cell, which is the shortest
     round-trip decimal only for a Python float: a numpy float64 prints as
@@ -793,15 +846,19 @@ class TestCellsArePythonFloats:
         rows = []
         csv_doc = cli._csv_doc
 
-        def record(header, lines):
-            rows.extend(lines)
-            return csv_doc(header, lines)
+        def record(header, n, lines):
+            def recorded(start, stop):
+                block = lines(start, stop)
+                rows.extend(block)
+                return block
+
+            return csv_doc(header, n, recorded)
 
         monkeypatch.setattr(cli, "_csv_doc", record)
         code, out, err = run_cli(capsys, "demo", "fig2", "--N", "500")
         assert code == 0 and err.startswith("multivalued dependence (fig2): ")
-        assert len(rows) == 501
-        cells = [cell for row in rows for cell in row.split(",")]
+        assert len(rows) == 501 and all(row.endswith("\n") for row in rows)
+        cells = [cell for row in rows for cell in row[:-1].split(",")]
         assert all(repr(float(cell)) == cell for cell in cells)
 
 

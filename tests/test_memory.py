@@ -1,5 +1,8 @@
-"""Memory contracts: besides stored samples, only the multivalued witnesses
-take memory that grows with the input.
+"""Memory contracts: besides stored samples, only the witnesses that
+``detect_multivalued`` returns take memory that grows with the input.
+``demo`` counts the witness scan a block at a time and keeps none of its
+blocks, and CSV text, from ``export_csv`` or any command, is written a
+block of rows at a time.
 
 A polynomial sampled on a grid holds no samples: each pass computes them a
 block at a time, so the numeric engine on a polynomial holds none, and only
@@ -118,6 +121,30 @@ def test_witness_scan_holds_the_witnesses_and_index_arrays_of_n(fig2):
     (t1, t2), peak = traced_peak(detect_multivalued, xs, ys, x_tol, y_tol)
     assert t1.size > 10 * n
     assert peak <= 16 * t1.size + 8 * 8 * (n + 1) + SLACK
+
+
+def test_demo_command_holds_no_witnesses(tmp_path, capsys):
+    # The witness test's bound without the witnesses: demo builds its
+    # samples for the scan, counts the scan's blocks, keeps ten witnesses
+    # and writes its curve a block of rows at a time.
+    n = 20_000
+    path = tmp_path / "curve.csv"
+    code, peak = traced_peak(main, ["demo", "fig2", "--N", str(n), "--output", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0 and out.startswith("multivalued dependence (fig2): ")
+    assert int(out.split(": ")[1].split()[0]) > 10 * n
+    assert peak <= 16 * (n + 1) + 8 * 8 * (n + 1) + SLACK
+
+
+def test_export_holds_one_block_of_rows(tmp_path, fig2):
+    # The samples are built first, 16 bytes a row; then the text, several
+    # times the samples' size, is formatted and written a block of rows at
+    # a time.
+    rows = 100_001
+    path = tmp_path / "pair.csv"
+    _, peak = traced_peak(export_csv, fig2.sampled_pair(rows - 1), path)
+    assert path.stat().st_size > 2 * (16 * rows + SLACK)
+    assert peak <= 16 * rows + SLACK
 
 
 def pad_one_cell(path, line):

@@ -554,6 +554,20 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back.y.values, pair.y.values)
         assert np.isclose(back.x.h, pair.x.h, rtol=1e-15)
 
+    def test_export_bytes_do_not_depend_on_rows_per_piece(self, tmp_path, monkeypatch, fig1):
+        pair = fig1.sampled_pair(157)
+
+        def export(rows):
+            monkeypatch.setattr(series, "_CSV_ROWS", rows)
+            path = tmp_path / f"{rows}.csv"
+            export_csv(pair, path)
+            return path.read_bytes()
+
+        want = export(series._CSV_ROWS)
+        assert want.count(b"\n") == 159
+        for rows in (1, 2, 3, 100):
+            assert export(rows) == want, rows
+
     def test_export_to_file_object(self, tmp_path, fig1):
         pair = fig1.sampled_pair(10)
         path = tmp_path / "obj.csv"
