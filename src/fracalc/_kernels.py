@@ -7,10 +7,10 @@ import numpy as np
 # Candidate pairs are tested in blocks of consecutive rows holding at most
 # this many candidates, unless one row's window alone holds more.  A block
 # holds at most about eight index and value buffers of 8 bytes per
-# candidate, 1 MB at this size, so they stay in cache: blocks of 8192 to
-# 65536 scanned demo's curves within 10% of each other, 4096 and 262144
-# more slowly.
-_BLOCK_ELEMENTS = 16_384
+# candidate, 512 KB at this size, so they stay in cache.  On demo's curves
+# at N = 1e4, blocks of 8192 scanned as fast as 16384 or faster, 4096 and
+# 32768 more slowly, and `demo`'s peak RSS was 0.5 MB lower than at 16384.
+_BLOCK_ELEMENTS = 8192
 
 # Slack added to each point's x_tol window on either side, in units of the
 # spacing of the largest magnitude involved.  fl(x_i +- x_tol) and the exact
@@ -200,41 +200,30 @@ def l1_weighted_sum(rows, exponents):
     return out
 
 
-def multivalued_pairs(x, y, x_tol, y_tol):
-    """Index pairs (i, j), i < j, with |x_i - x_j| <= x_tol and |y_i - y_j| > y_tol.
-
-    Returns two int64 arrays ``(i, j)`` in row-major order (i ascending, then
-    j): the blocks of ``pair_keys`` joined by ``pair_indices``.  Memory is
-    that of the scan beside the result, whose 16 bytes per witness are held
-    once more while the blocks are joined.
-    """
-    return pair_indices(pair_keys(x, y, x_tol, y_tol), len(x))
-
-
 def pair_indices(keys, n):
     """Blocks of keys i * n + j joined and split into int64 arrays ``(i, j)``."""
     j = np.concatenate([np.empty(0, np.int64), *keys])
-    i = j // max(n, 1)
-    j %= max(n, 1)
+    i = j // n
+    j %= n
     return i, j
 
 
 def pair_keys(x, y, x_tol, y_tol):
-    """The pairs of ``multivalued_pairs``, a block at a time, as keys i * n + j.
+    """Index pairs i < j with |x_i - x_j| <= x_tol and |y_i - y_j| > y_tol, a block at a time.
 
-    A generator of int64 arrays, with n = len(x): each block's keys sorted,
-    the blocks in row order, so that they concatenate to every pair in
-    row-major order (i ascending, then j).  x is sorted once.  For sorted
-    x, fl(x_j - x_i) is monotone in x_j, so each row's matches form one
-    contiguous run in sorted order, found with ``searchsorted`` on a window
-    from fl(x_i - x_tol) to fl(x_i + x_tol), widened by the slack of
-    ``_WINDOW_ULPS`` on both sides.  The windows are two-sided, so each pair
-    is tested from both of its rows and kept only from the smaller index:
-    about twice the exact tests of a one-sided scan, but the rows come out
-    in order.  Consecutive rows are tested in blocks of at most
-    ``_BLOCK_ELEMENTS`` candidates (a row whose window holds more is a block
-    alone), and one sort of a block's keys orders it by j within i, so the
-    blocks need no global sort.
+    A generator of int64 arrays of keys i * n + j, with n = len(x): each
+    block's keys sorted, the blocks in row order, so that they concatenate
+    to every pair in row-major order (i ascending, then j).  x is sorted
+    once.  For sorted x, fl(x_j - x_i) is monotone in x_j, so each row's
+    matches form one contiguous run in sorted order, found with
+    ``searchsorted`` on a window from fl(x_i - x_tol) to fl(x_i + x_tol),
+    widened by the slack of ``_WINDOW_ULPS`` on both sides.  The windows
+    are two-sided, so each pair is tested from both of its rows and kept
+    only from the smaller index: about twice the exact tests of a one-sided
+    scan, but the rows come out in order.  Consecutive rows are tested in
+    blocks of at most ``_BLOCK_ELEMENTS`` candidates (a row whose window
+    holds more is a block alone), and one sort of a block's keys orders it
+    by j within i, so the blocks need no global sort.
 
     Cost is O(N log N) plus the number of candidates in those windows.
     Memory is O(N + block): a few index arrays of N and one block's

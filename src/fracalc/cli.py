@@ -295,10 +295,7 @@ def _run_demo(args: argparse.Namespace) -> int:
     # No finiteness check here: SampledSeries rejects non-finite samples.
     xv, yv = xs.values, ys.values
     if args.format == "json":
-        rows = [
-            {"t": float(t), "x": float(a), "y": float(b)}
-            for t, a, b in zip(xs.times().tolist(), xv.tolist(), yv.tolist())
-        ]
+        rows = [{"t": t, "x": a, "y": b} for t, a, b in zip(xs.times().tolist(), xv.tolist(), yv.tolist())]
         body = {
             "results": rows,
             "multivalued": {

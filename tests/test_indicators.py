@@ -159,7 +159,8 @@ class TestTIndicatorTime:
         ts = sample(IDENTITY, 100.0, 4096)
         closed = t_indicator_time(ys, alpha)
         ratio = t_indicator(IndicatorPair(y=ys, x=ts), alpha)
-        assert rel_err(closed, ratio) <= 5e-3
+        # One L1 numerator on both sides; the L1 derivative of sampled t is exact up to rounding.
+        assert rel_err(closed, ratio) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [2.0, 2.5])
     def test_order_cap(self, refused, fig1, alpha):

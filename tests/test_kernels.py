@@ -1,6 +1,7 @@
 import ast
 import math
 import warnings
+from collections import Counter
 from math import gamma
 from pathlib import Path
 
@@ -25,9 +26,12 @@ def brute_pairs(x, y, x_tol, y_tol):
 
 
 def scan_pairs(x, y, x_tol, y_tol):
-    i, j = _kernels.multivalued_pairs(np.asarray(x, float), np.asarray(y, float), x_tol, y_tol)
-    assert i.dtype == j.dtype == np.int64
-    return list(zip(i.tolist(), j.tolist()))
+    """The pairs of ``pair_keys``' blocks in the order it yields them, each key i * n + j split by divmod."""
+    pairs = []
+    for keys in _kernels.pair_keys(np.asarray(x, float), np.asarray(y, float), x_tol, y_tol):
+        assert keys.dtype == np.int64
+        pairs += [divmod(k, len(x)) for k in keys.tolist()]
+    return pairs
 
 
 def full_length_l1(v, a, h):
@@ -321,6 +325,12 @@ class TestMultivaluedPairs:
 
 _BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot"}
 
+# Each module of the package by file name, parsed once for the pins below.
+_TREES = {
+    path.name: ast.parse(path.read_text(encoding="utf-8"))
+    for path in sorted(Path(_kernels.__file__).parent.glob("*.py"))
+}
+
 
 def _name(node):
     """The name a Name, Attribute, Call, import alias or from-import refers to, else ''."""
@@ -351,12 +361,7 @@ def test_no_blas_calls():
     # costs nothing only while no code calls BLAS: numpy routes matrix
     # products, dot products, linalg and einsum with optimize through it.
     # A call that brings BLAS in has to revisit that default.
-    package = Path(_kernels.__file__).parent
-    found = {
-        f"{path.name}:{use}"
-        for path in sorted(package.glob("*.py"))
-        for use in _blas_uses(ast.parse(path.read_text(encoding="utf-8")))
-    }
+    found = {f"{module}:{use}" for module, tree in _TREES.items() for use in _blas_uses(tree)}
     assert not found
 
 
@@ -365,11 +370,44 @@ def test_no_dataclasses_or_typing_imports():
     # brings in inspect, ast, dis and tokenize, and decorating a class
     # compiles its methods at import.  Type-only imports sit under a
     # module-level `TYPE_CHECKING = False` and annotations stay strings.
-    package = Path(_kernels.__file__).parent
     found = {
-        f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{module}:{node.lineno}"
+        for module, tree in _TREES.items()
+        for node in ast.walk(tree)
         if isinstance(node, (ast.alias, ast.ImportFrom)) and _name(node).split(".")[0] in {"dataclasses", "typing"}
     }
+    assert not found
+
+
+def _definitions(tree):
+    """(name, node) of each top-level function, class and constant of a module, and of each _private method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and method.name.startswith("_"):
+                    yield method.name, method
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from ((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_every_name_has_a_caller():
+    # The package keeps no code that only tests or the benchmark call: each
+    # name it defines is named again in the package outside its own
+    # definition, unless its module's __all__ exports it.  Dunders are
+    # Python's to call.
+    uses = Counter(_name(node) for tree in _TREES.values() for node in ast.walk(tree))
+    found = set()
+    for module, tree in _TREES.items():
+        definitions = list(_definitions(tree))
+        exported = {
+            name for key, node in definitions if key == "__all__" for name in ast.literal_eval(node.value)
+        }
+        for name, node in definitions:
+            own = sum(_name(n) == name for n in ast.walk(node))
+            if not name.endswith("__") and name not in exported and uses[name] == own:
+                found.add(f"{module}:{node.lineno} {name}")
     assert not found
