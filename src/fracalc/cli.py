@@ -388,7 +388,3 @@ def main(argv: list[str] | None = None) -> int:
     except (FracalcError, OSError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,6 +3,7 @@ import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -882,10 +883,12 @@ class TestRuntimeDependencies:
         # Neither `import fracalc`, which imports every public name from its
         # module, nor `import fracalc.cli` loads numpy: no module imports it
         # at module level, only code that holds samples.  Only the CLI's entry
-        # sets OPENBLAS_NUM_THREADS, so a library user's process keeps its
-        # BLAS as it was.  Nor does either load dataclasses, inspect or
-        # typing, which cost start-up time; they count only if the import
-        # added them, since a site-packages .pth file may load typing first.
+        # sets OPENBLAS_NUM_THREADS and freezes the collector, so a library
+        # user's process keeps its BLAS and its garbage collection as they
+        # were, also after a command run through fracalc.cli.main.  Nor does
+        # either load dataclasses, inspect or typing, which cost start-up
+        # time; they count only if the import added them, since a
+        # site-packages .pth file may load typing first.
         code = (
             "import os, sys\n"
             "before = set(sys.modules)\n"
@@ -904,10 +907,14 @@ class TestRuntimeDependencies:
             "    fracalc.no_such_name\n"
             "except AttributeError as exc:\n"
             "    print(exc)\n"
+            "import gc\n"
+            "print(fracalc.cli.main(['deriv', '--coeffs', '1,2,3', '--alpha', '0.5', '--T', '2']))\n"
+            "print(gc.get_freeze_count())\n"
         )
         env = {k: v for k, v in child_env.items() if k != "OPENBLAS_NUM_THREADS"}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         want = "False\nFalse\n[] None\n[]\nTrue\n[]\nmodule 'fracalc' has no attribute 'no_such_name'\n"
+        want += "alpha,value\n0.5,15.957691216057306\n0\n0\n"
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
         # No public name shadows a submodule, as a function `caputo` would `fracalc.caputo`.
         assert not set(fracalc.__all__) & {m.name for m in pkgutil.iter_modules(fracalc.__path__)}
@@ -944,6 +951,45 @@ class TestRuntimeDependencies:
         code = "import os, fracalc.__main__\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--demo", "fig1", "--engine", "numeric", "--N", "1000", "--alpha", "0:1:0.5", "--T", "200"],
+            ["indicator", "--demo", "fig1", "--alpha", "0.5", "--T", "0"],
+            ["sweep", "--demo", "nope", "--alpha", "0.5"],
+        ],
+        ids=["status-0", "status-1", "status-2"],
+    )
+    def test_entry_freezes_the_collector_on_every_exit(self, capsys, child_env, argv):
+        # The entry freezes every object before the interpreter shuts down,
+        # whether the command returns 0 or 1 or argparse raises SystemExit(2),
+        # and `python -m fracalc` writes what the library's cli.main writes.
+        try:
+            want = run_cli(capsys, *argv)
+        except SystemExit as exc:
+            want = (exc.code, *capsys.readouterr())
+        proc = subprocess.run([sys.executable, "-m", "fracalc", *argv], env=child_env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+        code = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0))\n"
+            "from fracalc.__main__ import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=child_env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (want[0], want[1] + "frozen: True\n", want[2])
+
+    def test_console_script_is_the_entry(self, child_env):
+        # `fracalc` and `python -m fracalc` share one entry: the script names
+        # the wrapper in __main__, not cli.main, which neither freezes nor
+        # sets the BLAS threads.  Read as text: Python 3.10 has no tomllib.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+        assert scripts == 'fracalc = "fracalc.__main__:main"'
+        code = "from fracalc.__main__ import main\nprint(main.__module__)\n"
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "fracalc.__main__\n", "")
 
 
 class TestCheckCommand:
